@@ -24,7 +24,7 @@ import numpy as np
 
 from .distances import DistanceMatrix
 from .exceptions import Error, FormatError, MetricUndefinedError, ValidationError
-from .grid import Grid, ensure_valid
+from .grid import Grid, ensure_valid, tree_paths
 from .grouping import RGConfig
 from .learn import LearnedGrid, learn_from_moments
 from .lcpf import InjectionSpec, simulate
@@ -39,16 +39,13 @@ HUB_NAME = "n1"
 # ---------------------------------------------------------------------------
 
 def random_radial_grid(
-    n,
+    n: int,
     seed: int,
     max_degree: int = 4,
     r_range: tuple[float, float] = (0.05, 0.5),
     x_range: tuple[float, float] = (0.05, 0.5),
 ) -> Grid:
     """Random radial grid with n nodes (root included) and i.i.d. impedances.
-
-    The first argument may be an ExperimentConfig, in which case n,
-    max_degree, and the impedance ranges all come from it.
 
     The root hangs off a hub junction by a single line; the rest of the tree
     grows from the hub by either attaching a new terminal to a junction with
@@ -62,10 +59,6 @@ def random_radial_grid(
     degree >= 3 among the non-root nodes, so the only valid 6-node grid is
     the hub with four terminals, and the hub then has degree 5.
     """
-    if isinstance(n, ExperimentConfig):
-        cfg = n
-        n, max_degree = cfg.n, cfg.max_degree
-        r_range, x_range = cfg.r_range, cfg.x_range
     if n < 5:
         raise ValidationError(f"need n >= 5 for a hub plus three terminals, got n={n}")
     if max_degree < 4:
@@ -163,44 +156,29 @@ def edge_splits(obj) -> list[tuple[frozenset[str], float, float]]:
     edge_list, observed, strip = _tree_view(obj)
     if not observed:
         raise MetricUndefinedError("tree has no observed terminals")
-    adj: dict[str, list[tuple[str, int]]] = {}
-    kept: list[int] = []
-    for i, (u, v, _r, _x) in enumerate(edge_list):
-        if u in strip or v in strip:
-            continue
-        kept.append(i)
-        adj.setdefault(u, []).append((v, i))
-        adj.setdefault(v, []).append((u, i))
+    kept = [i for i, (u, v, _r, _x) in enumerate(edge_list) if u not in strip and v not in strip]
+    ends = [edge_list[i][:2] for i in kept]
+    nodes = {n for pair in ends for n in pair}
     anchor = min(observed)
-    if anchor not in adj:
+    if anchor not in nodes:
         raise MetricUndefinedError(f"anchor terminal {anchor!r} is not in the tree")
-    # Root the tree at the anchor: via[w] is the edge that discovered w, so
-    # the far-side observed set of an edge is the observed content of the
-    # subtree hanging below it.
-    via: dict[str, int | None] = {anchor: None}
-    order = [anchor]
-    for node in order:
-        for w, i in adj[node]:
-            if w not in via:
-                via[w] = i
-                order.append(w)
-    if len(via) != len(adj):
+    paths = tree_paths(ends, anchor)
+    if len(paths) != len(nodes):
         raise MetricUndefinedError("tree is not connected over its terminals")
-    missing = observed - via.keys()
+    if len(kept) != len(nodes) - 1:
+        raise MetricUndefinedError("tree has a cycle or a parallel line")
+    missing = observed - paths.keys()
     if missing:
         raise MetricUndefinedError(f"terminals {sorted(missing)} are not in the tree")
-    below: dict[int, frozenset[str]] = {}
-    for node in reversed(order):
-        s = {node} if node in observed else set()
-        for w, j in adj[node]:
-            if via.get(w) == j and w != node:
-                s |= below[j]
-        i = via[node]
-        if i is not None:
-            below[i] = frozenset(s)
+    # A line cuts off from the anchor exactly the terminals whose anchor
+    # path runs through it.
+    below: list[set[str]] = [set() for _ in kept]
+    for n in observed:
+        for j in paths[n]:
+            below[j].add(n)
     return [
-        (below[i], edge_list[i][2], edge_list[i][3])
-        for i in kept
+        (frozenset(below[j]), edge_list[i][2], edge_list[i][3])
+        for j, i in enumerate(kept)
     ]
 
 
@@ -377,9 +355,7 @@ def _run_trial(cfg: ExperimentConfig, trial: int, grid_seed: int, meas_seed: int
         for eps0 in cfg.eps0:
             start = time.perf_counter()
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    learned = learn_from_moments(m, cfg=cfg.rg_config(eps0))
+                learned = learn_from_moments(m, cfg=cfg.rg_config(eps0))
                 report = evaluate(g, learned, runtime=time.perf_counter() - start)
                 rows.append(TrialResult(
                     samples=t, eps0=eps0, trial=trial,
@@ -402,18 +378,24 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialResult]:
     """Run every (samples, eps0, trial) cell; rows come back canonically sorted.
 
     Per-trial seeds derive from cfg.seed, and each trial is independent of
-    scheduling, so the result is identical for any thread count.
+    scheduling, so the result is identical for any thread count. Warnings
+    are silenced for the whole sweep.
     """
     state = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.trials, dtype=np.uint32)
     jobs = [
         (trial, int(state[2 * trial]), int(state[2 * trial + 1]))
         for trial in range(cfg.trials)
     ]
-    if cfg.threads == 1:
-        batches = [_run_trial(cfg, *job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            batches = list(pool.map(lambda job: _run_trial(cfg, *job), jobs))
+    # The warning filters are process-global, so they are set once here, in
+    # the calling thread: a worker that saved and restored them itself would
+    # undo the silencing for the workers still running.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if cfg.threads == 1:
+            batches = [_run_trial(cfg, *job) for job in jobs]
+        else:
+            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+                batches = list(pool.map(lambda job: _run_trial(cfg, *job), jobs))
     rows = [row for batch in batches for row in batch]
     rows.sort(key=lambda r: (r.samples, r.eps0, r.trial))
     return rows

@@ -313,8 +313,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-run = main
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -74,24 +74,20 @@ class DistanceMatrix:
 
     @classmethod
     def from_grid(cls, g: Grid, nodes: tuple[str, ...] | None = None) -> "DistanceMatrix":
-        return from_grid(g, nodes)
-
-
-def from_grid(g: Grid, nodes: tuple[str, ...] | None = None) -> DistanceMatrix:
-    """Ground-truth path-sum distances between the given nodes (default: observed)."""
-    if nodes is None:
-        nodes = g.observed_nodes
-    for n in nodes:
-        if n in g.roots:
-            raise ValidationError(f"node {n!r} is the root; distances undefined")
-    m = len(nodes)
-    d_r = np.zeros((m, m))
-    d_x = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            d_r[i, j] = d_r[j, i] = true_distance(g, nodes[i], nodes[j], "r")
-            d_x[i, j] = d_x[j, i] = true_distance(g, nodes[i], nodes[j], "x")
-    return DistanceMatrix(tuple(nodes), d_r, d_x)
+        """Ground-truth path-sum distances between the given nodes (default: observed)."""
+        if nodes is None:
+            nodes = g.observed_nodes
+        for n in nodes:
+            if n in g.roots:
+                raise ValidationError(f"node {n!r} is the root; distances undefined")
+        m = len(nodes)
+        d_r = np.zeros((m, m))
+        d_x = np.zeros((m, m))
+        for i in range(m):
+            for j in range(i + 1, m):
+                d_r[i, j] = d_r[j, i] = true_distance(g, nodes[i], nodes[j], "r")
+                d_x[i, j] = d_x[j, i] = true_distance(g, nodes[i], nodes[j], "x")
+        return cls(tuple(nodes), d_r, d_x)
 
 
 def perturbed(dm: DistanceMatrix, noise: float, seed: int) -> DistanceMatrix:

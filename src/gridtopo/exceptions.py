@@ -30,10 +30,6 @@ class NotAdditiveError(Error):
         self.max_violation = max_violation
 
 
-class NoWitnessError(Error):
-    """No third node lies close enough to both members of a pair."""
-
-
 class GroupingStalledError(Error):
     """Tree grouping stopped making progress; carries the working state."""
 

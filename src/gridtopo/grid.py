@@ -9,10 +9,10 @@ line-resistance / line-reactance distances between nodes.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -114,60 +114,67 @@ class Grid:
         return len(self.adjacency[node])
 
     @cached_property
-    def _parent(self) -> dict[str, tuple[str, Edge] | None]:
-        """BFS parent pointers from the root; None marks the root itself."""
-        root = self.root
-        parent: dict[str, tuple[str, Edge] | None] = {root: None}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, e in self.adjacency[u].items():
-                if v not in parent:
-                    parent[v] = (u, e)
-                    queue.append(v)
-        return parent
-
-    @cached_property
-    def _depth(self) -> dict[str, int]:
-        depth = {}
-        for n in self._parent:
-            d, cur = 0, n
-            while self._parent[cur] is not None:
-                cur = self._parent[cur][0]  # type: ignore[index]
-                d += 1
-            depth[n] = d
-        return depth
+    def _root_paths(self) -> dict[str, list[int]]:
+        """Edge-index path from the root to every node it reaches."""
+        return tree_paths(((e.u, e.v) for e in self.edges), self.root)
 
     @property
     def depth(self) -> int:
         """Maximum number of edges from the root to any node."""
-        return max(self._depth.values(), default=0)
+        return max(map(len, self._root_paths.values()), default=0)
 
     def _require_reachable(self, node: str) -> None:
         if node not in self.index:
             raise ValidationError(f"unknown node {node!r}")
-        if node not in self._parent:
+        if node not in self._root_paths:
             raise ValidationError(f"node {node!r} is not connected to the root")
 
     def root_path_edges(self, node: str) -> list[Edge]:
         """Edges on the path from node up to the root."""
         self._require_reachable(node)
-        path, cur = [], node
-        while (up := self._parent[cur]) is not None:
-            path.append(up[1])
-            cur = up[0]
-        return path
+        return [self.edges[i] for i in reversed(self._root_paths[node])]
 
     def path_edges(self, a: str, b: str) -> list[Edge]:
         """Edges on the unique tree path between a and b."""
         self._require_reachable(a)
         self._require_reachable(b)
-        ea, eb = self.root_path_edges(a), self.root_path_edges(b)
-        # Strip the shared climb above the deepest common junction.
-        while ea and eb and ea[-1] is eb[-1]:
-            ea.pop()
-            eb.pop()
-        return ea + eb[::-1]
+        return [self.edges[i] for i in path_between(self._root_paths[a], self._root_paths[b])]
+
+
+def tree_paths(edges: Iterable[tuple[str, str]], anchor: str) -> dict[str, list[int]]:
+    """Edge-index path from `anchor` to every node it reaches.
+
+    edges yields the (u, v) ends of line i in order; a path lists the indices
+    of its lines from the anchor outward. Nodes the anchor cannot reach are
+    absent, so a graph is connected exactly when every node has a path. On a
+    tree each path is the unique one.
+    """
+    adj: dict[str, list[tuple[str, int]]] = {}
+    for i, (u, v) in enumerate(edges):
+        adj.setdefault(u, []).append((v, i))
+        adj.setdefault(v, []).append((u, i))
+    paths = {anchor: []}
+    order = [anchor]
+    for u in order:
+        for w, i in adj.get(u, ()):
+            if w not in paths:
+                paths[w] = paths[u] + [i]
+                order.append(w)
+    return paths
+
+
+def path_between(pa: list[int], pb: list[int]) -> list[int]:
+    """Lines between two nodes, given their tree_paths from one anchor.
+
+    The order runs from the first node up to the deepest common junction and
+    then down to the second node.
+    """
+    shared = 0
+    for ea, eb in zip(pa, pb):
+        if ea != eb:
+            break
+        shared += 1
+    return pa[shared:][::-1] + pb[shared:]
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +224,10 @@ def validate_grid(g: Grid) -> ValidationReport:
 
     structurally_sound = not v
     if structurally_sound:
-        # Connectivity check from an arbitrary node.
-        if g.nodes:
-            seen = {g.nodes[0]}
-            queue = deque(seen)
-            while queue:
-                u = queue.popleft()
-                for w in g.adjacency[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            if len(seen) != len(g.nodes):
-                v.append("graph is not connected")
+        # Sound structure means exactly one root, so reaching every node from
+        # it is connectivity.
+        if len(g._root_paths) != len(g.nodes):
+            v.append("graph is not connected")
         if len(g.edges) != max(len(g.nodes) - 1, 0):
             v.append(f"not a tree: {len(g.nodes)} nodes but {len(g.edges)} edges")
 
@@ -391,12 +390,17 @@ def save_grid(g: Grid, path: str | Path) -> None:
     Path(path).write_text(json.dumps(grid_to_dict(g), indent=2) + "\n")
 
 
-def load_grid(path: str | Path) -> Grid:
+def read_json(path: str | Path) -> object:
+    """Parse a JSON file; a missing file or bad JSON raises FormatError naming it."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except FileNotFoundError:
         raise FormatError(f"{path}: file not found") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc.msg} at line {exc.lineno})") from None
-    return grid_from_dict(data, source=str(path))
+
+
+def load_grid(path: str | Path) -> Grid:
+    path = Path(path)
+    return grid_from_dict(read_json(path), source=str(path))

@@ -22,7 +22,6 @@ twice are merged instead of stacked.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +30,10 @@ from .distances import DistanceMatrix, _canonical
 from .exceptions import (
     GroupingStalledError,
     NegativeLengthWarning,
-    NoWitnessError,
     NotAdditiveError,
     ValidationError,
 )
+from .grid import path_between, tree_paths
 
 EXACT_TOL = 1e-9
 HIDDEN_PREFIX = "h#"
@@ -55,19 +54,15 @@ class RGConfig:
     block and dynamic_eps is set, eps grows by eps_growth and the round
     retries (eps resets to eps0 after any productive round). With dynamic_eps
     off, a stalled round raises instead. tau bounds the witness neighborhood
-    (None: 2x the median distance entry); witness_cap keeps only that many
-    closest witnesses per pair (None: no cap — required for exact inputs,
-    where every witness is decisive); max_rounds bounds the outer loop
-    (None: 4x the number of input nodes). eps0 and tau are in the units of
+    (None: 2x the median distance entry). eps0 and tau are in the units of
     the metric grouped on; the learner groups on (d_r + d_x) / 2, so there
-    they are ohms of that mean.
+    they are ohms of that mean. Every pair keeps only its WITNESS_CAP
+    closest witnesses, and grouping gives up after 4 rounds per input node.
     """
 
     eps0: float = 0.07
     eps_growth: float = 1.5
     tau: float | None = None
-    witness_cap: int | None = WITNESS_CAP
-    max_rounds: int | None = None
     dynamic_eps: bool = True
 
     def __post_init__(self):
@@ -77,12 +72,6 @@ class RGConfig:
             raise ValidationError(f"eps_growth must be > 1, got {self.eps_growth}")
         if self.tau is not None and self.tau <= 0:
             raise ValidationError(f"tau must be > 0, got {self.tau}")
-        if self.witness_cap is not None and self.witness_cap < 3:
-            raise ValidationError(
-                f"witness_cap must be >= 3 witnesses or None, got {self.witness_cap}"
-            )
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValidationError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
 
 @dataclass(frozen=True)
@@ -132,138 +121,24 @@ def tree_path_lengths(tree: LearnedTree, nodes: tuple[str, ...] | None = None) -
     """Pairwise path-length matrix over `nodes` (default: all tree nodes)."""
     if nodes is None:
         nodes = tree.nodes
-    adj = tree.adjacency()
+    known = set(tree.nodes)
     for n in nodes:
-        if n not in adj:
+        if n not in known:
             raise ValidationError(f"tree has no node {n!r}")
-    index = {n: i for i, n in enumerate(nodes)}
+    paths = tree_paths(((e.u, e.v) for e in tree.edges), tree.nodes[0])
+    if len(paths) != len(tree.nodes):
+        raise ValidationError("tree is not connected")
+    lengths = [e.length for e in tree.edges]
     out = np.zeros((len(nodes), len(nodes)))
-    for src in nodes:
-        dist = {src: 0.0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w, length in adj[u].items():
-                if w not in dist:
-                    dist[w] = dist[u] + length
-                    queue.append(w)
-        if len(dist) != len(adj):
-            raise ValidationError("tree is not connected")
-        i = index[src]
-        for n, j in index.items():
-            out[i, j] = dist[n]
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes):
+            out[i, j] = sum(lengths[e] for e in path_between(paths[a], paths[b]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Pair classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairRelation:
-    """Outcome for one pair: 'parent' (with the parent named), 'siblings',
-    or 'unrelated'. score is the winning residual (parent) or the witness
-    spread (siblings); lower is more confident."""
-
-    kind: str
-    parent: str | None = None
-    score: float = 0.0
-
-
-def _classify_scalar(dab: float, phis: np.ndarray, eps: float) -> tuple[str, bool | None, float]:
-    """Shared pair test. Returns (kind, parent_is_first, score).
-
-    Parent tests take precedence over the sibling test; when both directions
-    pass, the direction with the smaller mean residual wins.
-    """
-    dev_ba = float(np.abs(phis - dab).max())  # phi ~ +d(a,b): b is the parent
-    dev_ab = float(np.abs(phis + dab).max())  # phi ~ -d(a,b): a is the parent
-    pass_ba, pass_ab = dev_ba <= eps, dev_ab <= eps
-    if pass_ba or pass_ab:
-        mean = float(phis.mean())
-        res_ba, res_ab = abs(dab - mean), abs(dab + mean)
-        if pass_ba and pass_ab:
-            parent_is_first = res_ab <= res_ba
-        else:
-            parent_is_first = pass_ab
-        return "parent", parent_is_first, (res_ab if parent_is_first else res_ba)
-    spread = float(phis.max() - phis.min())
-    absmax = float(np.abs(phis).max())
-    if spread <= eps and absmax <= dab + eps:
-        return "siblings", None, spread
-    return "unrelated", None, 0.0
-
-
-def phi(d: DistanceMatrix, a: str, b: str, c: str, mode: str = "r") -> float:
-    """Witness statistic d(a, c) - d(b, c)."""
-    if len({a, b, c}) != 3:
-        raise ValidationError(f"phi needs three distinct nodes, got ({a!r}, {b!r}, {c!r})")
-    mat = d.mode(mode)
-    ia, ib, ic = d.index[a], d.index[b], d.index[c]
-    return float(mat[ia, ic] - mat[ib, ic])
-
-
-def neighborhood(d: DistanceMatrix, a: str, b: str, tau: float, mode: str = "r") -> tuple[str, ...]:
-    """Witness candidates: nodes within tau of both a and b."""
-    mat = d.mode(mode)
-    ia, ib = d.index[a], d.index[b]
-    return tuple(
-        c for i, c in enumerate(d.nodes)
-        if c != a and c != b and mat[ia, i] < tau and mat[ib, i] < tau
-    )
-
-
-def classify_pair_exact(
-    d: DistanceMatrix,
-    a: str,
-    b: str,
-    witnesses: tuple[str, ...] | None = None,
-    mode: str = "r",
-    tol: float = EXACT_TOL,
-) -> PairRelation:
-    """Classify (a, b) against every witness, with a numeric tolerance only."""
-    if witnesses is None:
-        witnesses = tuple(c for c in d.nodes if c != a and c != b)
-    else:
-        witnesses = tuple(c for c in witnesses if c != a and c != b)
-    if not witnesses:
-        raise ValidationError("classification needs at least one witness node")
-    return classify_pair_sampled(d, a, b, witnesses, tol, mode)
-
-
-def classify_pair_sampled(
-    d: DistanceMatrix,
-    a: str,
-    b: str,
-    witnesses: tuple[str, ...],
-    eps: float,
-    mode: str = "r",
-) -> PairRelation:
-    """Classify (a, b) using the given witnesses and tolerance eps."""
-    if a == b:
-        raise ValidationError("cannot classify a node against itself")
-    witnesses = tuple(c for c in witnesses if c != a and c != b)
-    if not witnesses:
-        raise NoWitnessError(f"pair ({a!r}, {b!r}): no witness in the neighborhood")
-    mat = d.mode(mode)
-    ia, ib = d.index[a], d.index[b]
-    ic = np.array([d.index[c] for c in witnesses])
-    phis = mat[ia, ic] - mat[ib, ic]
-    kind, parent_is_first, score = _classify_scalar(float(mat[ia, ib]), phis, eps)
-    if kind == "parent":
-        return PairRelation("parent", a if parent_is_first else b, score)
-    return PairRelation(kind, None, score)
 
 
 # ---------------------------------------------------------------------------
 # Coarsest partition
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Block:
-    members: tuple[str, ...]
-    parent: str | None = None
-
 
 def _greedy_partition(
     k: int,
@@ -344,45 +219,6 @@ def _greedy_partition(
     return blocks
 
 
-def coarsest_partition(
-    nodes: tuple[str, ...],
-    relations: dict[tuple[str, str] | frozenset, PairRelation],
-) -> list[Block]:
-    """Group nodes into the coarsest blocks consistent with pair relations.
-
-    Every two nodes in a block are either siblings, or one is the block's
-    parent and the other its child. Nodes without usable relations come back
-    as singletons.
-    """
-    index = {n: i for i, n in enumerate(nodes)}
-    k = len(nodes)
-    sib_ok = np.zeros((k, k), dtype=bool)
-    parent_cands: list[tuple[float, int, int]] = []
-    sibling_cands: list[tuple[float, int, int]] = []
-    for key, rel in relations.items():
-        a, b = tuple(key)
-        if a not in index or b not in index:
-            raise ValidationError(f"relation ({a!r}, {b!r}) references an unknown node")
-        ia, ib = index[a], index[b]
-        if rel.kind == "parent":
-            if rel.parent not in (a, b):
-                raise ValidationError(f"relation ({a!r}, {b!r}): parent {rel.parent!r} is not in the pair")
-            p = index[rel.parent]
-            c = ib if p == ia else ia
-            parent_cands.append((rel.score, p, c))
-        elif rel.kind == "siblings":
-            sib_ok[ia, ib] = sib_ok[ib, ia] = True
-            sibling_cands.append((rel.score, min(ia, ib), max(ia, ib)))
-        elif rel.kind != "unrelated":
-            raise ValidationError(f"unknown relation kind {rel.kind!r}")
-    raw = _greedy_partition(k, parent_cands, sibling_cands, sib_ok)
-    return [
-        Block(tuple(nodes[i] for i in sorted(blk["members"])),
-              None if blk["parent"] is None else nodes[blk["parent"]])
-        for blk in raw
-    ]
-
-
 # ---------------------------------------------------------------------------
 # The grouping engine
 # ---------------------------------------------------------------------------
@@ -435,7 +271,18 @@ def _pair_stats(D: np.ndarray, W: np.ndarray):
 def _relations_from_stats(
     D, eps, phi_mean, spread, absmax, dev_ba, dev_ab, margin=None, interior_floor=None
 ):
-    """Mirror of _classify_scalar over all pairs i < j."""
+    """Classify every pair i < j from its witness statistics at tolerance eps.
+
+    A pair whose Phi stays within eps of +d(i, j) at every witness is a
+    parent relation with j the parent; within eps of -d(i, j), i is the
+    parent. When both pass, the smaller residual between d(i, j) and the mean
+    Phi picks the direction. Otherwise the pair are siblings when the witness
+    spread of Phi is at most eps and no |Phi| exceeds d(i, j) + eps. Parent
+    tests take precedence; a pair that passes neither test is unrelated.
+    Returns the parent candidates (d, residual, deviation, parent, child),
+    the sibling candidates (spread, i, j) and the symmetric sibling mask that
+    _greedy_partition takes.
+    """
     if margin is None:
         margin = eps
     if interior_floor is None:
@@ -502,14 +349,12 @@ def _default_tau(D: np.ndarray) -> float:
 def _rg_core(
     names: list[str],
     D: np.ndarray,
-    *,
-    eps0: float,
-    eps_growth: float,
-    tau0: float,
+    cfg: RGConfig,
     witness_cap: int | None,
-    dynamic_eps: bool,
-    max_rounds: int,
 ) -> LearnedTree:
+    eps0 = cfg.eps0
+    tau0 = cfg.tau if cfg.tau is not None else _default_tau(D)
+    max_rounds = 4 * len(names)
     diag = RGDiagnostics(eps0=eps0, tau=tau0)
     all_names = list(names)
     hidden: list[str] = []
@@ -567,7 +412,8 @@ def _rg_core(
     while len(active) > 2:
         if diag.rounds >= max_rounds:
             raise GroupingStalledError(
-                f"grouping exceeded max_rounds={max_rounds} with {len(active)} nodes left",
+                f"grouping exceeded its budget of {max_rounds} rounds "
+                f"with {len(active)} nodes left",
                 partial=partial_tree(),
             )
         diag.rounds += 1
@@ -589,12 +435,12 @@ def _rg_core(
             blocks = _greedy_partition(k, *cands)
             if any(len(b["members"]) > 1 for b in blocks):
                 break
-            if not dynamic_eps:
+            if not cfg.dynamic_eps:
                 raise GroupingStalledError(
                     f"no pair classified at eps={eps:g} and eps is fixed",
                     partial=partial_tree(),
                 )
-            eps *= eps_growth
+            eps *= cfg.eps_growth
             diag.eps_escalations += 1
 
         # At an escalated tolerance, several marginal relationships tend to
@@ -753,10 +599,21 @@ def _rg_core(
     return tree
 
 
-def _as_matrix(O: tuple[str, ...], d: DistanceMatrix | np.ndarray, mode: str) -> np.ndarray:
+def _grouping_input(
+    O: tuple[str, ...] | list[str], d: DistanceMatrix | np.ndarray, mode: str
+) -> tuple[tuple[str, ...], np.ndarray]:
+    O = tuple(O)
+    if len(set(O)) != len(O):
+        raise ValidationError("node list contains duplicates")
+    if len(O) == 0:
+        raise ValidationError("node list is empty")
     if isinstance(d, DistanceMatrix):
-        return np.array(d.sub(tuple(O)).mode(mode))
-    return np.array(_canonical(np.asarray(d, dtype=float), "distance matrix"))
+        D = np.array(d.sub(O).mode(mode))
+    else:
+        D = np.array(_canonical(np.asarray(d, dtype=float), "distance matrix"))
+    if D.shape[0] != len(O):
+        raise ValidationError(f"distance matrix is {D.shape[0]}x{D.shape[0]} for {len(O)} nodes")
+    return O, D
 
 
 def rg_sampled(
@@ -767,28 +624,12 @@ def rg_sampled(
 ) -> LearnedTree:
     """Grouping under noise: tolerance eps with the configured schedule.
 
-    Raises GroupingStalledError (carrying the partial tree) when max_rounds
-    runs out or a fixed eps makes no progress.
+    Each pair keeps its WITNESS_CAP closest witnesses. Raises
+    GroupingStalledError (carrying the partial tree) when the round budget
+    of 4 rounds per input node runs out or a fixed eps makes no progress.
     """
-    O = tuple(O)
-    if len(set(O)) != len(O):
-        raise ValidationError("node list contains duplicates")
-    if len(O) == 0:
-        raise ValidationError("node list is empty")
-    cfg = cfg or RGConfig()
-    D = _as_matrix(O, d, mode)
-    if D.shape[0] != len(O):
-        raise ValidationError(f"distance matrix is {D.shape[0]}x{D.shape[0]} for {len(O)} nodes")
-    if len(O) == 1:
-        return LearnedTree(O, (), frozenset(), RGDiagnostics(eps0=cfg.eps0))
-    tau0 = cfg.tau if cfg.tau is not None else _default_tau(D)
-    max_rounds = cfg.max_rounds if cfg.max_rounds is not None else 4 * len(O)
-    return _rg_core(
-        list(O), D,
-        eps0=cfg.eps0, eps_growth=cfg.eps_growth, tau0=tau0,
-        witness_cap=cfg.witness_cap,
-        dynamic_eps=cfg.dynamic_eps, max_rounds=max_rounds,
-    )
+    O, D = _grouping_input(O, d, mode)
+    return _rg_core(list(O), D, cfg or RGConfig(), WITNESS_CAP)
 
 
 def rg_exact(
@@ -799,16 +640,17 @@ def rg_exact(
 ) -> LearnedTree:
     """Grouping for exact additive metrics; tolerance covers rounding only.
 
-    The output tree is verified to reproduce the input distances; any
-    violation beyond tol means the input was not an additive tree metric and
-    raises NotAdditiveError.
+    Every witness is decisive on exact inputs, so none is trimmed: each pair
+    is tested against all other nodes, at the fixed tolerance tol, within
+    the same budget of 4 rounds per input node. The output tree is verified
+    to reproduce the input distances; a stalled round or any violation
+    beyond tol means the input was not an additive tree metric and raises
+    NotAdditiveError.
     """
-    O = tuple(O)
-    D = _as_matrix(O, d, mode)
-    cfg = RGConfig(eps0=tol, tau=float("inf"), witness_cap=None,
-                   dynamic_eps=False, max_rounds=max(4 * len(O), 1))
+    O, D = _grouping_input(O, d, mode)
+    cfg = RGConfig(eps0=tol, tau=float("inf"), dynamic_eps=False)
     try:
-        tree = rg_sampled(O, D, cfg)
+        tree = _rg_core(list(O), D, cfg, witness_cap=None)
     except GroupingStalledError as exc:
         raise NotAdditiveError(
             f"input distances are not an additive tree metric ({exc})"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .distances import DistanceMatrix
 from .exceptions import FormatError, NegativeLengthWarning, ValidationError
-from .grid import Edge
+from .grid import Edge, path_between, read_json, tree_paths
 from .grouping import LearnedTree, RGConfig, rg_sampled
 from .lcpf import MeasurementSet
 from .moments import MomentSet, accumulate, estimate_distances
@@ -55,42 +55,15 @@ class LearnedGrid:
         return frozenset(self.nodes) - self.observed
 
 
-def _path_edge_indices(tree: LearnedTree) -> dict[tuple[str, str], list[int]]:
-    """Edge-index paths from every node to a fixed anchor, for path algebra."""
-    adj: dict[str, list[tuple[str, int]]] = {n: [] for n in tree.nodes}
-    for i, e in enumerate(tree.edges):
-        adj[e.u].append((e.v, i))
-        adj[e.v].append((e.u, i))
-    anchor = tree.nodes[0]
-    up: dict[str, list[int]] = {anchor: []}
-    order = [anchor]
-    seen = {anchor}
-    for u in order:
-        for w, i in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                up[w] = up[u] + [i]
-                order.append(w)
-    if len(seen) != len(tree.nodes):
-        raise ValidationError("learned tree is not connected")
-    return up
-
-
 def _pair_path_matrix(tree: LearnedTree, nodes: tuple[str, ...]) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """0/1 incidence of observed-pair paths over tree edges."""
-    up = _path_edge_indices(tree)
+    up = tree_paths(((e.u, e.v) for e in tree.edges), tree.nodes[0])
+    if len(up) != len(tree.nodes):
+        raise ValidationError("learned tree is not connected")
     pairs = [(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
     A = np.zeros((len(pairs), len(tree.edges)))
     for row, (i, j) in enumerate(pairs):
-        pa, pb = up[nodes[i]], up[nodes[j]]
-        shared = 0
-        for ea, eb in zip(pa, pb):
-            if ea != eb:
-                break
-            shared += 1
-        for e in pa[shared:]:
-            A[row, e] = 1.0
-        for e in pb[shared:]:
+        for e in path_between(up[nodes[i]], up[nodes[j]]):
             A[row, e] = 1.0
     return A, pairs
 
@@ -236,10 +209,4 @@ def save_learned(g: LearnedGrid, path: str | Path) -> None:
 
 def load_learned(path: str | Path) -> LearnedGrid:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise FormatError(f"{path}: file not found") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    return learned_from_dict(data, source=str(path))
+    return learned_from_dict(read_json(path), source=str(path))

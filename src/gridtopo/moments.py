@@ -23,6 +23,7 @@ import numpy as np
 
 from .distances import DistanceMatrix
 from .exceptions import ConditioningError, FormatError, ValidationError
+from .grid import read_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lcpf import MeasurementSet
@@ -281,10 +282,4 @@ def save_moments(m: MomentSet, path: str | Path) -> None:
 
 def load_moments(path: str | Path) -> MomentSet:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise FormatError(f"{path}: file not found") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc.msg} at line {exc.lineno})") from None
-    return moments_from_dict(data, source=str(path))
+    return moments_from_dict(read_json(path), source=str(path))

@@ -1,7 +1,7 @@
 """Shared fixtures: two hand-built grids small enough to verify on paper."""
 import pytest
 
-from gridtopo import Grid
+from gridtopo import Grid, LearnedTree, TreeEdge
 
 # Root t hangs off a single hidden hub h; three terminals at depths 1, 2, 3.
 # x == r on every line, so both metrics agree and hand numbers carry over.
@@ -11,6 +11,9 @@ STAR_EDGES = [
     ("h", "b", 2.0, 2.0),
     ("h", "c", 3.0, 3.0),
 ]
+
+# The star plus a detached line d - e that the root cannot reach.
+SPLIT_EDGES = STAR_EDGES + [("d", "e", 0.4, 0.4)]
 
 # Six terminals: two cherries (a, b) and (c, d) on their own junctions, plus
 # e and f sitting directly on the central junction j0.
@@ -39,3 +42,17 @@ def cherry_grid() -> Grid:
     for leaf in "abcdef":
         kinds[leaf] = "observed"
     return Grid.create(kinds, CHERRY_EDGES)
+
+
+@pytest.fixture
+def split_grid() -> Grid:
+    kinds = {"t": "root", "h": "hidden"}
+    kinds.update({leaf: "observed" for leaf in "abcde"})
+    return Grid.create(kinds, SPLIT_EDGES)
+
+
+@pytest.fixture
+def split_tree() -> LearnedTree:
+    """A learned tree over a..e whose line d - e never meets junction j."""
+    edges = tuple(TreeEdge(u, v, 1.0) for u, v in (("j", "a"), ("j", "b"), ("j", "c"), ("d", "e")))
+    return LearnedTree(("a", "b", "c", "d", "e", "j"), edges, frozenset({"j"}))

@@ -1,5 +1,7 @@
 """Benchmark harness: generator, scoring metrics, sweeps, and artifacts."""
 import itertools
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from gridtopo import (
     Grid,
     LearnedGrid,
     MetricUndefinedError,
+    NegativeLengthWarning,
     ValidationError,
     distance_rmse,
     edge_difference,
@@ -101,6 +104,20 @@ def test_edge_splits_star(star_grid):
         ("b",): (2.0, 2.0),
         ("c",): (3.0, 3.0),
     }
+
+
+def _learned(lines, observed) -> LearnedGrid:
+    nodes = tuple(sorted({n for line in lines for n in line}))
+    return LearnedGrid(nodes, tuple(Edge(u, v, 1.0, 1.0) for u, v in lines), frozenset(observed))
+
+
+def test_edge_splits_reject_non_trees(split_grid):
+    star = [("j", "a"), ("j", "b"), ("j", "c")]
+    for tree in (split_grid, _learned(star + [("d", "e")], "abcde")):
+        with pytest.raises(MetricUndefinedError, match="not connected"):
+            edge_splits(tree)
+    with pytest.raises(MetricUndefinedError, match="cycle"):
+        edge_splits(_learned(star + [("a", "b")], "abc"))
 
 
 def test_edge_difference_zero_for_relabeled_copy(cherry_grid):
@@ -209,9 +226,7 @@ def test_match_hidden_and_diff_agrees_with_brute_force():
 
 
 def test_distance_rmse_zero_and_shift(star_grid):
-    from gridtopo.distances import from_grid
-
-    d = from_grid(star_grid)
+    d = DistanceMatrix.from_grid(star_grid)
     assert distance_rmse(d, d) == 0.0
     shifted = DistanceMatrix(
         d.nodes, d.mode("r") + 0.1 - 0.1 * np.eye(3), d.mode("x") + 0.1 - 0.1 * np.eye(3)
@@ -253,6 +268,23 @@ def test_run_experiment_thread_count_is_invisible():
     serial = run_experiment(SMALL)
     threaded = run_experiment(ExperimentConfig(**{**_cfg_dict(SMALL), "threads": 4}))
     assert serial == threaded
+
+
+def test_threaded_sweep_keeps_warnings_silenced():
+    # Warning filters are process-global: a worker that saved and restored
+    # them itself would un-silence the workers still running. At T = 1000
+    # most of these grids clamp a negative length.
+    cfg = ExperimentConfig(name="race", n=30, trials=12, samples=(1000,), seed=0, threads=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(8):
+                run_experiment(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not [w for w in caught if issubclass(w.category, NegativeLengthWarning)]
 
 
 def _cfg_dict(cfg: ExperimentConfig) -> dict:

@@ -80,6 +80,18 @@ def test_validation_catches_bad_impedance_and_cycles():
     assert not validate_grid(cyclic).ok
 
 
+def test_disconnected_grid_is_reported(split_grid):
+    assert "graph is not connected" in validate_grid(split_grid).violations
+    assert split_grid.root_path_edges("a")
+    for node in ("d", "e"):
+        with pytest.raises(ValidationError, match="not connected to the root"):
+            split_grid.root_path_edges(node)
+    with pytest.raises(ValidationError):
+        true_distance(split_grid, "a", "d")
+    with pytest.raises(ValidationError):
+        true_distance(split_grid, "d", "d")
+
+
 def test_reduced_laplacian_star(star_grid):
     lap = reduced_laplacian(star_grid, "r")
     assert set(lap.nodes) == {"h", "a", "b", "c"}
@@ -136,15 +148,6 @@ def test_grid_json_round_trip(tmp_path, cherry_grid):
 
 
 def test_grid_file_errors(tmp_path):
-    missing = tmp_path / "nope.json"
-    with pytest.raises(FormatError):
-        load_grid(missing)
-
-    mangled = tmp_path / "mangled.json"
-    mangled.write_text("{Not json")
-    with pytest.raises(FormatError):
-        load_grid(mangled)
-
     bad_field = tmp_path / "bad.json"
     bad_field.write_text(json.dumps({"nodes": {"t": "root"}, "lines": []}))
     with pytest.raises(FormatError):

@@ -3,27 +3,25 @@ import numpy as np
 import pytest
 
 from gridtopo import (
-    Block,
     DistanceMatrix,
     GroupingStalledError,
     NotAdditiveError,
-    NoWitnessError,
-    PairRelation,
     RGConfig,
     ValidationError,
-    classify_pair_exact,
-    classify_pair_sampled,
-    coarsest_partition,
     match_hidden_and_diff,
-    neighborhood,
     perturbed,
-    phi,
     random_radial_grid,
     rg_exact,
     rg_sampled,
     tree_path_lengths,
 )
-from gridtopo.distances import from_grid
+from gridtopo.grouping import (
+    EXACT_TOL,
+    _greedy_partition,
+    _pair_stats,
+    _relations_from_stats,
+    _witness_mask,
+)
 
 STAR_NODES = ("a", "b", "c")
 STAR_D = np.array([
@@ -44,72 +42,62 @@ def _star_matrix() -> DistanceMatrix:
     return DistanceMatrix(STAR_NODES, STAR_D.copy(), STAR_D.copy())
 
 
-def test_phi_hand_values():
-    d = _star_matrix()
-    assert phi(d, "a", "b", "c") == pytest.approx(-1.0)
-    assert phi(d, "b", "a", "c") == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        phi(d, "a", "a", "c")
+def _relations(d: DistanceMatrix, eps: float = EXACT_TOL) -> dict:
+    """The engine's verdict on every pair over all witnesses, keyed by names.
 
-
-def test_neighborhood_filters_by_tau():
-    d = _star_matrix()
-    assert neighborhood(d, "a", "b", tau=10.0) == ("c",)
-    assert neighborhood(d, "a", "b", tau=4.5) == ()
+    Values are (kind, parent, score): score is the parent residual or the
+    sibling spread. Pairs that are neither parent nor siblings are absent.
+    """
+    D = np.array(d.d_r)
+    W, _ = _witness_mask(D, float("inf"), None)
+    phi_mean, spread, absmax, dev_ba, dev_ab, _ = _pair_stats(D, W)
+    parents, siblings, _ = _relations_from_stats(D, eps, phi_mean, spread, absmax, dev_ba, dev_ab)
+    out = {}
+    for _, res, _, p, c in parents:
+        out[frozenset((d.nodes[p], d.nodes[c]))] = ("parent", d.nodes[p], res)
+    for score, a, b in siblings:
+        out[frozenset((d.nodes[a], d.nodes[b]))] = ("siblings", None, score)
+    return out
 
 
 def test_classify_siblings_on_star():
-    rel = classify_pair_exact(_star_matrix(), "a", "b")
-    assert rel == PairRelation("siblings", None, rel.score)
-    assert rel.score <= 1e-12
+    kind, parent, score = _relations(_star_matrix())[frozenset("ab")]
+    assert (kind, parent) == ("siblings", None)
+    assert score <= 1e-12
 
 
 def test_classify_parent_on_chain():
-    rel = classify_pair_exact(CHAIN, "a", "b")
-    assert rel.kind == "parent"
-    assert rel.parent == "b"
-    rel2 = classify_pair_exact(CHAIN, "b", "c")
-    assert rel2.kind == "parent"
-    assert rel2.parent == "b"
+    rel = _relations(CHAIN)
+    assert rel[frozenset("ab")][:2] == ("parent", "b")
+    assert rel[frozenset("bc")][:2] == ("parent", "b")
 
 
 def test_classify_unrelated_across_junctions(cherry_grid):
-    d = from_grid(cherry_grid)
-    rel = classify_pair_exact(d, "a", "c")
-    assert rel.kind == "unrelated"
-
-
-def test_classify_sampled_needs_witnesses():
-    with pytest.raises(NoWitnessError):
-        classify_pair_sampled(_star_matrix(), "a", "b", witnesses=(), eps=0.1)
+    assert frozenset("ac") not in _relations(DistanceMatrix.from_grid(cherry_grid))
 
 
 def test_classify_tolerance_widens_acceptance():
-    d = _star_matrix()
-    noisy = perturbed(d, noise=0.02, seed=5)
-    rel = classify_pair_sampled(noisy, "a", "b", witnesses=("c",), eps=0.2)
-    assert rel.kind in ("siblings", "parent")  # small noise keeps a verdict
+    noisy = perturbed(_star_matrix(), noise=0.02, seed=5)
+    assert frozenset("ab") in _relations(noisy, eps=0.2)  # small noise keeps a verdict
 
 
 def test_coarsest_partition_hand_relations():
     nodes = ("p", "u", "v", "w", "z")
-    relations = {
-        frozenset(("p", "u")): PairRelation("parent", parent="p", score=0.0),
-        frozenset(("p", "v")): PairRelation("parent", parent="p", score=0.0),
-        frozenset(("u", "v")): PairRelation("siblings", score=0.0),
-        frozenset(("w", "z")): PairRelation("unrelated"),
+    # p is the parent of u and of v; u and v are siblings; w and z unrelated.
+    parents = [(1.0, 0.0, 0.0, 0, 1), (1.0, 0.0, 0.0, 0, 2)]
+    siblings = [(0.0, 1, 2)]
+    sib_ok = np.zeros((5, 5), dtype=bool)
+    sib_ok[1, 2] = sib_ok[2, 1] = True
+    blocks = _greedy_partition(len(nodes), parents, siblings, sib_ok)
+    as_sets = {
+        frozenset(nodes[i] for i in b["members"]):
+            None if b["parent"] is None else nodes[b["parent"]]
+        for b in blocks
     }
-    blocks = coarsest_partition(nodes, relations)
-    as_sets = {frozenset(b.members): b.parent for b in blocks}
     assert as_sets[frozenset(("p", "u", "v"))] == "p"
     assert as_sets[frozenset(("w",))] is None
     assert as_sets[frozenset(("z",))] is None
     assert len(blocks) == 3
-
-
-def test_coarsest_partition_rejects_unknown_nodes():
-    with pytest.raises(ValidationError):
-        coarsest_partition(("a",), {frozenset(("a", "b")): PairRelation("siblings")})
 
 
 def test_rg_exact_star_recovers_hub():
@@ -124,7 +112,7 @@ def test_rg_exact_star_recovers_hub():
 
 
 def test_rg_exact_cherry_topology(cherry_grid):
-    d = from_grid(cherry_grid)
+    d = DistanceMatrix.from_grid(cherry_grid)
     for mode in ("r", "x"):
         tree = rg_exact(cherry_grid.observed_nodes, d, mode=mode)
         assert match_hidden_and_diff(cherry_grid, tree) == 0
@@ -136,7 +124,7 @@ def test_rg_exact_random_grids_roundtrip():
     for _ in range(15):
         n = int(rng.integers(6, 40))
         g = random_radial_grid(n, seed=int(rng.integers(1 << 31)))
-        d = from_grid(g)
+        d = DistanceMatrix.from_grid(g)
         tree = rg_exact(g.observed_nodes, d)
         assert match_hidden_and_diff(g, tree) == 0, f"n={n}"
         rebuilt = tree_path_lengths(tree, g.observed_nodes)
@@ -155,14 +143,14 @@ def test_rg_exact_round_count_within_depth():
     rng = np.random.default_rng(41)
     for _ in range(10):
         g = random_radial_grid(int(rng.integers(8, 50)), seed=int(rng.integers(1 << 31)))
-        tree = rg_exact(g.observed_nodes, from_grid(g))
+        tree = rg_exact(g.observed_nodes, DistanceMatrix.from_grid(g))
         assert tree.diagnostics is not None
         assert tree.diagnostics.rounds <= g.depth
 
 
 def test_rg_sampled_is_deterministic():
     g = random_radial_grid(20, seed=3)
-    noisy = perturbed(from_grid(g), noise=0.01, seed=7)
+    noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.01, seed=7)
     t1 = rg_sampled(g.observed_nodes, noisy)
     t2 = rg_sampled(g.observed_nodes, noisy)
     assert t1.edges == t2.edges
@@ -174,7 +162,7 @@ def test_rg_sampled_recovers_under_small_noise():
     recovered = 0
     for _ in range(10):
         g = random_radial_grid(int(rng.integers(10, 30)), seed=int(rng.integers(1 << 31)))
-        noisy = perturbed(from_grid(g), noise=0.01, seed=int(rng.integers(1 << 31)))
+        noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.01, seed=int(rng.integers(1 << 31)))
         tree = rg_sampled(g.observed_nodes, noisy, RGConfig(eps0=0.05))
         recovered += match_hidden_and_diff(g, tree) == 0
     assert recovered >= 9
@@ -182,7 +170,7 @@ def test_rg_sampled_recovers_under_small_noise():
 
 def test_rg_sampled_fixed_eps_stalls_and_carries_partial():
     g = random_radial_grid(20, seed=6)
-    noisy = perturbed(from_grid(g), noise=0.2, seed=8)
+    noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.2, seed=8)
     cfg = RGConfig(eps0=1e-6, dynamic_eps=False)
     with pytest.raises(GroupingStalledError) as err:
         rg_sampled(g.observed_nodes, noisy, cfg)
@@ -191,7 +179,7 @@ def test_rg_sampled_fixed_eps_stalls_and_carries_partial():
 
 def test_rg_sampled_dynamic_eps_always_finishes():
     g = random_radial_grid(20, seed=6)
-    noisy = perturbed(from_grid(g), noise=0.05, seed=8)
+    noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.05, seed=8)
     tree = rg_sampled(g.observed_nodes, noisy, RGConfig(eps0=1e-6))
     assert tree.diagnostics.eps_escalations > 0
     assert set(tree.leaves) >= set(g.observed_nodes)
@@ -208,8 +196,6 @@ def test_rg_input_validation():
         RGConfig(eps0=-1.0)
     with pytest.raises(ValidationError):
         RGConfig(eps_growth=1.0)
-    with pytest.raises(ValidationError):
-        RGConfig(witness_cap=2)
 
 
 def test_single_and_pair_inputs():
@@ -227,7 +213,6 @@ def test_tree_path_lengths_subset(star_grid):
     assert sub[0, 1] == pytest.approx(4.0)
 
 
-def test_block_shape():
-    blk = Block(("a", "b"), parent="a")
-    assert blk.members == ("a", "b")
-    assert blk.parent == "a"
+def test_tree_path_lengths_rejects_disconnected_tree(split_tree):
+    with pytest.raises(ValidationError, match="not connected"):
+        tree_path_lengths(split_tree, ("a", "b"))

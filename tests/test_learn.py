@@ -90,6 +90,13 @@ def test_assign_reactances_exact(star_grid):
     assert sorted(rs) == pytest.approx([1.0, 2.0, 3.0])
 
 
+def test_assign_reactances_rejects_disconnected_tree(split_tree):
+    d5 = np.ones((5, 5)) - np.eye(5)
+    d = DistanceMatrix(("a", "b", "c", "d", "e"), d5, d5)
+    with pytest.raises(ValidationError, match="not connected"):
+        assign_reactances(split_tree, d)
+
+
 # A reactance metric that forces one hub branch negative: a sits 1.0 from b
 # but only 0.2 from c, so the three-pair solve goes below zero on one line.
 CLAMP_D_X = np.array([[0.0, 1.0, 0.2], [1.0, 0.0, 1.5], [0.2, 1.5, 0.0]])
@@ -147,8 +154,6 @@ def test_learned_json_round_trip(tmp_path, star_grid):
 
 
 def test_learned_file_errors(tmp_path):
-    with pytest.raises(FormatError):
-        load_learned(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
     bad.write_text('{"nodes": ["a"], "edges": [{"u": "a"}]}')
     with pytest.raises(FormatError):

@@ -160,8 +160,6 @@ def test_moments_json_round_trip(tmp_path, cherry_grid):
 
 
 def test_moments_file_errors(tmp_path):
-    with pytest.raises(FormatError):
-        load_moments(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text('{"nodes": ["a"]}')
     with pytest.raises(FormatError):
