@@ -182,37 +182,31 @@ def edge_splits(obj) -> list[tuple[frozenset[str], float, float]]:
     ]
 
 
-def edge_difference(a, b) -> int:
-    """Topology distance: symmetric difference of the two split multisets.
-
-    Zero exactly when the trees are the same labeled topology over the
-    shared terminals (hidden junction names do not matter). Raises
-    MetricUndefinedError when the two terminal sets differ.
-    """
+def _paired_splits(a, b) -> tuple[list, list]:
+    """Both trees' edge_splits, once each; their terminal sets must match."""
     _, obs_a, _ = _tree_view(a)
     _, obs_b, _ = _tree_view(b)
     if frozenset(obs_a) != frozenset(obs_b):
         raise MetricUndefinedError(
             f"terminal sets differ: {sorted(set(obs_a) ^ set(obs_b))} not shared"
         )
-    ca = Counter(key for key, _r, _x in edge_splits(a))
-    cb = Counter(key for key, _r, _x in edge_splits(b))
+    return edge_splits(a), edge_splits(b)
+
+
+def _split_difference(splits_a: list, splits_b: list) -> int:
+    ca = Counter(key for key, _r, _x in splits_a)
+    cb = Counter(key for key, _r, _x in splits_b)
     return sum((ca - cb).values()) + sum((cb - ca).values())
 
 
-def impedance_error(true_grid, learned) -> float:
-    """Mean relative (r, x) error over split-matched lines.
-
-    Defined only when the topologies agree (edge_difference == 0); the root
-    line of a true grid is excluded, since no terminal data identifies it.
-    """
-    if edge_difference(true_grid, learned) != 0:
+def _split_impedance_error(true_splits: list, learned_splits: list) -> float:
+    if _split_difference(true_splits, learned_splits) != 0:
         raise MetricUndefinedError("topologies differ; impedance error is undefined")
     true_by_key: dict[frozenset, list[tuple[float, float]]] = {}
-    for key, r, x in edge_splits(true_grid):
+    for key, r, x in true_splits:
         true_by_key.setdefault(key, []).append((r, x))
     learned_by_key: dict[frozenset, list[tuple[float, float]]] = {}
-    for key, r, x in edge_splits(learned):
+    for key, r, x in learned_splits:
         learned_by_key.setdefault(key, []).append((r, x))
     total = 0.0
     count = 0
@@ -224,6 +218,25 @@ def impedance_error(true_grid, learned) -> float:
             total += abs(r - re_) / r + abs(x - xe) / x
             count += 1
     return total / (2 * count)
+
+
+def edge_difference(a, b) -> int:
+    """Topology distance: symmetric difference of the two split multisets.
+
+    Zero exactly when the trees are the same labeled topology over the
+    shared terminals (hidden junction names do not matter). Raises
+    MetricUndefinedError when the two terminal sets differ.
+    """
+    return _split_difference(*_paired_splits(a, b))
+
+
+def impedance_error(true_grid, learned) -> float:
+    """Mean relative (r, x) error over split-matched lines.
+
+    Defined only when the topologies agree (edge_difference == 0); the root
+    line of a true grid is excluded, since no terminal data identifies it.
+    """
+    return _split_impedance_error(*_paired_splits(true_grid, learned))
 
 
 def match_hidden_and_diff(truth: Grid, learned) -> int:
@@ -246,8 +259,9 @@ class EvalReport:
 
 def evaluate(true_grid: Grid, learned: LearnedGrid, runtime: float = 0.0) -> EvalReport:
     """Score a reconstruction: exact-topology flag, split distance, impedances."""
-    diff = match_hidden_and_diff(true_grid, learned)
-    imp = impedance_error(true_grid, learned) if diff == 0 else None
+    true_splits, learned_splits = _paired_splits(true_grid, learned)
+    diff = _split_difference(true_splits, learned_splits)
+    imp = _split_impedance_error(true_splits, learned_splits) if diff == 0 else None
     return EvalReport(exact_recovery=diff == 0, edge_difference=diff,
                       avg_impedance_error=imp, runtime=runtime)
 
@@ -279,7 +293,6 @@ class ExperimentConfig:
     eps0: tuple[float, ...] = (0.07,)
     eps_mode: str = "dynamic"  # "dynamic" grows eps on stall; "fixed" fails instead
     eps_growth: float = 1.5
-    tau: float | None = None
     seed: int = 0
     max_degree: int = 4
     r_range: tuple[float, float] = (0.05, 0.5)
@@ -323,7 +336,6 @@ class ExperimentConfig:
         return RGConfig(
             eps0=eps0,
             eps_growth=self.eps_growth,
-            tau=self.tau,
             dynamic_eps=self.eps_mode == "dynamic",
         )
 
@@ -474,23 +486,22 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-# Config file keys. Impedance bounds are flattened (r_lo/r_hi, x_lo/x_hi)
-# and tau_rule is either 'auto' (data-driven default) or a number.
+# Config file keys. Impedance bounds are flattened (r_lo/r_hi, x_lo/x_hi).
 _INT_KEYS = {"n", "trials", "seed", "max_degree", "threads"}
 _FLOAT_KEYS = {"eps_growth", "sigma_pp", "sigma_qq", "sigma_pq"}
 _STR_KEYS = {"name", "eps_mode", "injection_family"}
 _BOUND_KEYS = {"r_lo", "r_hi", "x_lo", "x_hi"}
 _LIST_KEYS = {"samples", "eps0"}
-CONFIG_KEYS = sorted(_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOUND_KEYS | _LIST_KEYS | {"tau_rule"})
+CONFIG_KEYS = sorted(_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOUND_KEYS | _LIST_KEYS)
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Parse a `key = value` experiment config file; unknown keys are errors.
 
     Keys: n, max_degree, r_lo, r_hi, x_lo, x_hi, samples, eps0, eps_growth,
-    tau_rule, trials, seed, eps_mode, sigma_pp, sigma_qq, sigma_pq,
-    injection_family, threads, name. Lists (samples, eps0) are
-    comma-separated; '#' starts a comment; tau_rule is 'auto' or a number.
+    trials, seed, eps_mode, sigma_pp, sigma_qq, sigma_pq, injection_family,
+    threads, name. Lists (samples, eps0) are comma-separated; '#' starts a
+    comment.
     """
     path = Path(path)
     values: dict = {}
@@ -519,8 +530,6 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
                 values[key] = int(val)
             elif key in _FLOAT_KEYS:
                 values[key] = float(val)
-            elif key == "tau_rule":
-                values["tau"] = None if val.lower() == "auto" else float(val)
             else:
                 values[key] = val
         except ValueError as exc:
@@ -549,7 +558,6 @@ def save_experiment_config(cfg: ExperimentConfig, path: str | Path) -> None:
         f"eps0 = {', '.join(repr(e) for e in cfg.eps0)}",
         f"eps_mode = {cfg.eps_mode}",
         f"eps_growth = {cfg.eps_growth!r}",
-        f"tau_rule = {'auto' if cfg.tau is None else repr(cfg.tau)}",
         f"trials = {cfg.trials}",
         f"seed = {cfg.seed}",
         f"sigma_pp = {cfg.sigma_pp!r}",

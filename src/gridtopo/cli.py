@@ -44,8 +44,8 @@ MOMENTS_FORMAT = "moments JSON: node list, sample count, dense moment tables"
 LEARNED_FORMAT = "learned grid JSON: grid JSON schema plus a 'provenance' object"
 CONFIG_FORMAT = (
     "experiment config: 'key = value' lines; keys n, max_degree, r_lo, r_hi, "
-    "x_lo, x_hi, samples, eps0, eps_growth, tau_rule, trials, seed, eps_mode, "
-    "sigma_pp, sigma_qq, sigma_pq, injection_family, threads, name"
+    "x_lo, x_hi, samples, eps0, eps_growth, trials, seed, eps_mode, sigma_pp, "
+    "sigma_qq, sigma_pq, injection_family, threads, name"
 )
 
 
@@ -58,15 +58,6 @@ def _parse_range(text: str) -> tuple[float, float]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected two numbers, got {text!r}") from None
     return lo, hi
-
-
-def _parse_tau(text: str) -> float | None:
-    if text.lower() in ("auto", "none"):
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number or 'auto', got {text!r}") from None
 
 
 def _add_injection_flags(sub: argparse.ArgumentParser) -> None:
@@ -84,9 +75,6 @@ def _add_learner_flags(sub: argparse.ArgumentParser) -> None:
                      help="grouping tolerance eps0, in ohms of (r+x)/2 (default 0.07)")
     grp.add_argument("--eps-growth", type=float, default=1.5,
                      help="eps multiplier when a round stalls (default 1.5)")
-    grp.add_argument("--tau", type=_parse_tau, default=None, metavar="OHMS|auto",
-                     help="witness neighborhood radius, in ohms of (r+x)/2 "
-                          "(default auto: 2x median distance)")
     grp.add_argument("--fixed-eps", action="store_true",
                      help="fail on a stalled round instead of growing eps")
     grp.add_argument("--lam", type=float, default=None,
@@ -95,7 +83,7 @@ def _add_learner_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _rg_config(args: argparse.Namespace) -> RGConfig:
-    return RGConfig(eps0=args.eps, eps_growth=args.eps_growth, tau=args.tau,
+    return RGConfig(eps0=args.eps, eps_growth=args.eps_growth,
                     dynamic_eps=not args.fixed_eps)
 
 

@@ -348,7 +348,14 @@ def grid_to_dict(g: Grid) -> dict:
     }
 
 
-def grid_from_dict(data: dict, source: str = "<grid>") -> Grid:
+def parse_nodes_and_edges(
+    data: object, source: str
+) -> tuple[tuple[str, ...], frozenset[str], frozenset[str], tuple[Edge, ...]]:
+    """Read the node/edge schema that grid and learned-grid files share.
+
+    Returns (node ids, root ids, observed ids, edges). A malformed field
+    raises FormatError naming the source and the offending entry.
+    """
     def fail(msg: str) -> FormatError:
         return FormatError(f"{source}: {msg}")
 
@@ -383,7 +390,12 @@ def grid_from_dict(data: dict, source: str = "<grid>") -> Grid:
         except (TypeError, ValueError):
             raise fail(f"edges[{i}]: 'r' and 'x' must be numbers") from None
         edges.append(Edge(str(ed["u"]), str(ed["v"]), r, x))
-    return Grid(tuple(nodes), tuple(edges), frozenset(roots), frozenset(observed))
+    return tuple(nodes), frozenset(roots), frozenset(observed), tuple(edges)
+
+
+def grid_from_dict(data: dict, source: str = "<grid>") -> Grid:
+    nodes, roots, observed, edges = parse_nodes_and_edges(data, source)
+    return Grid(nodes, edges, roots, observed)
 
 
 def save_grid(g: Grid, path: str | Path) -> None:

@@ -12,12 +12,11 @@ Each round classifies every active pair, groups the coarsest consistent
 blocks, replaces sibling blocks with a fresh hidden junction, and re-derives
 the active distance matrix from the input entries through the nodes already
 placed below each survivor, until two or fewer nodes remain. The sampled
-variant runs the same tests with a tolerance eps over capped
-tau-neighborhood witness sets, escalating eps (and a starved pair's tau)
-until a round makes progress; escalated rounds commit only the single
-best-supported block before eps resets, parent claims that reach past a
-node's nearest consistent junction are dropped, and junctions rediscovered
-twice are merged instead of stacked.
+variant runs the same tests with a tolerance eps over each pair's
+WITNESS_CAP nearest witnesses, escalating eps until some block forms and
+committing every block that formed at that eps. A new junction that lands
+on a junction placed in an earlier round is merged into it instead of
+stacked on it.
 """
 from __future__ import annotations
 
@@ -37,7 +36,6 @@ from .grid import path_between, tree_paths
 
 EXACT_TOL = 1e-9
 HIDDEN_PREFIX = "h#"
-TAU_GROWTH = 1.5
 # Each pair's witness set keeps only this many closest witnesses (by the
 # larger of the two distances). The spread test is a range statistic, so a
 # single far, noisy witness pins it high; trimming to the nearest witnesses
@@ -53,16 +51,14 @@ class RGConfig:
     eps0 is the starting tolerance; when a round classifies no pair into a
     block and dynamic_eps is set, eps grows by eps_growth and the round
     retries (eps resets to eps0 after any productive round). With dynamic_eps
-    off, a stalled round raises instead. tau bounds the witness neighborhood
-    (None: 2x the median distance entry). eps0 and tau are in the units of
-    the metric grouped on; the learner groups on (d_r + d_x) / 2, so there
-    they are ohms of that mean. Every pair keeps only its WITNESS_CAP
-    closest witnesses, and grouping gives up after 4 rounds per input node.
+    off, a stalled round raises instead. eps0 is in the units of the metric
+    grouped on; the learner groups on (d_r + d_x) / 2, so there it is ohms
+    of that mean. Every pair keeps only its WITNESS_CAP closest witnesses,
+    and grouping gives up after 4 rounds per input node.
     """
 
     eps0: float = 0.07
     eps_growth: float = 1.5
-    tau: float | None = None
     dynamic_eps: bool = True
 
     def __post_init__(self):
@@ -70,8 +66,6 @@ class RGConfig:
             raise ValidationError(f"eps0 must be > 0, got {self.eps0}")
         if self.eps_growth <= 1:
             raise ValidationError(f"eps_growth must be > 1, got {self.eps_growth}")
-        if self.tau is not None and self.tau <= 0:
-            raise ValidationError(f"tau must be > 0, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +79,10 @@ class TreeEdge:
 class RGDiagnostics:
     rounds: int = 0
     eps_escalations: int = 0
-    tau_escalations: int = 0
+    tau_escalations: int = 0  # always 0: witness sets have no radius; perfbench reads it by name
     clamped_lengths: int = 0
     merged_junctions: int = 0
     eps0: float = 0.0
-    tau: float = float("inf")
 
 
 @dataclass(frozen=True)
@@ -155,9 +148,7 @@ def _greedy_partition(
     is the same as requiring a full clique, while on noisy relations it
     stops one failed pair test from splitting a large sibling class into two
     stacked blocks. Ties break on node order. Conflicting relations are
-    skipped, never fatal. Each block records the largest test statistic that
-    went into it ("req"): the smallest tolerance at which all its evidence
-    passes.
+    skipped, never fatal.
     """
 
     def _quorum(hits: int, total: int) -> bool:
@@ -166,9 +157,7 @@ def _greedy_partition(
     blocks: list[dict] = []
     assigned: dict[int, int] = {}
 
-    for cand in sorted(parent_cands):
-        *head, p, c = cand
-        stat = float(head[-1])
+    for *_, p, c in sorted(parent_cands):
         if c in assigned:
             continue
         if p in assigned:
@@ -176,13 +165,12 @@ def _greedy_partition(
             if blk["parent"] != p:
                 continue
             blk["members"].append(c)
-            blk["req"] = max(blk["req"], stat)
             assigned[c] = assigned[p]
         else:
-            blocks.append({"parent": p, "members": [p, c], "req": stat})
+            blocks.append({"parent": p, "members": [p, c]})
             assigned[p] = assigned[c] = len(blocks) - 1
 
-    for score, a, b in sorted(sibling_cands):
+    for _, a, b in sorted(sibling_cands):
         a_in, b_in = a in assigned, b in assigned
         if a_in and b_in:
             ia, ib = assigned[a], assigned[b]
@@ -196,7 +184,6 @@ def _greedy_partition(
                 for y in b2["members"]:
                     assigned[y] = ia
                 b1["members"].extend(b2["members"])
-                b1["req"] = max(b1["req"], b2["req"], float(score))
                 b2["members"] = []
         elif a_in or b_in:
             placed, other = (a, b) if a_in else (b, a)
@@ -206,16 +193,15 @@ def _greedy_partition(
             hits = sum(sib_ok[other, x] for x in blk["members"])
             if _quorum(hits, len(blk["members"])):
                 blk["members"].append(other)
-                blk["req"] = max(blk["req"], float(score))
                 assigned[other] = assigned[placed]
         else:
-            blocks.append({"parent": None, "members": [a, b], "req": float(score)})
+            blocks.append({"parent": None, "members": [a, b]})
             assigned[a] = assigned[b] = len(blocks) - 1
 
     blocks = [b for b in blocks if b["members"]]
     for n in range(k):
         if n not in assigned:
-            blocks.append({"parent": None, "members": [n], "req": 0.0})
+            blocks.append({"parent": None, "members": [n]})
     return blocks
 
 
@@ -223,35 +209,23 @@ def _greedy_partition(
 # The grouping engine
 # ---------------------------------------------------------------------------
 
-def _witness_mask(
-    D: np.ndarray, tau: float, cap: int | None
-) -> tuple[np.ndarray, int]:
-    """Witness tensor W[a, b, c]: c lies within the pair (a, b)'s radius.
+def _witness_mask(D: np.ndarray, cap: int | None) -> np.ndarray:
+    """Witness tensor W[a, b, c]: c may testify about the pair (a, b).
 
-    Every pair starts from the shared radius tau. A pair whose ball holds no
-    witness grows its own radius by TAU_GROWTH until one enters; growing only
-    the starved pair keeps distant pairs from forcing wide - and therefore
-    noisy - witness sets onto close pairs. Crowded balls are trimmed to the
-    cap closest witnesses when one is set. Returns the mask and the number
-    of pairs that had to grow.
+    Every node other than a and b is a witness. When cap is set and more
+    than cap witnesses remain, each pair keeps only the cap closest, ranked
+    by the larger of d(a, c) and d(b, c).
     """
     k = D.shape[0]
     M = np.maximum(D[:, None, :], D[None, :, :])
     ar = np.arange(k)
     M[ar, :, ar] = np.inf
     M[:, ar, ar] = np.inf
-    m = M.min(axis=2)
-    radius = np.full((k, k), tau)
-    need = (m >= tau) & ~np.eye(k, dtype=bool)
-    if need.any():
-        grow = np.ceil(np.log(m[need] / tau) / np.log(TAU_GROWTH))
-        r = tau * TAU_GROWTH ** np.maximum(grow, 1.0)
-        radius[need] = np.where(r > m[need], r, r * TAU_GROWTH)
-    W = M < radius[:, :, None]
+    W = M < np.inf
     if cap is not None and k - 2 > cap:
         kth = np.partition(M, cap - 1, axis=2)[:, :, cap - 1 : cap]
         W &= M <= kth
-    return W, int(need.sum()) // 2
+    return W
 
 
 def _pair_stats(D: np.ndarray, W: np.ndarray):
@@ -268,9 +242,7 @@ def _pair_stats(D: np.ndarray, W: np.ndarray):
     return phi_mean, spread, absmax, dev_ba, dev_ab, nwit
 
 
-def _relations_from_stats(
-    D, eps, phi_mean, spread, absmax, dev_ba, dev_ab, margin=None, interior_floor=None
-):
+def _relations_from_stats(D, eps, phi_mean, spread, absmax, dev_ba, dev_ab):
     """Classify every pair i < j from its witness statistics at tolerance eps.
 
     A pair whose Phi stays within eps of +d(i, j) at every witness is a
@@ -283,10 +255,6 @@ def _relations_from_stats(
     the sibling candidates (spread, i, j) and the symmetric sibling mask that
     _greedy_partition takes.
     """
-    if margin is None:
-        margin = eps
-    if interior_floor is None:
-        interior_floor = margin
     k = D.shape[0]
     pass_ba = dev_ba <= eps
     pass_ab = dev_ab <= eps
@@ -294,16 +262,6 @@ def _relations_from_stats(
     np.fill_diagonal(sib, False)
     res_ba = np.abs(D - phi_mean)
     res_ab = np.abs(D + phi_mean)
-    # Each sibling pass (c, s) locates c's nearest junction at
-    # (d(c,s) + mean Phi)/2. A parent claim on c from farther away than that
-    # junction (plus the tolerance) contradicts it and is dropped; for a true
-    # parent the junction is the parent itself, so nothing changes. Only
-    # interior sibling passes qualify as evidence: both nodes must sit a
-    # clear step off the implied junction, otherwise the "sibling" is just a
-    # parent pair in disguise and its junction estimate is degenerate.
-    joint = 0.5 * (D + phi_mean)
-    interior = sib & (joint >= interior_floor) & (D - joint >= interior_floor)
-    jmin = np.where(interior, joint, np.inf).min(axis=1)
     # Parent claims are ranked by pair distance before residual: when both a
     # node's parent and a farther ancestor pass the tolerance test, the true
     # parent is the closer one.
@@ -318,14 +276,6 @@ def _relations_from_stats(
                 else:
                     i_is_parent = pass_ab[i, j]
                 p, c = (i, j) if i_is_parent else (j, i)
-                if D[i, j] > jmin[c] + margin:
-                    # Contradicted parent claim: keep the pair in play as
-                    # siblings when that reading also holds on its own, else
-                    # drop it for this tolerance.
-                    if interior[i, j]:
-                        sibling_cands.append((float(spread[i, j]), i, j))
-                        sib_ok[i, j] = sib_ok[j, i] = True
-                    continue
                 res = res_ab[i, j] if i_is_parent else res_ba[i, j]
                 dev = dev_ab[i, j] if i_is_parent else dev_ba[i, j]
                 parent_cands.append((float(D[i, j]), float(res), float(dev), p, c))
@@ -335,17 +285,6 @@ def _relations_from_stats(
     return parent_cands, sibling_cands, sib_ok
 
 
-def _default_tau(D: np.ndarray) -> float:
-    k = D.shape[0]
-    if k < 2:
-        return float("inf")
-    off = D[np.triu_indices(k, k=1)]
-    tau = 2.0 * float(np.median(off))
-    if not np.isfinite(tau) or tau <= 0:
-        return float("inf")
-    return tau
-
-
 def _rg_core(
     names: list[str],
     D: np.ndarray,
@@ -353,9 +292,8 @@ def _rg_core(
     witness_cap: int | None,
 ) -> LearnedTree:
     eps0 = cfg.eps0
-    tau0 = cfg.tau if cfg.tau is not None else _default_tau(D)
     max_rounds = 4 * len(names)
-    diag = RGDiagnostics(eps0=eps0, tau=tau0)
+    diag = RGDiagnostics(eps0=eps0)
     all_names = list(names)
     hidden: list[str] = []
     edges: list[TreeEdge] = []
@@ -420,18 +358,13 @@ def _rg_core(
         k = len(active)
         D = refresh()
 
-        # Witness neighborhoods; starved pairs widen their own radius.
-        W, grown = _witness_mask(D, tau0, witness_cap)
-        diag.tau_escalations += grown
+        W = _witness_mask(D, witness_cap)
         phi_mean, spread, absmax, dev_ba, dev_ab, _ = _pair_stats(D, W)
 
         # Classify; escalate eps until some block of size >= 2 forms.
         eps = eps0
         while True:
-            cands = _relations_from_stats(
-                D, eps, phi_mean, spread, absmax, dev_ba, dev_ab,
-                margin=0.5 * eps0, interior_floor=eps0,
-            )
+            cands = _relations_from_stats(D, eps, phi_mean, spread, absmax, dev_ba, dev_ab)
             blocks = _greedy_partition(k, *cands)
             if any(len(b["members"]) > 1 for b in blocks):
                 break
@@ -442,23 +375,6 @@ def _rg_core(
                 )
             eps *= cfg.eps_growth
             diag.eps_escalations += 1
-
-        # At an escalated tolerance, several marginal relationships tend to
-        # come due at once and the weakest of them are the likeliest to be
-        # wrong. Apply only the block whose evidence needed the smallest
-        # tolerance (the relationship an infinitely fine escalation ladder
-        # would have reached first), then let eps reset and the rest requalify
-        # against the updated distances.
-        if eps > eps0:
-            formed = [b for b in blocks if len(b["members"]) > 1]
-            if len(formed) > 1:
-                best = min(formed, key=lambda b: (b["req"], min(b["members"])))
-                blocks = [best] + [
-                    {"parent": None, "members": [m], "req": 0.0}
-                    for b in blocks
-                    if b is not best
-                    for m in b["members"]
-                ]
 
         # Apply blocks: parents keep their node, sibling blocks get a new
         # hidden junction; edge lengths and the shrunk distance matrix come
@@ -476,8 +392,16 @@ def _rg_core(
                 parent_blocks.append((p, [c for c in members if c != p]))
             else:
                 hidden_children.append(members)
-        def ext_col(children: list[int]) -> np.ndarray:
-            """Distances from every active node to the block's new junction."""
+
+        # A freshly inferred junction that lands within merge_tol of an already
+        # known junction is the same junction seen twice (a sibling class that
+        # partially grouped earlier, or a parent relation that the tolerance
+        # test missed). Glue it back instead of stacking a near-zero edge.
+        merge_tol = 0.75 * eps0
+        hidden_set = set(hidden)
+        fresh: list[tuple[list[int], np.ndarray]] = []
+        for children in hidden_children:
+            # Distances from every active node to the block's new junction.
             col = np.zeros(k)
             for a in children:
                 others = [b for b in children if b != a]
@@ -489,17 +413,6 @@ def _rg_core(
                 col[outside] = (
                     D[np.ix_(outside, children)] - col[children][None, :]
                 ).mean(axis=1)
-            return col
-
-        # A freshly inferred junction that lands within merge_tol of an already
-        # known junction is the same junction seen twice (a sibling class that
-        # partially grouped earlier, or a parent relation that the tolerance
-        # test missed). Glue it back instead of stacking a near-zero edge.
-        merge_tol = 0.75 * eps0
-        hidden_set = set(hidden)
-        resolved: list[tuple[list[int], np.ndarray]] = []
-        for children in hidden_children:
-            col = ext_col(children)
             cands: list[tuple[float, int, str, int]] = []
             for a in children:
                 if active[a] in hidden_set and col[a] < merge_tol:
@@ -508,7 +421,7 @@ def _rg_core(
                 if active[y] in hidden_set and col[y] < merge_tol:
                     cands.append((float(col[y]), 1, "kept", y))
             if not cands:
-                resolved.append((children, col))
+                fresh.append((children, col))
                 continue
             diag.merged_junctions += 1
             _, _, kind, tgt = min(cands)
@@ -523,55 +436,13 @@ def _rg_core(
                 for a in children:
                     adopt(active[tgt], active[a], D[tgt, a])
 
-        # Same check between two new junctions of this round: a sibling class
-        # split into two blocks puts both copies at (near) zero distance.
-        i = 0
-        while i < len(resolved):
-            j = i + 1
-            while j < len(resolved):
-                ch_i, col_i = resolved[i]
-                ch_j, col_j = resolved[j]
-                fwd = float((col_j[ch_i] - col_i[ch_i]).mean())
-                bwd = float((col_i[ch_j] - col_j[ch_j]).mean())
-                if 0.5 * (fwd + bwd) < merge_tol:
-                    diag.merged_junctions += 1
-                    union = sorted(ch_i + ch_j)
-                    resolved[i] = (union, ext_col(union))
-                    del resolved[j]
-                else:
-                    j += 1
-            i += 1
         keep.sort()
-
-        def contract(child: str, into: str) -> None:
-            """Remove a hidden node, rewiring its edges onto another node."""
-            nonlocal edges
-            diag.merged_junctions += 1
-            edges = [
-                TreeEdge(into if e.u == child else e.u, into if e.v == child else e.v, e.length)
-                for e in edges
-            ]
-            li, pi = desc[into]
-            lj, pj = desc[child]
-            desc[into] = (li + lj, np.concatenate([pi, pj]))
-            all_names.remove(child)
-            hidden.remove(child)
-
         for p, children in parent_blocks:
             for c in children:
-                if (
-                    active[p] in hidden_set
-                    and active[c] in hidden_set
-                    and D[p, c] < merge_tol
-                ):
-                    # Two junctions from earlier rounds collapse onto one
-                    # point: the "child" junction is the parent seen twice.
-                    contract(active[c], active[p])
-                else:
-                    adopt(active[p], active[c], D[p, c])
+                adopt(active[p], active[c], D[p, c])
 
         hidden_names = []
-        for children, col in resolved:
+        for children, col in fresh:
             h = fresh_hidden()
             hidden_names.append(h)
             all_names.append(h)
@@ -587,12 +458,6 @@ def _rg_core(
         D = refresh()
         emit(active[0], active[1], D[0, 1])
 
-    if diag.clamped_lengths:
-        warnings.warn(
-            f"{diag.clamped_lengths} negative length estimate(s) clamped to zero",
-            NegativeLengthWarning,
-            stacklevel=3,
-        )
     tree = LearnedTree(tuple(all_names), tuple(edges), frozenset(hidden), diag)
     if len(tree.edges) != len(tree.nodes) - 1:
         raise GroupingStalledError("internal error: grouping output is not a tree", partial=tree)
@@ -624,12 +489,23 @@ def rg_sampled(
 ) -> LearnedTree:
     """Grouping under noise: tolerance eps with the configured schedule.
 
-    Each pair keeps its WITNESS_CAP closest witnesses. Raises
-    GroupingStalledError (carrying the partial tree) when the round budget
-    of 4 rounds per input node runs out or a fixed eps makes no progress.
+    Each pair keeps its WITNESS_CAP closest witnesses, and a round that had
+    to escalate eps commits every block that formed. Warns with
+    NegativeLengthWarning when negative edge lengths were clamped to zero.
+    Raises GroupingStalledError (carrying the partial tree) when the round
+    budget of 4 rounds per input node runs out or a fixed eps makes no
+    progress.
     """
     O, D = _grouping_input(O, d, mode)
-    return _rg_core(list(O), D, cfg or RGConfig(), WITNESS_CAP)
+    tree = _rg_core(list(O), D, cfg or RGConfig(), WITNESS_CAP)
+    clamped = tree.diagnostics.clamped_lengths
+    if clamped:
+        warnings.warn(
+            f"{clamped} negative length estimate(s) clamped to zero",
+            NegativeLengthWarning,
+            stacklevel=2,
+        )
+    return tree
 
 
 def rg_exact(
@@ -648,7 +524,7 @@ def rg_exact(
     NotAdditiveError.
     """
     O, D = _grouping_input(O, d, mode)
-    cfg = RGConfig(eps0=tol, tau=float("inf"), dynamic_eps=False)
+    cfg = RGConfig(eps0=tol, dynamic_eps=False)
     try:
         tree = _rg_core(list(O), D, cfg, witness_cap=None)
     except GroupingStalledError as exc:

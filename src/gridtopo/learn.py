@@ -21,7 +21,7 @@ import numpy as np
 
 from .distances import DistanceMatrix
 from .exceptions import FormatError, NegativeLengthWarning, ValidationError
-from .grid import Edge, path_between, read_json, tree_paths
+from .grid import Edge, parse_nodes_and_edges, path_between, read_json, tree_paths
 from .grouping import LearnedTree, RGConfig, rg_sampled
 from .lcpf import MeasurementSet
 from .moments import MomentSet, accumulate, estimate_distances
@@ -102,8 +102,8 @@ def learn_from_moments(
 ) -> LearnedGrid:
     """Reconstruct topology and impedances from terminal-node second moments.
 
-    Grouping runs on the mean metric (d_r + d_x) / 2, so cfg's eps0 and tau
-    are in ohms of that mean. Both line values then come from the
+    Grouping runs on the mean metric (d_r + d_x) / 2, so cfg's eps0 is in
+    ohms of that mean. Both line values then come from the
     least-squares path-sum fit over the learned tree. `nodes` restricts
     learning to a subset of the moment set's terminals (default: all of
     them). Provenance `clamped_lengths` counts every negative estimate
@@ -133,11 +133,9 @@ def learn_from_moments(
         "samples": m.count,
         "eps0": cfg.eps0,
         "eps_growth": cfg.eps_growth,
-        "tau": cfg.tau,
         "dynamic_eps": cfg.dynamic_eps,
         "rounds": diag.rounds if diag else None,
         "eps_escalations": diag.eps_escalations if diag else None,
-        "tau_escalations": diag.tau_escalations if diag else None,
         "clamped_lengths": (diag.clamped_lengths if diag else 0) + r_clamped + x_clamped,
     }
     return LearnedGrid(tree.nodes, edges, frozenset(nodes), provenance)
@@ -170,35 +168,12 @@ def learned_to_dict(g: LearnedGrid) -> dict:
 
 
 def learned_from_dict(data: dict, source: str = "<learned>") -> LearnedGrid:
-    if not isinstance(data, dict):
-        raise FormatError(f"{source}: expected a JSON object")
-    for key in ("nodes", "edges"):
-        if key not in data or not isinstance(data[key], list):
-            raise FormatError(f"{source}: missing or invalid field {key!r}")
-    nodes, observed = [], set()
-    for i, nd in enumerate(data["nodes"]):
-        if not isinstance(nd, dict) or not isinstance(nd.get("id"), str):
-            raise FormatError(f"{source}: nodes[{i}]: missing string field 'id'")
-        nodes.append(nd["id"])
-        if nd.get("observed", False):
-            observed.add(nd["id"])
-    edges = []
-    for i, ed in enumerate(data["edges"]):
-        if not isinstance(ed, dict):
-            raise FormatError(f"{source}: edges[{i}]: expected an object")
-        for key in ("u", "v", "r", "x"):
-            if key not in ed:
-                raise FormatError(f"{source}: edges[{i}]: missing field {key!r}")
-        try:
-            r, x = float(ed["r"]), float(ed["x"])
-        except (TypeError, ValueError):
-            raise FormatError(f"{source}: edges[{i}]: 'r' and 'x' must be numbers") from None
-        edges.append(Edge(str(ed["u"]), str(ed["v"]), r, x))
+    nodes, _roots, observed, edges = parse_nodes_and_edges(data, source)
     prov = data.get("provenance", {})
     if not isinstance(prov, dict):
         raise FormatError(f"{source}: field 'provenance' must be an object")
     try:
-        return LearnedGrid(tuple(nodes), tuple(edges), frozenset(observed), prov)
+        return LearnedGrid(nodes, edges, observed, prov)
     except ValidationError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 

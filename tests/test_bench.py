@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gridtopo import bench
 from gridtopo import (
     DistanceMatrix,
     Edge,
@@ -234,11 +235,20 @@ def test_distance_rmse_zero_and_shift(star_grid):
     assert distance_rmse(shifted, d) == pytest.approx(0.1)
 
 
-def test_evaluate_reports(star_grid):
+def test_evaluate_reports(star_grid, monkeypatch):
     lg = learn_from_moments(analytic_moments(star_grid))
+    calls = []
+
+    def counted(obj):
+        calls.append(obj)
+        return edge_splits(obj)
+
+    monkeypatch.setattr(bench, "edge_splits", counted)
     rep = evaluate(star_grid, lg, runtime=1.5)
+    assert calls == [star_grid, lg]  # each tree is split once
     assert rep.exact_recovery and rep.edge_difference == 0
     assert rep.avg_impedance_error == pytest.approx(0.0, abs=1e-12)
+    assert rep.avg_impedance_error == impedance_error(star_grid, lg)
     assert rep.runtime == 1.5
 
 
@@ -328,7 +338,7 @@ def test_artifacts_are_byte_deterministic(tmp_path):
 def test_experiment_config_round_trip(tmp_path):
     cfg = ExperimentConfig(
         name="tradeoff", n=12, trials=2, samples=(100, 200), eps0=(0.07, 0.1),
-        eps_mode="fixed", tau=1.5, seed=9, injection_family="uniform",
+        eps_mode="fixed", seed=9, injection_family="uniform",
     )
     path = tmp_path / "exp.cfg"
     save_experiment_config(cfg, path)
@@ -344,6 +354,10 @@ def test_experiment_config_file_errors(tmp_path):
     worse.write_text("n = notanumber\n")
     with pytest.raises(FormatError):
         load_experiment_config(worse)
+    gone = tmp_path / "gone.cfg"
+    gone.write_text("tau_rule = auto\n")
+    with pytest.raises(FormatError, match="unknown key 'tau_rule'"):
+        load_experiment_config(gone)
 
 
 def test_experiment_config_validation():

@@ -20,6 +20,7 @@ from gridtopo import (
     true_distance,
     validate_grid,
 )
+from gridtopo.learn import learned_from_dict
 
 
 def test_star_structure(star_grid):
@@ -155,11 +156,25 @@ def test_grid_file_errors(tmp_path):
 
 
 def test_grid_from_dict_field_checks():
-    with pytest.raises(FormatError):
-        grid_from_dict({"nodes": [{"root": True}], "edges": []})
-    with pytest.raises(FormatError):
-        grid_from_dict({"nodes": [{"id": "t", "root": True}],
-                        "edges": [{"u": "t", "v": "a", "r": "fast", "x": 0.1}]})
+    root = [{"id": "t", "root": True}]
+    line = {"u": "t", "v": "a", "r": 0.1}
+    cases = [
+        ([], "expected a JSON object"),
+        ({"edges": []}, "missing field 'nodes'"),
+        ({"nodes": {}, "edges": []}, "field 'nodes' must be a list"),
+        ({"nodes": [{"root": True}], "edges": []}, "nodes[0]: missing field 'id'"),
+        ({"nodes": [{"id": 7}], "edges": []}, "nodes[0]: 'id' must be a string"),
+        ({"nodes": root, "edges": ["t-a"]}, "edges[0]: expected an object"),
+        ({"nodes": root, "edges": [line]}, "edges[0]: missing field 'x'"),
+        ({"nodes": root, "edges": [{**line, "x": "fast"}]},
+         "edges[0]: 'r' and 'x' must be numbers"),
+    ]
+    # Grid and learned-grid files share one schema and one set of messages.
+    for data, message in cases:
+        for parse in (grid_from_dict, learned_from_dict):
+            with pytest.raises(FormatError) as err:
+                parse(data, source="f.json")
+            assert str(err.value) == f"f.json: {message}", parse.__name__
 
 
 def test_create_rejects_unknown_kind():

@@ -49,7 +49,7 @@ def _relations(d: DistanceMatrix, eps: float = EXACT_TOL) -> dict:
     sibling spread. Pairs that are neither parent nor siblings are absent.
     """
     D = np.array(d.d_r)
-    W, _ = _witness_mask(D, float("inf"), None)
+    W = _witness_mask(D, None)
     phi_mean, spread, absmax, dev_ba, dev_ab, _ = _pair_stats(D, W)
     parents, siblings, _ = _relations_from_stats(D, eps, phi_mean, spread, absmax, dev_ba, dev_ab)
     out = {}

@@ -3,7 +3,7 @@ import pytest
 
 import gridtopo
 import gridtopo.cli
-from gridtopo import FormatError, RGConfig, load_grid, load_learned, load_moments
+from gridtopo import FormatError, RGConfig, RGDiagnostics, load_grid, load_learned, load_moments
 
 # Names this package no longer provides.
 REMOVED = {
@@ -26,7 +26,10 @@ def test_public_names_resolve():
             assert not hasattr(module, name), name
             assert name not in gridtopo.__all__
     assert not hasattr(gridtopo.cli, "run")
-    assert set(RGConfig.__dataclass_fields__) == {"eps0", "eps_growth", "tau", "dynamic_eps"}
+    assert set(RGConfig.__dataclass_fields__) == {"eps0", "eps_growth", "dynamic_eps"}
+    # perfbench reads these counters by name.
+    counters = {"rounds", "eps_escalations", "tau_escalations", "merged_junctions", "clamped_lengths"}
+    assert counters <= set(RGDiagnostics.__dataclass_fields__)
 
 
 @pytest.mark.parametrize("load", [load_grid, load_moments, load_learned], ids=lambda f: f.__name__)
