@@ -292,7 +292,6 @@ class ExperimentConfig:
     samples: tuple[int, ...] = (1_000, 10_000, 100_000)
     eps0: tuple[float, ...] = (0.07,)
     eps_mode: str = "dynamic"  # "dynamic" grows eps on stall; "fixed" fails instead
-    eps_growth: float = 1.5
     seed: int = 0
     max_degree: int = 4
     r_range: tuple[float, float] = (0.05, 0.5)
@@ -333,11 +332,7 @@ class ExperimentConfig:
         )
 
     def rg_config(self, eps0: float) -> RGConfig:
-        return RGConfig(
-            eps0=eps0,
-            eps_growth=self.eps_growth,
-            dynamic_eps=self.eps_mode == "dynamic",
-        )
+        return RGConfig(eps0=eps0, dynamic_eps=self.eps_mode == "dynamic")
 
 
 @dataclass(frozen=True)
@@ -488,7 +483,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 # Config file keys. Impedance bounds are flattened (r_lo/r_hi, x_lo/x_hi).
 _INT_KEYS = {"n", "trials", "seed", "max_degree", "threads"}
-_FLOAT_KEYS = {"eps_growth", "sigma_pp", "sigma_qq", "sigma_pq"}
+_FLOAT_KEYS = {"sigma_pp", "sigma_qq", "sigma_pq"}
 _STR_KEYS = {"name", "eps_mode", "injection_family"}
 _BOUND_KEYS = {"r_lo", "r_hi", "x_lo", "x_hi"}
 _LIST_KEYS = {"samples", "eps0"}
@@ -498,10 +493,9 @@ CONFIG_KEYS = sorted(_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOUND_KEYS | _LIST_K
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Parse a `key = value` experiment config file; unknown keys are errors.
 
-    Keys: n, max_degree, r_lo, r_hi, x_lo, x_hi, samples, eps0, eps_growth,
-    trials, seed, eps_mode, sigma_pp, sigma_qq, sigma_pq, injection_family,
-    threads, name. Lists (samples, eps0) are comma-separated; '#' starts a
-    comment.
+    Keys: n, max_degree, r_lo, r_hi, x_lo, x_hi, samples, eps0, trials, seed,
+    eps_mode, sigma_pp, sigma_qq, sigma_pq, injection_family, threads, name.
+    Lists (samples, eps0) are comma-separated; '#' starts a comment.
     """
     path = Path(path)
     values: dict = {}
@@ -557,7 +551,6 @@ def save_experiment_config(cfg: ExperimentConfig, path: str | Path) -> None:
         f"samples = {', '.join(str(t) for t in cfg.samples)}",
         f"eps0 = {', '.join(repr(e) for e in cfg.eps0)}",
         f"eps_mode = {cfg.eps_mode}",
-        f"eps_growth = {cfg.eps_growth!r}",
         f"trials = {cfg.trials}",
         f"seed = {cfg.seed}",
         f"sigma_pp = {cfg.sigma_pp!r}",

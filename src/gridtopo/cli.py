@@ -38,14 +38,14 @@ GRID_FORMAT = (
 )
 MEAS_FORMAT = (
     "measurements CSV: optional '# seed=<n> grid=<name>' comment, header "
-    "'t,v:<id>,p:<id>,q:<id>,...', one row per sample"
+    "'t,v:<id>,p:<id>,q:<id>,...', one row per sample; empty lines are skipped"
 )
 MOMENTS_FORMAT = "moments JSON: node list, sample count, dense moment tables"
 LEARNED_FORMAT = "learned grid JSON: grid JSON schema plus a 'provenance' object"
 CONFIG_FORMAT = (
     "experiment config: 'key = value' lines; keys n, max_degree, r_lo, r_hi, "
-    "x_lo, x_hi, samples, eps0, eps_growth, trials, seed, eps_mode, sigma_pp, "
-    "sigma_qq, sigma_pq, injection_family, threads, name"
+    "x_lo, x_hi, samples, eps0, trials, seed, eps_mode, sigma_pp, sigma_qq, "
+    "sigma_pq, injection_family, threads, name"
 )
 
 
@@ -73,18 +73,12 @@ def _add_learner_flags(sub: argparse.ArgumentParser) -> None:
     grp = sub.add_argument_group("learner")
     grp.add_argument("--eps", type=float, default=0.07,
                      help="grouping tolerance eps0, in ohms of (r+x)/2 (default 0.07)")
-    grp.add_argument("--eps-growth", type=float, default=1.5,
-                     help="eps multiplier when a round stalls (default 1.5)")
     grp.add_argument("--fixed-eps", action="store_true",
                      help="fail on a stalled round instead of growing eps")
-    grp.add_argument("--lam", type=float, default=None,
-                     help="conditioning threshold on injection-moment determinants "
-                          "(default 0.1x the median)")
 
 
 def _rg_config(args: argparse.Namespace) -> RGConfig:
-    return RGConfig(eps0=args.eps, eps_growth=args.eps_growth,
-                    dynamic_eps=not args.fixed_eps)
+    return RGConfig(eps0=args.eps, dynamic_eps=not args.fixed_eps)
 
 
 def _injection_spec(args: argparse.Namespace) -> InjectionSpec:
@@ -149,7 +143,7 @@ def _cmd_estimate(args) -> int:
         m = accumulate(load_measurements(args.measurements))
     else:
         m = load_moments(args.moments)
-    learned = learn_from_moments(m, cfg=_rg_config(args), lam=args.lam)
+    learned = learn_from_moments(m, cfg=_rg_config(args))
     save_learned(learned, args.out)
     print(f"wrote {args.out}: {_learned_summary(learned)}")
     return 0
@@ -172,7 +166,7 @@ def _cmd_pipeline(args) -> int:
     ensure_valid(g)
     print(f"grid {args.grid}: {_grid_summary(g)}")
     ms = simulate(g, _injection_spec(args), args.samples, args.seed)
-    learned = learn_from_moments(accumulate(ms), cfg=_rg_config(args), lam=args.lam)
+    learned = learn_from_moments(accumulate(ms), cfg=_rg_config(args))
     print(f"learned: {_learned_summary(learned)}")
     report = evaluate(g, learned)
     print(_report_line(report))

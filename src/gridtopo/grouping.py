@@ -32,7 +32,7 @@ from .exceptions import (
     NotAdditiveError,
     ValidationError,
 )
-from .grid import path_between, tree_paths
+from .grid import tree_paths
 
 EXACT_TOL = 1e-9
 HIDDEN_PREFIX = "h#"
@@ -42,6 +42,8 @@ HIDDEN_PREFIX = "h#"
 # keeps the straddling ones that carry the signal while dropping the tail
 # that carries mostly estimation noise.
 WITNESS_CAP = 15
+# A round that classifies no pair retries at this many times the tolerance.
+EPS_GROWTH = 1.5
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class RGConfig:
     """Knobs for sampled grouping.
 
     eps0 is the starting tolerance; when a round classifies no pair into a
-    block and dynamic_eps is set, eps grows by eps_growth and the round
+    block and dynamic_eps is set, eps grows by EPS_GROWTH and the round
     retries (eps resets to eps0 after any productive round). With dynamic_eps
     off, a stalled round raises instead. eps0 is in the units of the metric
     grouped on; the learner groups on (d_r + d_x) / 2, so there it is ohms
@@ -58,14 +60,11 @@ class RGConfig:
     """
 
     eps0: float = 0.07
-    eps_growth: float = 1.5
     dynamic_eps: bool = True
 
     def __post_init__(self):
         if self.eps0 <= 0:
             raise ValidationError(f"eps0 must be > 0, got {self.eps0}")
-        if self.eps_growth <= 1:
-            raise ValidationError(f"eps_growth must be > 1, got {self.eps_growth}")
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,13 @@ class LearnedTree:
         return tuple(n for n in self.nodes if len(adj[n]) <= 1)
 
 
-def tree_path_lengths(tree: LearnedTree, nodes: tuple[str, ...] | None = None) -> np.ndarray:
-    """Pairwise path-length matrix over `nodes` (default: all tree nodes)."""
-    if nodes is None:
-        nodes = tree.nodes
+def pair_path_incidence(tree: LearnedTree, nodes: tuple[str, ...]) -> np.ndarray:
+    """0/1 incidence of node-pair paths over tree lines.
+
+    Row r is the r-th pair (i, j), i < j, of `nodes` in row-major order;
+    column e is tree.edges[e]. A line lies on the path between two nodes
+    exactly when it lies on one of their two paths from a common anchor.
+    """
     known = set(tree.nodes)
     for n in nodes:
         if n not in known:
@@ -121,12 +123,21 @@ def tree_path_lengths(tree: LearnedTree, nodes: tuple[str, ...] | None = None) -
     paths = tree_paths(((e.u, e.v) for e in tree.edges), tree.nodes[0])
     if len(paths) != len(tree.nodes):
         raise ValidationError("tree is not connected")
-    lengths = [e.length for e in tree.edges]
+    on_path = np.zeros((len(nodes), len(tree.edges)), dtype=bool)
+    for i, n in enumerate(nodes):
+        on_path[i, paths[n]] = True
+    a, b = np.triu_indices(len(nodes), 1)
+    return (on_path[a] != on_path[b]).astype(float)
+
+
+def tree_path_lengths(tree: LearnedTree, nodes: tuple[str, ...] | None = None) -> np.ndarray:
+    """Pairwise path-length matrix over `nodes` (default: all tree nodes)."""
+    if nodes is None:
+        nodes = tree.nodes
     out = np.zeros((len(nodes), len(nodes)))
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            out[i, j] = sum(lengths[e] for e in path_between(paths[a], paths[b]))
-    return out
+    lengths = np.array([e.length for e in tree.edges])
+    out[np.triu_indices(len(nodes), 1)] = pair_path_incidence(tree, nodes) @ lengths
+    return out + out.T
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +298,7 @@ def _relations_from_stats(D, eps, phi_mean, spread, absmax, dev_ba, dev_ab):
 
 def _rg_core(
     names: list[str],
-    D: np.ndarray,
+    Draw: np.ndarray,
     cfg: RGConfig,
     witness_cap: int | None,
 ) -> LearnedTree:
@@ -317,34 +328,26 @@ def _rg_core(
     def partial_tree() -> LearnedTree:
         return LearnedTree(tuple(all_names), tuple(edges), frozenset(hidden), diag)
 
-    # Bookkeeping for every active node: which input nodes sit below it in
-    # the part of the tree built so far, and how far away along built edges.
-    # Distances between active nodes are re-derived from the input matrix
-    # through these anchors each round, so estimation noise does not compound
-    # across rounds of updates.
-    Draw = np.array(D, dtype=float, copy=True)
-    leaf_of = {nm: i for i, nm in enumerate(names)}
-    desc: dict[str, tuple[list[int], np.ndarray]] = {
-        nm: ([leaf_of[nm]], np.zeros(1)) for nm in names
-    }
+    # Bookkeeping for every active node: a 0/1 row over the input nodes that
+    # marks the ones below it in the part of the tree built so far, and the
+    # summed length of the built paths down to them. Each round re-derives
+    # the distances between active nodes from the input matrix: the mean
+    # input distance between the two nodes' leaf sets, less both mean path
+    # lengths. Estimation noise therefore does not compound across rounds.
+    below = dict(zip(names, np.eye(len(names))))
+    path_sum = dict.fromkeys(names, 0.0)
 
     def adopt(parent: str, child: str, length: float) -> None:
         emit(parent, child, length)
-        li, pi = desc[parent]
-        lj, pj = desc[child]
-        desc[parent] = (li + lj, np.concatenate([pi, pj + max(float(length), 0.0)]))
+        below[parent] = below[parent] + below[child]
+        path_sum[parent] += path_sum[child] + below[child].sum() * max(float(length), 0.0)
 
     def refresh() -> np.ndarray:
-        infos = [desc[nm] for nm in active]
-        kk = len(active)
-        M = np.zeros((kk, kk))
-        means = [float(p.mean()) for _, p in infos]
-        for i in range(kk):
-            li, _ = infos[i]
-            for j in range(i + 1, kk):
-                lj, _ = infos[j]
-                M[i, j] = M[j, i] = float(Draw[np.ix_(li, lj)].mean()) - means[i] - means[j]
-        return M
+        S = np.array([below[nm] for nm in active])
+        n = S.sum(axis=1)
+        mu = np.array([path_sum[nm] for nm in active]) / n
+        M = np.triu(S @ Draw @ S.T / np.outer(n, n) - mu[:, None] - mu[None, :], 1)
+        return M + M.T
 
     active = list(names)
     while len(active) > 2:
@@ -373,7 +376,7 @@ def _rg_core(
                     f"no pair classified at eps={eps:g} and eps is fixed",
                     partial=partial_tree(),
                 )
-            eps *= cfg.eps_growth
+            eps *= EPS_GROWTH
             diag.eps_escalations += 1
 
         # Apply blocks: parents keep their node, sibling blocks get a new
@@ -411,7 +414,7 @@ def _rg_core(
             outside = np.setdiff1d(np.arange(k), children)
             if outside.size:
                 col[outside] = (
-                    D[np.ix_(outside, children)] - col[children][None, :]
+                    D[outside][:, children] - col[children][None, :]
                 ).mean(axis=1)
             cands: list[tuple[float, int, str, int]] = []
             for a in children:
@@ -447,7 +450,8 @@ def _rg_core(
             hidden_names.append(h)
             all_names.append(h)
             hidden.append(h)
-            desc[h] = ([], np.zeros(0))
+            below[h] = np.zeros(len(names))
+            path_sum[h] = 0.0
             for a in children:
                 adopt(h, active[a], col[a])
 

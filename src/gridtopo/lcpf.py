@@ -14,6 +14,7 @@ computed for completeness and never exported.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -226,6 +227,13 @@ def save_measurements(ms: MeasurementSet, path: str | Path) -> None:
 
 
 def load_measurements(path: str | Path) -> MeasurementSet:
+    """Read a measurements CSV as written by save_measurements.
+
+    Leading '#' lines are comments; a 'seed=<n>' token in one sets the seed.
+    The header is 't' and a v, p and q column per node. Each later line holds
+    one number per header column; empty lines are skipped, as numpy.loadtxt
+    skips them. Every fault raises FormatError naming the file.
+    """
     path = Path(path)
     try:
         fh = path.open(newline="")
@@ -233,7 +241,6 @@ def load_measurements(path: str | Path) -> MeasurementSet:
         raise FormatError(f"{path}: file not found") from None
     with fh:
         seed = None
-        pos = fh.tell()
         line = fh.readline()
         while line.startswith("#"):
             for token in line[1:].split():
@@ -242,14 +249,10 @@ def load_measurements(path: str | Path) -> MeasurementSet:
                         seed = int(token[5:])
                     except ValueError:
                         pass
-            pos = fh.tell()
             line = fh.readline()
-        fh.seek(pos)
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
+        if not line:
+            raise FormatError(f"{path}: empty file")
+        header = next(csv.reader([line]))
         if not header or header[0] != "t":
             raise FormatError(f"{path}: first header column must be 't'")
         col_of: dict[str, int] = {}
@@ -269,21 +272,15 @@ def load_measurements(path: str | Path) -> MeasurementSet:
             for kind in ("v", "p", "q"):
                 if f"{kind}:{node}" not in col_of:
                     raise FormatError(f"{path}: missing column '{kind}:{node}'")
-        rows = list(reader)
-        if not rows:
+        # loadtxt warns on a body without data, so the first row is read here.
+        first = next((row for row in fh if row.strip("\r\n")), None)
+        if first is None:
             raise FormatError(f"{path}: no measurement rows")
-        m = len(nodes)
-        v = np.empty((len(rows), m))
-        p = np.empty((len(rows), m))
-        q = np.empty((len(rows), m))
-        for t, row in enumerate(rows):
-            if len(row) != len(header):
-                raise FormatError(f"{path}: row {t + 2} has {len(row)} fields, expected {len(header)}")
-            try:
-                for j, node in enumerate(nodes):
-                    v[t, j] = float(row[col_of[f"v:{node}"]])
-                    p[t, j] = float(row[col_of[f"p:{node}"]])
-                    q[t, j] = float(row[col_of[f"q:{node}"]])
-            except ValueError:
-                raise FormatError(f"{path}: row {t + 2} has a non-numeric value") from None
+        try:
+            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    if data.shape[1] != len(header):
+        raise FormatError(f"{path}: rows have {data.shape[1]} fields, expected {len(header)}")
+    v, p, q = (data[:, [col_of[f"{kind}:{n}"] for n in nodes]] for kind in "vpq")
     return MeasurementSet(tuple(nodes), v, p, q, seed=seed)

@@ -21,8 +21,8 @@ import numpy as np
 
 from .distances import DistanceMatrix
 from .exceptions import FormatError, NegativeLengthWarning, ValidationError
-from .grid import Edge, parse_nodes_and_edges, path_between, read_json, tree_paths
-from .grouping import LearnedTree, RGConfig, rg_sampled
+from .grid import Edge, parse_nodes_and_edges, read_json
+from .grouping import LearnedTree, RGConfig, pair_path_incidence, rg_sampled
 from .lcpf import MeasurementSet
 from .moments import MomentSet, accumulate, estimate_distances
 
@@ -55,19 +55,6 @@ class LearnedGrid:
         return frozenset(self.nodes) - self.observed
 
 
-def _pair_path_matrix(tree: LearnedTree, nodes: tuple[str, ...]) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """0/1 incidence of observed-pair paths over tree edges."""
-    up = tree_paths(((e.u, e.v) for e in tree.edges), tree.nodes[0])
-    if len(up) != len(tree.nodes):
-        raise ValidationError("learned tree is not connected")
-    pairs = [(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
-    A = np.zeros((len(pairs), len(tree.edges)))
-    for row, (i, j) in enumerate(pairs):
-        for e in path_between(up[nodes[i]], up[nodes[j]]):
-            A[row, e] = 1.0
-    return A, pairs
-
-
 def assign_reactances(tree: LearnedTree, d: DistanceMatrix, mode: str = "x") -> tuple[np.ndarray, int]:
     """Least-squares impedance per tree edge from observed pair distances.
 
@@ -81,8 +68,9 @@ def assign_reactances(tree: LearnedTree, d: DistanceMatrix, mode: str = "x") -> 
     nodes = tuple(n for n in d.nodes if n in in_tree)
     if len(nodes) < 2:
         raise ValidationError("impedance fit needs at least two observed nodes")
-    A, pairs = _pair_path_matrix(tree, nodes)
-    rhs = np.array([dm[d.index[nodes[i]], d.index[nodes[j]]] for i, j in pairs])
+    A = pair_path_incidence(tree, nodes)
+    ix = [d.index[n] for n in nodes]
+    rhs = dm[np.ix_(ix, ix)][np.triu_indices(len(nodes), 1)]
     sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
     if rank < len(tree.edges):
         warnings.warn(
@@ -98,23 +86,23 @@ def learn_from_moments(
     m: MomentSet,
     cfg: RGConfig | None = None,
     nodes: tuple[str, ...] | None = None,
-    lam: float | None = None,
 ) -> LearnedGrid:
     """Reconstruct topology and impedances from terminal-node second moments.
 
-    Grouping runs on the mean metric (d_r + d_x) / 2, so cfg's eps0 is in
-    ohms of that mean. Both line values then come from the
-    least-squares path-sum fit over the learned tree. `nodes` restricts
-    learning to a subset of the moment set's terminals (default: all of
-    them). Provenance `clamped_lengths` counts every negative estimate
-    clamped to zero: grouping's mean-metric lengths plus the fitted r and x.
+    Every terminal must pass the conditioning check at
+    default_conditioning_threshold(m). Grouping runs on the mean metric
+    (d_r + d_x) / 2, so cfg's eps0 is in ohms of that mean. Both line values
+    then come from the least-squares path-sum fit over the learned tree.
+    `nodes` restricts learning to a subset of the moment set's terminals
+    (default: all). Provenance `clamped_lengths` counts every negative
+    estimate clamped to zero: grouping's lengths plus the fitted r and x.
     """
     if nodes is None:
         nodes = m.nodes
     if len(nodes) < 2:
         raise ValidationError("learning needs at least two observed terminals")
     cfg = cfg or RGConfig()
-    d = estimate_distances(m, nodes=tuple(nodes), lam=lam)
+    d = estimate_distances(m, nodes=tuple(nodes))
     tree = rg_sampled(tuple(nodes), (d.d_r + d.d_x) / 2.0, cfg)
     rs, r_clamped = assign_reactances(tree, d, mode="r")
     xs, x_clamped = assign_reactances(tree, d, mode="x")
@@ -132,7 +120,6 @@ def learn_from_moments(
     provenance = {
         "samples": m.count,
         "eps0": cfg.eps0,
-        "eps_growth": cfg.eps_growth,
         "dynamic_eps": cfg.dynamic_eps,
         "rounds": diag.rounds if diag else None,
         "eps_escalations": diag.eps_escalations if diag else None,
@@ -144,12 +131,11 @@ def learn_from_moments(
 def learn_from_samples(
     meas: MeasurementSet,
     cfg: RGConfig | None = None,
-    lam: float | None = None,
 ) -> LearnedGrid:
     """Reconstruct a grid straight from raw (v, p, q) samples."""
     if meas.T < 2:
         raise ValidationError(f"need at least 2 samples to form moments, got {meas.T}")
-    return learn_from_moments(accumulate(meas), cfg=cfg, lam=lam)
+    return learn_from_moments(accumulate(meas), cfg=cfg)
 
 
 # ---------------------------------------------------------------------------

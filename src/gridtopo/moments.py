@@ -174,18 +174,16 @@ def default_conditioning_threshold(m: MomentSet) -> float:
     return 0.1 * float(np.median(dets)) if dets.size else 0.0
 
 
-def conditioning_check(m: MomentSet, lam: float | None = None) -> dict[str, bool]:
-    """Per-node pass/fail: node b passes iff |det of its moment matrix| >= lam."""
-    if lam is None:
-        lam = default_conditioning_threshold(m)
+def conditioning_check(m: MomentSet) -> dict[str, bool]:
+    """Per-node pass/fail: |det of the node's moment matrix| >= the default threshold."""
+    lam = default_conditioning_threshold(m)
     dets = np.abs(node_determinants(m))
     return {n: bool(dets[i] >= lam) for i, n in enumerate(m.nodes)}
 
 
-def estimate_h_pair(m: MomentSet, a: str, b: str, lam: float | None = None) -> tuple[float, float]:
+def estimate_h_pair(m: MomentSet, a: str, b: str) -> tuple[float, float]:
     """Solve the 2x2 system for (h_r, h_x) at the ordered pair (a, b)."""
-    if lam is None:
-        lam = default_conditioning_threshold(m)
+    lam = default_conditioning_threshold(m)
     ia, ib = m.index(a), m.index(b)
     det = m.pp[ib] * m.qq[ib] - m.pq[ib] * m.pq[ib]
     if abs(det) < lam:
@@ -201,16 +199,15 @@ def estimate_h_pair(m: MomentSet, a: str, b: str, lam: float | None = None) -> t
 def estimate_distances(
     m: MomentSet,
     nodes: tuple[str, ...] | None = None,
-    lam: float | None = None,
 ) -> DistanceMatrix:
     """Pairwise d_r and d_x estimates over the given nodes (default: all).
 
     Runs the pairwise 2x2 solves for every ordered pair, symmetrizes the two
     inverse-Laplacian estimates by averaging, and converts to distances. The
-    diagonal is exactly zero by construction.
+    diagonal is exactly zero by construction. Every node must pass the
+    conditioning check at default_conditioning_threshold(m).
     """
-    if lam is None:
-        lam = default_conditioning_threshold(m)
+    lam = default_conditioning_threshold(m)
     if nodes is None:
         nodes = m.nodes
     ix = np.array([m.index(n) for n in nodes])

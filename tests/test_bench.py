@@ -358,6 +358,9 @@ def test_experiment_config_file_errors(tmp_path):
     gone.write_text("tau_rule = auto\n")
     with pytest.raises(FormatError, match="unknown key 'tau_rule'"):
         load_experiment_config(gone)
+    gone.write_text("eps_growth = 2\n")
+    with pytest.raises(FormatError, match="unknown key 'eps_growth'"):
+        load_experiment_config(gone)
 
 
 def test_experiment_config_validation():

@@ -123,9 +123,12 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:  # the witness radius is not a knob
-        main(["estimate", "--moments", "m.json", "--tau", "0.5", "-o", str(tmp_path / "l.json")])
-    assert exc.value.code == 2
+    # Neither the witness radius, the eps growth factor nor the conditioning
+    # threshold is a knob.
+    for flag, value in (("--tau", "0.5"), ("--eps-growth", "2"), ("--lam", "0.1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--moments", "m.json", flag, value, "-o", str(tmp_path / "l.json")])
+        assert exc.value.code == 2
 
 
 def test_estimate_rejects_ambiguous_sources(tmp_path):

@@ -194,8 +194,6 @@ def test_rg_input_validation():
         rg_sampled(("a", "b"), np.zeros((3, 3)))
     with pytest.raises(ValidationError):
         RGConfig(eps0=-1.0)
-    with pytest.raises(ValidationError):
-        RGConfig(eps_growth=1.0)
 
 
 def test_single_and_pair_inputs():

@@ -1,4 +1,6 @@
 """Linearized power-flow simulation and the analytic moment formulas."""
+import re
+
 import numpy as np
 import pytest
 
@@ -134,23 +136,44 @@ def test_empirical_moments_approach_analytic(star_grid):
 
 def test_measurements_csv_round_trip(tmp_path, star_grid):
     ms = simulate(star_grid, InjectionSpec(), T=32, seed=5)
+    # Values whose text form is easy to get wrong: negative zero, the
+    # smallest subnormal, the smallest normal, the largest float, and 1/3.
+    edge = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3]
+    ms.v[: len(edge), 0] = edge
+    ms.q[-1, : len(ms.nodes)] = edge[: len(ms.nodes)]
     path = tmp_path / "meas.csv"
     save_measurements(ms, path)
     back = load_measurements(path)
     assert back.nodes == ms.nodes
     assert back.seed == ms.seed
-    assert np.array_equal(back.v, ms.v)
-    assert np.array_equal(back.p, ms.p)
-    assert np.array_equal(back.q, ms.q)
+    for name in ("v", "p", "q"):
+        sent, got = getattr(ms, name), getattr(back, name)
+        assert got.tobytes() == sent.tobytes(), name
+    # Empty lines among the rows are skipped, as numpy.loadtxt skips them.
+    comment, header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([comment, header] + ["\n" + row for row in rows] + ["\n"]))
+    spaced = load_measurements(path)
+    assert spaced.v.tobytes() == ms.v.tobytes()
+    assert spaced.q.tobytes() == ms.q.tobytes()
 
 
 def test_measurements_csv_rejects_bad_files(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("t,v:a\n0,not-a-number\n")
-    with pytest.raises(FormatError):
-        load_measurements(path)
-    with pytest.raises(FormatError):
-        load_measurements(tmp_path / "absent.csv")
+    bodies = [
+        "0,1.0,not-a-number,3.0\n",          # a non-numeric value
+        "0,1.0,2.0,3.0\n1,1.0,2.0\n",       # a ragged row
+        "0,1.0,2.0\n1,1.0,2.0\n",           # every row one field short
+        "",                                 # header only
+        "\n\n",                             # header and empty lines only
+        "0,1.0,2.0,3.0\n1,1.0#,2.0,3.0\n",  # '#' inside a data row
+    ]
+    for body in bodies:
+        path.write_text("# seed=3\nt,v:a,p:a,q:a\n" + body)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
+            load_measurements(path)
+    missing = tmp_path / "absent.csv"
+    with pytest.raises(FormatError, match=f"^{re.escape(str(missing))}: file not found"):
+        load_measurements(missing)
 
 
 def test_measurement_set_shape_validation():

@@ -26,7 +26,7 @@ def test_public_names_resolve():
             assert not hasattr(module, name), name
             assert name not in gridtopo.__all__
     assert not hasattr(gridtopo.cli, "run")
-    assert set(RGConfig.__dataclass_fields__) == {"eps0", "eps_growth", "dynamic_eps"}
+    assert set(RGConfig.__dataclass_fields__) == {"eps0", "dynamic_eps"}
     # perfbench reads these counters by name.
     counters = {"rounds", "eps_escalations", "tau_escalations", "merged_junctions", "clamped_lengths"}
     assert counters <= set(RGDiagnostics.__dataclass_fields__)
