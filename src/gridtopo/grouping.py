@@ -109,12 +109,13 @@ class LearnedTree:
         return tuple(n for n in self.nodes if len(adj[n]) <= 1)
 
 
-def pair_path_incidence(tree: LearnedTree, nodes: tuple[str, ...]) -> np.ndarray:
-    """0/1 incidence of node-pair paths over tree lines.
+def anchor_path_incidence(tree: LearnedTree, nodes: tuple[str, ...]) -> np.ndarray:
+    """0/1 incidence B of anchor paths over tree lines.
 
-    Row r is the r-th pair (i, j), i < j, of `nodes` in row-major order;
-    column e is tree.edges[e]. A line lies on the path between two nodes
-    exactly when it lies on one of their two paths from a common anchor.
+    B[i, e] is 1 when tree.edges[e] lies on the path from the anchor
+    tree.nodes[0] to nodes[i]. A line lies on the path between two nodes
+    exactly when it lies on one of their two anchor paths, so every pair
+    quantity follows from B without listing the pairs.
     """
     known = set(tree.nodes)
     for n in nodes:
@@ -123,20 +124,25 @@ def pair_path_incidence(tree: LearnedTree, nodes: tuple[str, ...]) -> np.ndarray
     paths = tree_paths(((e.u, e.v) for e in tree.edges), tree.nodes[0])
     if len(paths) != len(tree.nodes):
         raise ValidationError("tree is not connected")
-    on_path = np.zeros((len(nodes), len(tree.edges)), dtype=bool)
+    B = np.zeros((len(nodes), len(tree.edges)))
     for i, n in enumerate(nodes):
-        on_path[i, paths[n]] = True
-    a, b = np.triu_indices(len(nodes), 1)
-    return (on_path[a] != on_path[b]).astype(float)
+        B[i, paths[n]] = 1.0
+    return B
 
 
 def tree_path_lengths(tree: LearnedTree, nodes: tuple[str, ...] | None = None) -> np.ndarray:
-    """Pairwise path-length matrix over `nodes` (default: all tree nodes)."""
+    """Pairwise path-length matrix over `nodes` (default: all tree nodes).
+
+    With B the anchor-path incidence and l the line lengths, the path
+    between i and j is both anchor paths less twice their shared part:
+    s_i + s_j - 2 (B diag(l) B^T)_ij, where s = B l.
+    """
     if nodes is None:
         nodes = tree.nodes
-    out = np.zeros((len(nodes), len(nodes)))
+    B = anchor_path_incidence(tree, nodes)
     lengths = np.array([e.length for e in tree.edges])
-    out[np.triu_indices(len(nodes), 1)] = pair_path_incidence(tree, nodes) @ lengths
+    s = B @ lengths
+    out = np.triu(s[:, None] + s[None, :] - 2.0 * ((B * lengths) @ B.T), 1)
     return out + out.T
 
 
@@ -245,9 +251,10 @@ def _pair_stats(D: np.ndarray, W: np.ndarray):
     phi_hi = np.where(W, Phi, -np.inf).max(axis=2)
     phi_lo = np.where(W, Phi, np.inf).min(axis=2)
     phi_mean = np.where(W, Phi, 0.0).sum(axis=2) / np.maximum(nwit, 1)
-    dab = D[:, :, None]
-    dev_ba = np.where(W, np.abs(Phi - dab), -np.inf).max(axis=2)
-    dev_ab = np.where(W, np.abs(Phi + dab), -np.inf).max(axis=2)
+    # |Phi -/+ d| peaks over the witnesses at phi_hi or phi_lo. Rounding is
+    # monotone, so this matches the per-witness maximum bit for bit.
+    dev_ba = np.maximum(np.abs(phi_hi - D), np.abs(phi_lo - D))
+    dev_ab = np.maximum(np.abs(phi_hi + D), np.abs(phi_lo + D))
     spread = phi_hi - phi_lo
     absmax = np.maximum(np.abs(phi_hi), np.abs(phi_lo))
     return phi_mean, spread, absmax, dev_ba, dev_ab, nwit
@@ -266,34 +273,26 @@ def _relations_from_stats(D, eps, phi_mean, spread, absmax, dev_ba, dev_ab):
     the sibling candidates (spread, i, j) and the symmetric sibling mask that
     _greedy_partition takes.
     """
-    k = D.shape[0]
     pass_ba = dev_ba <= eps
     pass_ab = dev_ab <= eps
-    sib = (spread <= eps) & (absmax <= D + eps)
-    np.fill_diagonal(sib, False)
-    res_ba = np.abs(D - phi_mean)
-    res_ab = np.abs(D + phi_mean)
+    upper = np.triu(np.ones(D.shape, dtype=bool), 1)
+    is_parent = (pass_ba | pass_ab) & upper
+    sib_ok = (spread <= eps) & (absmax <= D + eps) & upper & ~is_parent
     # Parent claims are ranked by pair distance before residual: when both a
     # node's parent and a farther ancestor pass the tolerance test, the true
     # parent is the closer one.
-    parent_cands: list[tuple[float, float, float, int, int]] = []
-    sibling_cands: list[tuple[float, int, int]] = []
-    sib_ok = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if pass_ba[i, j] or pass_ab[i, j]:
-                if pass_ba[i, j] and pass_ab[i, j]:
-                    i_is_parent = res_ab[i, j] <= res_ba[i, j]
-                else:
-                    i_is_parent = pass_ab[i, j]
-                p, c = (i, j) if i_is_parent else (j, i)
-                res = res_ab[i, j] if i_is_parent else res_ba[i, j]
-                dev = dev_ab[i, j] if i_is_parent else dev_ba[i, j]
-                parent_cands.append((float(D[i, j]), float(res), float(dev), p, c))
-            elif sib[i, j]:
-                sibling_cands.append((float(spread[i, j]), i, j))
-                sib_ok[i, j] = sib_ok[j, i] = True
-    return parent_cands, sibling_cands, sib_ok
+    i, j = np.nonzero(is_parent)
+    res_ba = np.abs(D[i, j] - phi_mean[i, j])
+    res_ab = np.abs(D[i, j] + phi_mean[i, j])
+    i_up = np.where(pass_ba[i, j] & pass_ab[i, j], res_ab <= res_ba, pass_ab[i, j])
+    parent_cands = list(zip(
+        D[i, j].tolist(), np.where(i_up, res_ab, res_ba).tolist(),
+        np.where(i_up, dev_ab[i, j], dev_ba[i, j]).tolist(),
+        np.where(i_up, i, j).tolist(), np.where(i_up, j, i).tolist(),
+    ))
+    a, b = np.nonzero(sib_ok)
+    sibling_cands = list(zip(spread[a, b].tolist(), a.tolist(), b.tolist()))
+    return parent_cands, sibling_cands, sib_ok | sib_ok.T
 
 
 def _rg_core(

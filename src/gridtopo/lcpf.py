@@ -27,6 +27,7 @@ from .grid import Grid, ensure_valid, reduced_laplacian
 from .moments import MomentSet
 
 SIM_CHUNK = 4096  # frozen: part of the reproducibility contract
+_WRITE_CHUNK = 256  # measurement rows per save_measurements batch
 
 _FAMILIES = ("gaussian", "uniform")
 
@@ -218,12 +219,10 @@ def save_measurements(ms: MeasurementSet, path: str | Path) -> None:
         for n in ms.nodes:
             header += [f"v:{n}", f"p:{n}", f"q:{n}"]
         writer.writerow(header)
-        v_rows, p_rows, q_rows = ms.v.tolist(), ms.p.tolist(), ms.q.tolist()
-        for t in range(ms.T):
-            row: list[str] = [str(t)]
-            for vj, pj, qj in zip(v_rows[t], p_rows[t], q_rows[t]):
-                row += [repr(vj), repr(pj), repr(qj)]
-            writer.writerow(row)
+        for start in range(0, ms.T, _WRITE_CHUNK):  # one chunk as Python floats at a time
+            blocks = (b[start:start + _WRITE_CHUNK].tolist() for b in (ms.v, ms.p, ms.q))
+            for t, rows in enumerate(zip(*blocks), start):
+                writer.writerow([str(t)] + [repr(x) for vpq in zip(*rows) for x in vpq])
 
 
 def load_measurements(path: str | Path) -> MeasurementSet:
@@ -232,7 +231,8 @@ def load_measurements(path: str | Path) -> MeasurementSet:
     Leading '#' lines are comments; a 'seed=<n>' token in one sets the seed.
     The header is 't' and a v, p and q column per node. Each later line holds
     one number per header column; empty lines are skipped, as numpy.loadtxt
-    skips them. Every fault raises FormatError naming the file.
+    skips them. Every fault raises FormatError naming the file, and a bad
+    row its 1-based line in the file.
     """
     path = Path(path)
     try:
@@ -242,6 +242,7 @@ def load_measurements(path: str | Path) -> MeasurementSet:
     with fh:
         seed = None
         line = fh.readline()
+        header_line = 1
         while line.startswith("#"):
             for token in line[1:].split():
                 if token.startswith("seed="):
@@ -250,6 +251,7 @@ def load_measurements(path: str | Path) -> MeasurementSet:
                     except ValueError:
                         pass
             line = fh.readline()
+            header_line += 1
         if not line:
             raise FormatError(f"{path}: empty file")
         header = next(csv.reader([line]))
@@ -279,8 +281,22 @@ def load_measurements(path: str | Path) -> MeasurementSet:
         try:
             data = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+            raise FormatError(f"{path}: {_bad_row(path, header_line, len(header)) or exc}") from None
     if data.shape[1] != len(header):
-        raise FormatError(f"{path}: rows have {data.shape[1]} fields, expected {len(header)}")
+        raise FormatError(f"{path}: {_bad_row(path, header_line, len(header))}")
     v, p, q = (data[:, [col_of[f"{kind}:{n}"] for n in nodes]] for kind in "vpq")
     return MeasurementSet(tuple(nodes), v, p, q, seed=seed)
+
+
+def _bad_row(path: Path, header_line: int, width: int) -> str | None:
+    """Name the first line after the header that is not `width` numbers."""
+    with path.open(newline="") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if lineno > header_line and line.strip("\r\n"):
+                if line.count(",") + 1 != width:
+                    return f"line {lineno} has {line.count(',') + 1} fields, expected {width}"
+                try:
+                    np.loadtxt([line], delimiter=",", comments=None)
+                except ValueError as exc:
+                    return f"line {lineno}: {str(exc).replace('at row 0, ', 'at ')}"
+    return None

@@ -4,7 +4,8 @@ The pipeline is fixed: estimate the pairwise resistance and reactance
 distances from second moments, run recursive grouping on their mean
 (d_r + d_x) / 2 to pin down the topology, then fit every line's r and every
 line's x by least squares on the matching distances over the learned
-topology. Both metrics are additive on the same tree; their mean has fewer
+topology, through normal equations built from each terminal's path to one
+anchor node rather than from one row per terminal pair. Both metrics are additive on the same tree; their mean has fewer
 lines shorter than the grouping tolerance than r alone and averages two
 nearly independent estimates, so grouping on it misses fewer splits.
 Negative fitted values are clamped to zero with a warning, mirroring the
@@ -22,7 +23,7 @@ import numpy as np
 from .distances import DistanceMatrix
 from .exceptions import FormatError, NegativeLengthWarning, ValidationError
 from .grid import Edge, parse_nodes_and_edges, read_json
-from .grouping import LearnedTree, RGConfig, pair_path_incidence, rg_sampled
+from .grouping import LearnedTree, RGConfig, anchor_path_incidence, rg_sampled
 from .lcpf import MeasurementSet
 from .moments import MomentSet, accumulate, estimate_distances
 
@@ -60,18 +61,28 @@ def assign_reactances(tree: LearnedTree, d: DistanceMatrix, mode: str = "x") -> 
 
     Every observed pair contributes one equation: the edge values along its
     tree path must add up to the pair's distance estimate in `mode` ("x" for
-    reactance, "r" for resistance). Returns the per-edge values (clamped at
-    zero) and the clamp count.
+    reactance, "r" for resistance). The pair rows are never built: with B
+    the anchor-path incidence of the k observed nodes and C = B^T B, n =
+    diag(C), the normal matrix is k C + n n^T - 2 C o (n_e + n_f) + 2 C o C
+    (o elementwise; exact integers) and the right-hand side is the column
+    sum of B o (U (1 - B)), U the upper triangle of the pair distances,
+    mirrored. lstsq on this E x E system keeps the pair rows' rank and
+    minimum-norm solution. Returns the per-edge values (clamped at zero)
+    and the clamp count.
     """
     dm = d.mode(mode)
     in_tree = set(tree.nodes)
     nodes = tuple(n for n in d.nodes if n in in_tree)
     if len(nodes) < 2:
         raise ValidationError("impedance fit needs at least two observed nodes")
-    A = pair_path_incidence(tree, nodes)
-    ix = [d.index[n] for n in nodes]
-    rhs = dm[np.ix_(ix, ix)][np.triu_indices(len(nodes), 1)]
-    sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
+    B = anchor_path_incidence(tree, nodes)
+    C = B.T @ B
+    n = np.diag(C)
+    gram = len(nodes) * C + np.outer(n, n) - 2.0 * C * (n[:, None] + n[None, :]) + 2.0 * C * C
+    ix = [d.index[nm] for nm in nodes]
+    U = np.triu(dm[np.ix_(ix, ix)], 1)
+    rhs = (B * ((U + U.T) @ (1.0 - B))).sum(axis=0)
+    sol, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
     if rank < len(tree.edges):
         warnings.warn(
             f"{mode} fit is rank-deficient ({rank} < {len(tree.edges)}); "

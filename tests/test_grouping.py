@@ -17,6 +17,7 @@ from gridtopo import (
 )
 from gridtopo.grouping import (
     EXACT_TOL,
+    WITNESS_CAP,
     _greedy_partition,
     _pair_stats,
     _relations_from_stats,
@@ -79,6 +80,77 @@ def test_classify_unrelated_across_junctions(cherry_grid):
 def test_classify_tolerance_widens_acceptance():
     noisy = perturbed(_star_matrix(), noise=0.02, seed=5)
     assert frozenset("ab") in _relations(noisy, eps=0.2)  # small noise keeps a verdict
+
+
+def _pair_stats_input(case: str) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(11)
+    if case == "ties":
+        # A path metric on integers: every neighbour pair is an exact parent
+        # relation, so Phi -/+ d(a, b) hits zero, and equal distances tie at
+        # the witness cap. The first two nodes coincide, so both parent
+        # directions pass with equal residuals.
+        idx = np.r_[0.0, np.arange(9.0)]
+        D = np.abs(idx[:, None] - idx[None, :])
+        return D, _witness_mask(D, 3)
+    D = np.triu(rng.uniform(0.5, 3.0, size=(24, 24)), 1)
+    D = D + D.T
+    return D, _witness_mask(D, WITNESS_CAP if case == "cap" else None)
+
+
+@pytest.mark.parametrize("case", ["cap", "no cap", "ties"])
+def test_pair_stats_deviations_match_definition(case):
+    D, W = _pair_stats_input(case)
+    Phi = D[:, None, :] - D[None, :, :]
+    dab = D[:, :, None]
+    want_ba = np.where(W, np.abs(Phi - dab), -np.inf).max(axis=2)
+    want_ab = np.where(W, np.abs(Phi + dab), -np.inf).max(axis=2)
+    _, _, _, dev_ba, dev_ab, _ = _pair_stats(D, W)
+    assert dev_ba.tobytes() == want_ba.tobytes()
+    assert dev_ab.tobytes() == want_ab.tobytes()
+    if case == "ties":
+        assert (W.sum(axis=2) > 3).any()  # ties kept more than the cap
+        assert (dev_ba == 0).any() and (dev_ab == 0).any()
+
+
+def _relations_loop(D, eps, phi_mean, spread, absmax, dev_ba, dev_ab):
+    """Pair-by-pair reference for _relations_from_stats."""
+    k = D.shape[0]
+    parents, siblings = [], []
+    sib_ok = np.zeros((k, k), dtype=bool)
+    for i in range(k):
+        for j in range(i + 1, k):
+            pass_ba, pass_ab = dev_ba[i, j] <= eps, dev_ab[i, j] <= eps
+            if pass_ba or pass_ab:
+                res_ba, res_ab = abs(D[i, j] - phi_mean[i, j]), abs(D[i, j] + phi_mean[i, j])
+                i_up = res_ab <= res_ba if pass_ba and pass_ab else pass_ab
+                p, c = (i, j) if i_up else (j, i)
+                res, dev = (res_ab, dev_ab[i, j]) if i_up else (res_ba, dev_ba[i, j])
+                parents.append((float(D[i, j]), float(res), float(dev), p, c))
+            elif spread[i, j] <= eps and absmax[i, j] <= D[i, j] + eps:
+                siblings.append((float(spread[i, j]), i, j))
+                sib_ok[i, j] = sib_ok[j, i] = True
+    return parents, siblings, sib_ok
+
+
+def test_relations_match_pair_loop():
+    # Leaves of a noisy additive metric give sibling verdicts; the integer
+    # path metric gives exact, tied parent verdicts.
+    g = random_radial_grid(36, seed=4)
+    noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.02, seed=4).d_r
+    inputs = [(noisy, _witness_mask(noisy, cap)) for cap in (WITNESS_CAP, None)]
+    inputs.append(_pair_stats_input("ties"))
+    kinds = set()
+    for D, W in inputs:
+        stats = _pair_stats(D, W)[:5]
+        for eps in (1e-9, 0.02, 0.05, 0.1, 0.3):
+            parents, siblings, sib_ok = _relations_from_stats(D, eps, *stats)
+            want_parents, want_siblings, want_ok = _relations_loop(D, eps, *stats)
+            assert sorted(parents) == sorted(want_parents)
+            assert sorted(siblings) == sorted(want_siblings)
+            assert np.array_equal(sib_ok, want_ok)
+            kinds |= {"parent"} if parents else set()
+            kinds |= {"sibling"} if siblings else set()
+    assert kinds == {"parent", "sibling"}
 
 
 def test_coarsest_partition_hand_relations():

@@ -157,19 +157,43 @@ def test_measurements_csv_round_trip(tmp_path, star_grid):
     assert spaced.q.tobytes() == ms.q.tobytes()
 
 
+def test_measurements_csv_bytes_are_pinned(tmp_path, star_grid):
+    ms = MeasurementSet(("a", "b"), [[0.1, -2.0], [1e-05, 3.0]], [[1.5, 0.0], [-0.0, 2.5e300]],
+                        [[1 / 3, 7.0], [-1.25, 5e-324]], seed=4, grid_name="g")
+    path = tmp_path / "meas.csv"
+    save_measurements(ms, path)
+    assert path.read_bytes() == (
+        b"# seed=4 grid=g\n"
+        b"t,v:a,p:a,q:a,v:b,p:b,q:b\r\n"
+        b"0,0.1,1.5,0.3333333333333333,-2.0,0.0,7.0\r\n"
+        b"1,1e-05,-0.0,-1.25,3.0,2.5e+300,5e-324\r\n"
+    )
+    # Rows are written in chunks; the text must not depend on where a chunk ends.
+    long = simulate(star_grid, InjectionSpec(), T=600, seed=2)
+    save_measurements(long, path)
+    rows = path.read_text().splitlines()[2:]
+    assert len(rows) == 600
+    for t in (0, 255, 256, 511, 512, 599):
+        fields = [repr(float(x)) for triple in zip(long.v[t], long.p[t], long.q[t]) for x in triple]
+        assert rows[t] == ",".join([str(t)] + fields)
+
+
 def test_measurements_csv_rejects_bad_files(tmp_path):
     path = tmp_path / "bad.csv"
+    # Each body follows a comment (line 1) and the header (line 2); the
+    # message names the faulty line counted from the top of the file.
     bodies = [
-        "0,1.0,not-a-number,3.0\n",          # a non-numeric value
-        "0,1.0,2.0,3.0\n1,1.0,2.0\n",       # a ragged row
-        "0,1.0,2.0\n1,1.0,2.0\n",           # every row one field short
-        "",                                 # header only
-        "\n\n",                             # header and empty lines only
-        "0,1.0,2.0,3.0\n1,1.0#,2.0,3.0\n",  # '#' inside a data row
+        ("0,1.0,not-a-number,3.0\n", "line 3: .*'not-a-number'"),       # a non-numeric value
+        ("0,1.0,2.0,3.0\n1,1.0,2.0\n", "line 4 has 3 fields, expected 4"),  # a ragged row
+        ("0,1.0,2.0\n1,1.0,2.0\n", "line 3 has 3 fields, expected 4"),  # every row one field short
+        ("", "no measurement rows"),                                    # header only
+        ("\n\n", "no measurement rows"),                                # header and empty lines only
+        ("0,1.0,2.0,3.0\n1,1.0#,2.0,3.0\n", "line 4: .*'1.0#'"),        # '#' inside a data row
+        ("0,1.0,2.0,3.0\n\n\n1,1.0,x,3.0\n", "line 6: .*'x'"),         # empty lines count too
     ]
-    for body in bodies:
+    for body, detail in bodies:
         path.write_text("# seed=3\nt,v:a,p:a,q:a\n" + body)
-        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {detail}"):
             load_measurements(path)
     missing = tmp_path / "absent.csv"
     with pytest.raises(FormatError, match=f"^{re.escape(str(missing))}: file not found"):

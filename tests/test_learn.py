@@ -1,4 +1,6 @@
 """End-to-end learner: moments (or samples) in, grid with impedances out."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,11 @@ from gridtopo import (
     DistanceMatrix,
     FormatError,
     InjectionSpec,
+    LearnedTree,
     MomentSet,
     NegativeLengthWarning,
     RGConfig,
+    TreeEdge,
     ValidationError,
     analytic_moments,
     assign_reactances,
@@ -16,6 +20,8 @@ from gridtopo import (
     learn_from_moments,
     learn_from_samples,
     load_learned,
+    perturbed,
+    random_radial_grid,
     rg_exact,
     save_learned,
     simulate,
@@ -88,6 +94,78 @@ def test_assign_reactances_exact(star_grid):
     rs, clamped = assign_reactances(tree, d, mode="r")
     assert clamped == 0
     assert sorted(rs) == pytest.approx([1.0, 2.0, 3.0])
+
+
+def _explicit_pair_fit(tree, d: DistanceMatrix, mode: str) -> np.ndarray:
+    """Least squares on one row per observed pair, paths found by search."""
+    adj = {n: [] for n in tree.nodes}
+    for e_idx, e in enumerate(tree.edges):
+        adj[e.u].append((e.v, e_idx))
+        adj[e.v].append((e.u, e_idx))
+    nodes = [n for n in d.nodes if n in adj]
+    rows, rhs = [], []
+    for i, a in enumerate(nodes):
+        via = {a: None}  # node -> (previous node, edge index) on the path from a
+        stack = [a]
+        while stack:
+            u = stack.pop()
+            for w, e_idx in adj[u]:
+                if w not in via:
+                    via[w] = (u, e_idx)
+                    stack.append(w)
+        for b in nodes[i + 1:]:
+            row = np.zeros(len(tree.edges))
+            node = b
+            while via[node] is not None:
+                node, e_idx = via[node]
+                row[e_idx] = 1.0
+            rows.append(row)
+            rhs.append(d.mode(mode)[d.index[a], d.index[b]])
+    return np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0]
+
+
+@pytest.mark.parametrize("n", [5, 8, 12, 20, 30, 45, 60, 75, 92])
+def test_assign_reactances_matches_pair_row_lstsq(n):
+    g = random_radial_grid(n, seed=n)
+    exact = DistanceMatrix.from_grid(g)
+    tree = rg_exact(g.observed_nodes, exact)
+    d = perturbed(exact, noise=0.05, seed=n)
+    for mode in ("r", "x"):
+        want = _explicit_pair_fit(tree, d, mode)
+        got, clamped = assign_reactances(tree, d, mode=mode)
+        assert clamped == int((want < 0).sum())
+        assert np.abs(got - np.maximum(want, 0.0)).max() <= 1e-10
+
+
+def test_assign_reactances_degree_two_junction_is_min_norm():
+    # a - h1 - h2 with b and c on h2: the lines a-h1 and h1-h2 lie on the
+    # same pair paths, so only their sum is identified and the minimum-norm
+    # solution splits it evenly.
+    edges = tuple(TreeEdge(u, v, 1.0) for u, v in (("a", "h1"), ("h1", "h2"), ("h2", "b"), ("h2", "c")))
+    tree = LearnedTree(("a", "b", "c", "h1", "h2"), edges, frozenset({"h1", "h2"}))
+    dx = np.array([[0.0, 3.1, 2.9], [3.1, 0.0, 2.05], [2.9, 2.05, 0.0]])
+    d = DistanceMatrix(("a", "b", "c"), dx, dx)
+    with pytest.warns(UserWarning, match=r"x fit is rank-deficient \(3 < 4\)"):
+        xs, clamped = assign_reactances(tree, d)
+    assert clamped == 0
+    assert xs == pytest.approx([0.9875, 0.9875, 1.125, 0.925], abs=1e-12)
+    assert xs == pytest.approx(np.maximum(_explicit_pair_fit(tree, d, "x"), 0.0), abs=1e-12)
+
+
+def test_assign_reactances_memory_stays_below_pair_matrix():
+    # k = 132 terminals: one row per pair would be 8,646 x 198 floats, about
+    # 14 MB, before lstsq copies it.
+    g = random_radial_grid(200, seed=0)
+    d = DistanceMatrix.from_grid(g)
+    tree = rg_exact(g.observed_nodes, d)
+    assert len(g.observed_nodes) >= 128
+    tracemalloc.start()
+    try:
+        assign_reactances(tree, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_assign_reactances_rejects_disconnected_tree(split_tree):
