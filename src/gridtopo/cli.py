@@ -37,7 +37,7 @@ GRID_FORMAT = (
     '"edges": [{"u", "v", "r", "x"}]}'
 )
 MEAS_FORMAT = (
-    "measurements CSV: optional '# seed=<n> grid=<name>' comment, header "
+    "measurements CSV: optional '# seed=<n>' comment, header "
     "'t,v:<id>,p:<id>,q:<id>,...', one row per sample; empty lines are skipped"
 )
 MOMENTS_FORMAT = "moments JSON: node list, sample count, dense moment tables"

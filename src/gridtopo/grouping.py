@@ -8,15 +8,15 @@ adjacent-or-siblings at the same junction:
   (a is a leaf and b its parent); the mirrored sign swaps the roles;
 * phi constant with |phi| < d(a, b)  <=>  a and b hang off a common junction.
 
-Each round classifies every active pair, groups the coarsest consistent
-blocks, replaces sibling blocks with a fresh hidden junction, and re-derives
-the active distance matrix from the input entries through the nodes already
-placed below each survivor, until two or fewer nodes remain. The sampled
-variant runs the same tests with a tolerance eps over each pair's
-WITNESS_CAP nearest witnesses, escalating eps until some block forms and
-committing every block that formed at that eps. A new junction that lands
-on a junction placed in an earlier round is merged into it instead of
-stacked on it.
+Since phi(b, a; c) = -phi(a, b; c), each round computes the witness
+statistics once per unordered active pair. It classifies the pairs, groups
+the coarsest consistent blocks, replaces sibling blocks with a fresh hidden
+junction, and re-derives the active distance matrix from the input entries
+through the nodes already placed below each survivor, until two or fewer
+nodes remain. The sampled variant runs the same tests with a tolerance eps
+over each pair's WITNESS_CAP nearest witnesses, escalating eps until some
+block forms and committing every block that formed at that eps. A new
+junction that lands on an earlier round's junction is merged into it.
 """
 from __future__ import annotations
 
@@ -81,7 +81,6 @@ class RGDiagnostics:
     tau_escalations: int = 0  # always 0: witness sets have no radius; perfbench reads it by name
     clamped_lengths: int = 0
     merged_junctions: int = 0
-    eps0: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -226,73 +225,72 @@ def _greedy_partition(
 # The grouping engine
 # ---------------------------------------------------------------------------
 
-def _witness_mask(D: np.ndarray, cap: int | None) -> np.ndarray:
-    """Witness tensor W[a, b, c]: c may testify about the pair (a, b).
+def _pair_stats(D: np.ndarray, cap: int | None):
+    """Witness statistics of each unordered pair i < j, in np.triu_indices order.
 
-    Every node other than a and b is a witness. When cap is set and more
-    than cap witnesses remain, each pair keeps only the cap closest, ranked
-    by the larger of d(a, c) and d(b, c).
+    A pair's witnesses are all other nodes; with cap set, only the cap
+    closest by max(d(i, c), d(j, c)), plus any tied with the cap-th. As
+    Phi(j, i; c) = -Phi(i, j; c), the pair (j, i) is never computed. Returns
+    i, j, d(i, j) and, per pair over its witnesses, the mean, spread and
+    largest |Phi|, and the largest |Phi - d(i, j)| and |Phi + d(i, j)|.
     """
     k = D.shape[0]
-    M = np.maximum(D[:, None, :], D[None, :, :])
-    ar = np.arange(k)
-    M[ar, :, ar] = np.inf
-    M[:, ar, ar] = np.inf
+    i, j = np.triu_indices(k, 1)
+    Phi = D[i]
+    M = np.maximum(Phi, D[j])
+    Phi -= D[j]
+    np.put_along_axis(M, np.stack([i, j], axis=1), np.inf, axis=1)
     W = M < np.inf
     if cap is not None and k - 2 > cap:
-        kth = np.partition(M, cap - 1, axis=2)[:, :, cap - 1 : cap]
+        kth = np.partition(M, cap - 1, axis=1)[:, [cap - 1]]
         W &= M <= kth
-    return W
-
-
-def _pair_stats(D: np.ndarray, W: np.ndarray):
-    Phi = D[:, None, :] - D[None, :, :]
-    nwit = W.sum(axis=2)
-    phi_hi = np.where(W, Phi, -np.inf).max(axis=2)
-    phi_lo = np.where(W, Phi, np.inf).min(axis=2)
-    phi_mean = np.where(W, Phi, 0.0).sum(axis=2) / np.maximum(nwit, 1)
+    d = D[i, j]
+    phi_hi = np.where(W, Phi, -np.inf).max(axis=1)
+    phi_lo = np.where(W, Phi, np.inf).min(axis=1)
+    phi_mean = np.where(W, Phi, 0.0).sum(axis=1) / np.maximum(W.sum(axis=1), 1)
     # |Phi -/+ d| peaks over the witnesses at phi_hi or phi_lo. Rounding is
     # monotone, so this matches the per-witness maximum bit for bit.
-    dev_ba = np.maximum(np.abs(phi_hi - D), np.abs(phi_lo - D))
-    dev_ab = np.maximum(np.abs(phi_hi + D), np.abs(phi_lo + D))
+    dev_ba = np.maximum(np.abs(phi_hi - d), np.abs(phi_lo - d))
+    dev_ab = np.maximum(np.abs(phi_hi + d), np.abs(phi_lo + d))
     spread = phi_hi - phi_lo
     absmax = np.maximum(np.abs(phi_hi), np.abs(phi_lo))
-    return phi_mean, spread, absmax, dev_ba, dev_ab, nwit
+    return i, j, d, phi_mean, spread, absmax, dev_ba, dev_ab
 
 
-def _relations_from_stats(D, eps, phi_mean, spread, absmax, dev_ba, dev_ab):
-    """Classify every pair i < j from its witness statistics at tolerance eps.
+def _relations_from_stats(k, eps, i, j, d, phi_mean, spread, absmax, dev_ba, dev_ab):
+    """Classify every pair i < j from its _pair_stats vectors at tolerance eps.
 
     A pair whose Phi stays within eps of +d(i, j) at every witness is a
     parent relation with j the parent; within eps of -d(i, j), i is the
-    parent. When both pass, the smaller residual between d(i, j) and the mean
-    Phi picks the direction. Otherwise the pair are siblings when the witness
-    spread of Phi is at most eps and no |Phi| exceeds d(i, j) + eps. Parent
-    tests take precedence; a pair that passes neither test is unrelated.
-    Returns the parent candidates (d, residual, deviation, parent, child),
-    the sibling candidates (spread, i, j) and the symmetric sibling mask that
-    _greedy_partition takes.
+    parent. When both pass, the smaller residual between d(i, j) and the
+    mean Phi picks the direction. Otherwise the pair are siblings when the
+    witness spread of Phi is at most eps and no |Phi| exceeds d(i, j) + eps.
+    Parent tests take precedence; a pair that passes neither test is
+    unrelated. Returns the parent candidates (d, residual, deviation,
+    parent, child), the sibling candidates (spread, i, j) and the symmetric
+    k x k sibling mask that _greedy_partition takes.
     """
     pass_ba = dev_ba <= eps
     pass_ab = dev_ab <= eps
-    upper = np.triu(np.ones(D.shape, dtype=bool), 1)
-    is_parent = (pass_ba | pass_ab) & upper
-    sib_ok = (spread <= eps) & (absmax <= D + eps) & upper & ~is_parent
+    is_parent = pass_ba | pass_ab
+    is_sib = (spread <= eps) & (absmax <= d + eps) & ~is_parent
     # Parent claims are ranked by pair distance before residual: when both a
     # node's parent and a farther ancestor pass the tolerance test, the true
     # parent is the closer one.
-    i, j = np.nonzero(is_parent)
-    res_ba = np.abs(D[i, j] - phi_mean[i, j])
-    res_ab = np.abs(D[i, j] + phi_mean[i, j])
-    i_up = np.where(pass_ba[i, j] & pass_ab[i, j], res_ab <= res_ba, pass_ab[i, j])
+    p = np.flatnonzero(is_parent)
+    res_ba = np.abs(d[p] - phi_mean[p])
+    res_ab = np.abs(d[p] + phi_mean[p])
+    i_up = np.where(pass_ba[p] & pass_ab[p], res_ab <= res_ba, pass_ab[p])
     parent_cands = list(zip(
-        D[i, j].tolist(), np.where(i_up, res_ab, res_ba).tolist(),
-        np.where(i_up, dev_ab[i, j], dev_ba[i, j]).tolist(),
-        np.where(i_up, i, j).tolist(), np.where(i_up, j, i).tolist(),
+        d[p].tolist(), np.where(i_up, res_ab, res_ba).tolist(),
+        np.where(i_up, dev_ab[p], dev_ba[p]).tolist(),
+        np.where(i_up, i[p], j[p]).tolist(), np.where(i_up, j[p], i[p]).tolist(),
     ))
-    a, b = np.nonzero(sib_ok)
-    sibling_cands = list(zip(spread[a, b].tolist(), a.tolist(), b.tolist()))
-    return parent_cands, sibling_cands, sib_ok | sib_ok.T
+    s = np.flatnonzero(is_sib)
+    sibling_cands = list(zip(spread[s].tolist(), i[s].tolist(), j[s].tolist()))
+    sib_ok = np.zeros((k, k), dtype=bool)
+    sib_ok[i[s], j[s]] = sib_ok[j[s], i[s]] = True
+    return parent_cands, sibling_cands, sib_ok
 
 
 def _rg_core(
@@ -303,7 +301,7 @@ def _rg_core(
 ) -> LearnedTree:
     eps0 = cfg.eps0
     max_rounds = 4 * len(names)
-    diag = RGDiagnostics(eps0=eps0)
+    diag = RGDiagnostics()
     all_names = list(names)
     hidden: list[str] = []
     edges: list[TreeEdge] = []
@@ -360,13 +358,15 @@ def _rg_core(
         k = len(active)
         D = refresh()
 
-        W = _witness_mask(D, witness_cap)
-        phi_mean, spread, absmax, dev_ba, dev_ab, _ = _pair_stats(D, W)
+        stats = _pair_stats(D, witness_cap)
+        i, j, _, pair_mean = stats[:4]
+        phi_mean = np.zeros((k, k))  # junction lengths read it by ordered pair
+        phi_mean[i, j], phi_mean[j, i] = pair_mean, -pair_mean
 
         # Classify; escalate eps until some block of size >= 2 forms.
         eps = eps0
         while True:
-            cands = _relations_from_stats(D, eps, phi_mean, spread, absmax, dev_ba, dev_ab)
+            cands = _relations_from_stats(k, eps, *stats)
             blocks = _greedy_partition(k, *cands)
             if any(len(b["members"]) > 1 for b in blocks):
                 break

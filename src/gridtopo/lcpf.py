@@ -73,7 +73,6 @@ class MeasurementSet:
     p: np.ndarray
     q: np.ndarray
     seed: int | None = None
-    grid_name: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -95,8 +94,7 @@ class MeasurementSet:
         """First t samples. Equals a fresh simulation of length t (same seed)."""
         if not 0 < t <= self.T:
             raise ValidationError(f"cannot take {t} of {self.T} samples")
-        return MeasurementSet(self.nodes, self.v[:t], self.p[:t], self.q[:t],
-                              seed=self.seed, grid_name=self.grid_name)
+        return MeasurementSet(self.nodes, self.v[:t], self.p[:t], self.q[:t], seed=self.seed)
 
 
 def _cholesky_coeffs(g: Grid, spec: InjectionSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,13 +205,8 @@ def save_measurements(ms: MeasurementSet, path: str | Path) -> None:
     """Write `t` plus a (v, p, q) column triplet per node; seed in a comment."""
     path = Path(path)
     with path.open("w", newline="") as fh:
-        if ms.seed is not None or ms.grid_name is not None:
-            parts = []
-            if ms.seed is not None:
-                parts.append(f"seed={ms.seed}")
-            if ms.grid_name is not None:
-                parts.append(f"grid={ms.grid_name}")
-            fh.write("# " + " ".join(parts) + "\n")
+        if ms.seed is not None:
+            fh.write(f"# seed={ms.seed}\n")
         writer = csv.writer(fh)
         header = ["t"]
         for n in ms.nodes:

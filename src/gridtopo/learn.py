@@ -132,9 +132,9 @@ def learn_from_moments(
         "samples": m.count,
         "eps0": cfg.eps0,
         "dynamic_eps": cfg.dynamic_eps,
-        "rounds": diag.rounds if diag else None,
-        "eps_escalations": diag.eps_escalations if diag else None,
-        "clamped_lengths": (diag.clamped_lengths if diag else 0) + r_clamped + x_clamped,
+        "rounds": diag.rounds,
+        "eps_escalations": diag.eps_escalations,
+        "clamped_lengths": diag.clamped_lengths + r_clamped + x_clamped,
     }
     return LearnedGrid(tree.nodes, edges, frozenset(nodes), provenance)
 

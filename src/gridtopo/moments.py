@@ -83,7 +83,7 @@ class MomentAccumulator:
 
     Data is folded in fixed-size chunks; each chunk contributes its own mean,
     merged with a count-weighted update. That keeps the result identical (to
-    rounding) whether the data arrives in one pass or as merged partials.
+    rounding) whether the data arrives in one pass or in parts joined by merge().
     """
 
     def __init__(self, nodes: tuple[str, ...]):
@@ -111,17 +111,6 @@ class MomentAccumulator:
         self._qq += w * ((q * q).mean(axis=0) - self._qq)
         self._pq += w * ((p * q).mean(axis=0) - self._pq)
         self.count += t
-
-    def merge(self, other: "MomentAccumulator") -> None:
-        if self.nodes != other.nodes:
-            raise ValidationError("cannot merge accumulators over different node lists")
-        if other.count == 0:
-            return
-        w = other.count / (self.count + other.count)
-        for name in ("_vp", "_vq", "_pp", "_qq", "_pq"):
-            mine, theirs = getattr(self, name), getattr(other, name)
-            mine += w * (theirs - mine)
-        self.count += other.count
 
     def result(self) -> MomentSet:
         return MomentSet(
@@ -172,28 +161,6 @@ def default_conditioning_threshold(m: MomentSet) -> float:
     """0.1 x the median per-node injection covariance determinant."""
     dets = np.abs(node_determinants(m))
     return 0.1 * float(np.median(dets)) if dets.size else 0.0
-
-
-def conditioning_check(m: MomentSet) -> dict[str, bool]:
-    """Per-node pass/fail: |det of the node's moment matrix| >= the default threshold."""
-    lam = default_conditioning_threshold(m)
-    dets = np.abs(node_determinants(m))
-    return {n: bool(dets[i] >= lam) for i, n in enumerate(m.nodes)}
-
-
-def estimate_h_pair(m: MomentSet, a: str, b: str) -> tuple[float, float]:
-    """Solve the 2x2 system for (h_r, h_x) at the ordered pair (a, b)."""
-    lam = default_conditioning_threshold(m)
-    ia, ib = m.index(a), m.index(b)
-    det = m.pp[ib] * m.qq[ib] - m.pq[ib] * m.pq[ib]
-    if abs(det) < lam:
-        raise ConditioningError(
-            f"node {b!r}: injection moment determinant {det:.3e} below threshold {lam:.3e}",
-            nodes=(b,),
-        )
-    h_r = (m.qq[ib] * m.vp[ia, ib] - m.pq[ib] * m.vq[ia, ib]) / det
-    h_x = (m.pp[ib] * m.vq[ia, ib] - m.pq[ib] * m.vp[ia, ib]) / det
-    return float(h_r), float(h_x)
 
 
 def estimate_distances(

@@ -1,4 +1,6 @@
 """Pair classification and the tree-grouping engine."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from gridtopo.grouping import (
     _greedy_partition,
     _pair_stats,
     _relations_from_stats,
-    _witness_mask,
 )
 
 STAR_NODES = ("a", "b", "c")
@@ -50,9 +51,7 @@ def _relations(d: DistanceMatrix, eps: float = EXACT_TOL) -> dict:
     sibling spread. Pairs that are neither parent nor siblings are absent.
     """
     D = np.array(d.d_r)
-    W = _witness_mask(D, None)
-    phi_mean, spread, absmax, dev_ba, dev_ab, _ = _pair_stats(D, W)
-    parents, siblings, _ = _relations_from_stats(D, eps, phi_mean, spread, absmax, dev_ba, dev_ab)
+    parents, siblings, _ = _relations_from_stats(len(D), eps, *_pair_stats(D, None))
     out = {}
     for _, res, _, p, c in parents:
         out[frozenset((d.nodes[p], d.nodes[c]))] = ("parent", d.nodes[p], res)
@@ -82,7 +81,7 @@ def test_classify_tolerance_widens_acceptance():
     assert frozenset("ab") in _relations(noisy, eps=0.2)  # small noise keeps a verdict
 
 
-def _pair_stats_input(case: str) -> tuple[np.ndarray, np.ndarray]:
+def _pair_stats_input(case: str) -> tuple[np.ndarray, int | None]:
     rng = np.random.default_rng(11)
     if case == "ties":
         # A path metric on integers: every neighbour pair is an exact parent
@@ -90,45 +89,62 @@ def _pair_stats_input(case: str) -> tuple[np.ndarray, np.ndarray]:
         # the witness cap. The first two nodes coincide, so both parent
         # directions pass with equal residuals.
         idx = np.r_[0.0, np.arange(9.0)]
-        D = np.abs(idx[:, None] - idx[None, :])
-        return D, _witness_mask(D, 3)
+        return np.abs(idx[:, None] - idx[None, :]), 3
     D = np.triu(rng.uniform(0.5, 3.0, size=(24, 24)), 1)
-    D = D + D.T
-    return D, _witness_mask(D, WITNESS_CAP if case == "cap" else None)
+    return D + D.T, WITNESS_CAP if case == "cap" else None
+
+
+def _witnesses(D: np.ndarray, a: int, b: int, cap: int | None) -> list[int]:
+    """Every node but a and b; with a cap, the cap closest by the larger of
+    d(a, c) and d(b, c), plus every node tied with the cap-th."""
+    others = [c for c in range(len(D)) if c not in (a, b)]
+    if cap is None or len(others) <= cap:
+        return others
+    kth = sorted(max(D[a, c], D[b, c]) for c in others)[cap - 1]
+    return [c for c in others if max(D[a, c], D[b, c]) <= kth]
 
 
 @pytest.mark.parametrize("case", ["cap", "no cap", "ties"])
 def test_pair_stats_deviations_match_definition(case):
-    D, W = _pair_stats_input(case)
-    Phi = D[:, None, :] - D[None, :, :]
-    dab = D[:, :, None]
-    want_ba = np.where(W, np.abs(Phi - dab), -np.inf).max(axis=2)
-    want_ab = np.where(W, np.abs(Phi + dab), -np.inf).max(axis=2)
-    _, _, _, dev_ba, dev_ab, _ = _pair_stats(D, W)
-    assert dev_ba.tobytes() == want_ba.tobytes()
-    assert dev_ab.tobytes() == want_ab.tobytes()
+    D, cap = _pair_stats_input(case)
+    i, j, d, phi_mean, spread, absmax, dev_ba, dev_ab = _pair_stats(D, cap)
+    k = len(D)
+    assert list(zip(i, j)) == [(a, b) for a in range(k) for b in range(a + 1, k)]
+    most = 0
+    for p, (a, b) in enumerate(zip(i, j)):
+        wit = _witnesses(D, a, b, cap)
+        most = max(most, len(wit))
+        phi = D[a, wit] - D[b, wit]
+        assert d[p] == D[a, b]
+        assert dev_ba[p].tobytes() == np.abs(phi - D[a, b]).max().tobytes()
+        assert dev_ab[p].tobytes() == np.abs(phi + D[a, b]).max().tobytes()
+        assert spread[p].tobytes() == (phi.max() - phi.min()).tobytes()
+        assert absmax[p].tobytes() == np.abs(phi).max().tobytes()
+        assert phi_mean[p] == pytest.approx(phi.mean(), rel=1e-12, abs=1e-12)
     if case == "ties":
-        assert (W.sum(axis=2) > 3).any()  # ties kept more than the cap
+        assert most > cap  # ties kept more than the cap
         assert (dev_ba == 0).any() and (dev_ab == 0).any()
 
 
-def _relations_loop(D, eps, phi_mean, spread, absmax, dev_ba, dev_ab):
+def _relations_loop(k, eps, i, j, d, phi_mean, spread, absmax, dev_ba, dev_ab):
     """Pair-by-pair reference for _relations_from_stats."""
-    k = D.shape[0]
     parents, siblings = [], []
     sib_ok = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in range(i + 1, k):
-            pass_ba, pass_ab = dev_ba[i, j] <= eps, dev_ab[i, j] <= eps
+    pairs = iter(range(len(i)))
+    for a in range(k):
+        for b in range(a + 1, k):
+            p = next(pairs)
+            assert (i[p], j[p]) == (a, b)
+            pass_ba, pass_ab = dev_ba[p] <= eps, dev_ab[p] <= eps
             if pass_ba or pass_ab:
-                res_ba, res_ab = abs(D[i, j] - phi_mean[i, j]), abs(D[i, j] + phi_mean[i, j])
-                i_up = res_ab <= res_ba if pass_ba and pass_ab else pass_ab
-                p, c = (i, j) if i_up else (j, i)
-                res, dev = (res_ab, dev_ab[i, j]) if i_up else (res_ba, dev_ba[i, j])
-                parents.append((float(D[i, j]), float(res), float(dev), p, c))
-            elif spread[i, j] <= eps and absmax[i, j] <= D[i, j] + eps:
-                siblings.append((float(spread[i, j]), i, j))
-                sib_ok[i, j] = sib_ok[j, i] = True
+                res_ba, res_ab = abs(d[p] - phi_mean[p]), abs(d[p] + phi_mean[p])
+                a_up = res_ab <= res_ba if pass_ba and pass_ab else pass_ab
+                par, c = (a, b) if a_up else (b, a)
+                res, dev = (res_ab, dev_ab[p]) if a_up else (res_ba, dev_ba[p])
+                parents.append((float(d[p]), float(res), float(dev), par, c))
+            elif spread[p] <= eps and absmax[p] <= d[p] + eps:
+                siblings.append((float(spread[p]), a, b))
+                sib_ok[a, b] = sib_ok[b, a] = True
     return parents, siblings, sib_ok
 
 
@@ -137,20 +153,36 @@ def test_relations_match_pair_loop():
     # path metric gives exact, tied parent verdicts.
     g = random_radial_grid(36, seed=4)
     noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.02, seed=4).d_r
-    inputs = [(noisy, _witness_mask(noisy, cap)) for cap in (WITNESS_CAP, None)]
+    inputs = [(noisy, cap) for cap in (WITNESS_CAP, None)]
     inputs.append(_pair_stats_input("ties"))
     kinds = set()
-    for D, W in inputs:
-        stats = _pair_stats(D, W)[:5]
+    for D, cap in inputs:
+        stats = _pair_stats(D, cap)
         for eps in (1e-9, 0.02, 0.05, 0.1, 0.3):
-            parents, siblings, sib_ok = _relations_from_stats(D, eps, *stats)
-            want_parents, want_siblings, want_ok = _relations_loop(D, eps, *stats)
+            parents, siblings, sib_ok = _relations_from_stats(len(D), eps, *stats)
+            want_parents, want_siblings, want_ok = _relations_loop(len(D), eps, *stats)
             assert sorted(parents) == sorted(want_parents)
             assert sorted(siblings) == sorted(want_siblings)
             assert np.array_equal(sib_ok, want_ok)
             kinds |= {"parent"} if parents else set()
             kinds |= {"sibling"} if siblings else set()
     assert kinds == {"parent", "sibling"}
+
+
+def test_pair_stats_memory_stays_below_dense_tensors():
+    # k = 132 terminals: one (k, k, k) float tensor takes 18.4 MB, one
+    # array over the k(k - 1)/2 unordered pairs by k witnesses 9.1 MB.
+    g = random_radial_grid(200, seed=0)
+    d = DistanceMatrix.from_grid(g)
+    D = (d.d_r + d.d_x) / 2.0
+    assert len(D) == 132
+    tracemalloc.start()
+    try:
+        _pair_stats(D, WITNESS_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000_000
 
 
 def test_coarsest_partition_hand_relations():

@@ -159,11 +159,11 @@ def test_measurements_csv_round_trip(tmp_path, star_grid):
 
 def test_measurements_csv_bytes_are_pinned(tmp_path, star_grid):
     ms = MeasurementSet(("a", "b"), [[0.1, -2.0], [1e-05, 3.0]], [[1.5, 0.0], [-0.0, 2.5e300]],
-                        [[1 / 3, 7.0], [-1.25, 5e-324]], seed=4, grid_name="g")
+                        [[1 / 3, 7.0], [-1.25, 5e-324]], seed=4)
     path = tmp_path / "meas.csv"
     save_measurements(ms, path)
     assert path.read_bytes() == (
-        b"# seed=4 grid=g\n"
+        b"# seed=4\n"
         b"t,v:a,p:a,q:a,v:b,p:b,q:b\r\n"
         b"0,0.1,1.5,0.3333333333333333,-2.0,0.0,7.0\r\n"
         b"1,1e-05,-0.0,-1.25,3.0,2.5e+300,5e-324\r\n"
