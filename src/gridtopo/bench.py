@@ -254,16 +254,14 @@ class EvalReport:
     exact_recovery: bool
     edge_difference: int
     avg_impedance_error: float | None
-    runtime: float = field(default=0.0, compare=False)
 
 
-def evaluate(true_grid: Grid, learned: LearnedGrid, runtime: float = 0.0) -> EvalReport:
+def evaluate(true_grid: Grid, learned: LearnedGrid) -> EvalReport:
     """Score a reconstruction: exact-topology flag, split distance, impedances."""
     true_splits, learned_splits = _paired_splits(true_grid, learned)
     diff = _split_difference(true_splits, learned_splits)
     imp = _split_impedance_error(true_splits, learned_splits) if diff == 0 else None
-    return EvalReport(exact_recovery=diff == 0, edge_difference=diff,
-                      avg_impedance_error=imp, runtime=runtime)
+    return EvalReport(exact_recovery=diff == 0, edge_difference=diff, avg_impedance_error=imp)
 
 
 def distance_rmse(d_est: DistanceMatrix, d_true: DistanceMatrix) -> float:
@@ -363,13 +361,14 @@ def _run_trial(cfg: ExperimentConfig, trial: int, grid_seed: int, meas_seed: int
             start = time.perf_counter()
             try:
                 learned = learn_from_moments(m, cfg=cfg.rg_config(eps0))
-                report = evaluate(g, learned, runtime=time.perf_counter() - start)
+                runtime = time.perf_counter() - start  # read before evaluate: a cell times the learn only
+                report = evaluate(g, learned)
                 rows.append(TrialResult(
                     samples=t, eps0=eps0, trial=trial,
                     recovered=report.exact_recovery,
                     edge_difference=report.edge_difference,
                     impedance_error=report.avg_impedance_error,
-                    runtime=report.runtime,
+                    runtime=runtime,
                 ))
             except Error as exc:
                 rows.append(TrialResult(

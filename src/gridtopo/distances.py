@@ -7,7 +7,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import ValidationError
-from .grid import RESISTANCE, Grid, true_distance
+from .grid import RESISTANCE, Grid, path_incidence, path_lengths
 
 _SYM_TOL = 1e-9
 
@@ -80,13 +80,10 @@ class DistanceMatrix:
         for n in nodes:
             if n in g.roots:
                 raise ValidationError(f"node {n!r} is the root; distances undefined")
-        m = len(nodes)
-        d_r = np.zeros((m, m))
-        d_x = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                d_r[i, j] = d_r[j, i] = true_distance(g, nodes[i], nodes[j], "r")
-                d_x[i, j] = d_x[j, i] = true_distance(g, nodes[i], nodes[j], "x")
+            g._require_reachable(n)
+        B = path_incidence(g._root_paths, nodes, len(g.edges))
+        d_r = path_lengths(B, np.array([e.r for e in g.edges]))
+        d_x = path_lengths(B, np.array([e.x for e in g.edges]))
         return cls(tuple(nodes), d_r, d_x)
 
 

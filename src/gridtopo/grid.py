@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -129,17 +129,6 @@ class Grid:
         if node not in self._root_paths:
             raise ValidationError(f"node {node!r} is not connected to the root")
 
-    def root_path_edges(self, node: str) -> list[Edge]:
-        """Edges on the path from node up to the root."""
-        self._require_reachable(node)
-        return [self.edges[i] for i in reversed(self._root_paths[node])]
-
-    def path_edges(self, a: str, b: str) -> list[Edge]:
-        """Edges on the unique tree path between a and b."""
-        self._require_reachable(a)
-        self._require_reachable(b)
-        return [self.edges[i] for i in path_between(self._root_paths[a], self._root_paths[b])]
-
 
 def tree_paths(edges: Iterable[tuple[str, str]], anchor: str) -> dict[str, list[int]]:
     """Edge-index path from `anchor` to every node it reaches.
@@ -163,18 +152,29 @@ def tree_paths(edges: Iterable[tuple[str, str]], anchor: str) -> dict[str, list[
     return paths
 
 
-def path_between(pa: list[int], pb: list[int]) -> list[int]:
-    """Lines between two nodes, given their tree_paths from one anchor.
+def path_incidence(paths: dict[str, list[int]], nodes: Sequence[str], lines: int) -> np.ndarray:
+    """0/1 incidence B of anchor paths over lines.
 
-    The order runs from the first node up to the deepest common junction and
-    then down to the second node.
+    paths is a tree_paths() result over `lines` lines; B[i, e] is 1 when line
+    e lies on the path from the anchor to nodes[i]. A line lies on the path
+    between two nodes exactly when it lies on one of their two anchor paths,
+    so every pair quantity follows from B without listing the pairs.
     """
-    shared = 0
-    for ea, eb in zip(pa, pb):
-        if ea != eb:
-            break
-        shared += 1
-    return pa[shared:][::-1] + pb[shared:]
+    B = np.zeros((len(nodes), lines))
+    for i, n in enumerate(nodes):
+        B[i, paths[n]] = 1.0
+    return B
+
+
+def path_lengths(B: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Pairwise path sums from an anchor-path incidence B and line lengths.
+
+    The path between i and j is both anchor paths less twice their shared
+    part: s_i + s_j - 2 (B diag(l) B^T)_ij, where s = B l.
+    """
+    s = B @ lengths
+    out = np.triu(s[:, None] + s[None, :] - 2.0 * ((B * lengths) @ B.T), 1)
+    return out + out.T
 
 
 # ---------------------------------------------------------------------------
@@ -266,26 +266,16 @@ def ensure_valid(g: Grid) -> Grid:
 # Reduced Laplacian and path identities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ReducedLaplacian:
-    """Weighted Laplacian of the grid with the root row/column removed.
+def reduced_laplacian(g: Grid, mode: str = RESISTANCE) -> np.ndarray:
+    """Weighted Laplacian with the root row and column removed.
 
-    Edge weights are 1/r (mode 'r') or 1/x (mode 'x'). Grounding through the
-    root edge keeps the matrix positive definite.
+    Rows follow g.reduced_nodes; edge weights are 1/r (mode 'r') or 1/x
+    (mode 'x'). Grounding through the root edge keeps it positive definite.
     """
-
-    matrix: np.ndarray
-    nodes: tuple[str, ...]
-    mode: str
-
-
-def reduced_laplacian(g: Grid, mode: str = RESISTANCE) -> ReducedLaplacian:
     _check_mode(mode)
     ensure_valid(g)
-    nodes = g.reduced_nodes
-    idx = {n: i for i, n in enumerate(nodes)}
-    m = len(nodes)
-    L = np.zeros((m, m))
+    idx = {n: i for i, n in enumerate(g.reduced_nodes)}
+    L = np.zeros((len(idx), len(idx)))
     root = g.root
     for e in g.edges:
         w = 1.0 / e.weight(mode)
@@ -298,7 +288,21 @@ def reduced_laplacian(g: Grid, mode: str = RESISTANCE) -> ReducedLaplacian:
             L[j, j] += w
             L[i, j] -= w
             L[j, i] -= w
-    return ReducedLaplacian(L, nodes, mode)
+    return L
+
+
+def _split_root_paths(g: Grid, a: str, b: str, what: str) -> tuple[list[int], list[int], list[int]]:
+    """Root paths of a and b as (shared part, a's rest, b's rest), root outward."""
+    for n in (a, b):
+        if n in g.roots:
+            raise ValidationError(f"node {n!r} is the root; {what} undefined")
+    g._require_reachable(a)
+    g._require_reachable(b)
+    pa, pb = g._root_paths[a], g._root_paths[b]
+    k = 0
+    while k < min(len(pa), len(pb)) and pa[k] == pb[k]:
+        k += 1
+    return pa[:k], pa[k:], pb[k:]
 
 
 def h_inverse_entry(g: Grid, a: str, b: str, mode: str = RESISTANCE) -> float:
@@ -310,28 +314,15 @@ def h_inverse_entry(g: Grid, a: str, b: str, mode: str = RESISTANCE) -> float:
     reduced_laplacian() gives the same value and serves as the test oracle.
     """
     _check_mode(mode)
-    for n in (a, b):
-        if n in g.roots:
-            raise ValidationError(f"node {n!r} is the root; entry undefined")
-    pa, pb = g.root_path_edges(a), g.root_path_edges(b)
-    total = 0.0
-    for ea, eb in zip(reversed(pa), reversed(pb)):
-        if ea is not eb:
-            break
-        total += ea.weight(mode)
-    return total
+    shared, _, _ = _split_root_paths(g, a, b, "entry")
+    return float(sum(g.edges[i].weight(mode) for i in shared))
 
 
 def true_distance(g: Grid, a: str, b: str, mode: str = RESISTANCE) -> float:
     """Sum of edge r (or x) along the unique tree path between a and b."""
     _check_mode(mode)
-    for n in (a, b):
-        if n in g.roots:
-            raise ValidationError(f"node {n!r} is the root; distance undefined")
-    if a == b:
-        g._require_reachable(a)
-        return 0.0
-    return float(sum(e.weight(mode) for e in g.path_edges(a, b)))
+    _, up, down = _split_root_paths(g, a, b, "distance")
+    return float(sum(g.edges[i].weight(mode) for i in up[::-1] + down))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .exceptions import (
     NotAdditiveError,
     ValidationError,
 )
-from .grid import tree_paths
+from .grid import path_incidence, path_lengths, tree_paths
 
 EXACT_TOL = 1e-9
 HIDDEN_PREFIX = "h#"
@@ -107,42 +107,31 @@ class LearnedTree:
         adj = self.adjacency()
         return tuple(n for n in self.nodes if len(adj[n]) <= 1)
 
+    def path_incidence(self, nodes: tuple[str, ...]) -> np.ndarray:
+        """grid.path_incidence of `nodes`, anchored at nodes[0] of the tree.
 
-def anchor_path_incidence(tree: LearnedTree, nodes: tuple[str, ...]) -> np.ndarray:
-    """0/1 incidence B of anchor paths over tree lines.
-
-    B[i, e] is 1 when tree.edges[e] lies on the path from the anchor
-    tree.nodes[0] to nodes[i]. A line lies on the path between two nodes
-    exactly when it lies on one of their two anchor paths, so every pair
-    quantity follows from B without listing the pairs.
-    """
-    known = set(tree.nodes)
-    for n in nodes:
-        if n not in known:
-            raise ValidationError(f"tree has no node {n!r}")
-    paths = tree_paths(((e.u, e.v) for e in tree.edges), tree.nodes[0])
-    if len(paths) != len(tree.nodes):
-        raise ValidationError("tree is not connected")
-    B = np.zeros((len(nodes), len(tree.edges)))
-    for i, n in enumerate(nodes):
-        B[i, paths[n]] = 1.0
-    return B
+        Raises ValidationError for a node not in the tree, or when the tree
+        is not connected.
+        """
+        known = set(self.nodes)
+        for n in nodes:
+            if n not in known:
+                raise ValidationError(f"tree has no node {n!r}")
+        paths = tree_paths(((e.u, e.v) for e in self.edges), self.nodes[0])
+        if len(paths) != len(self.nodes):
+            raise ValidationError("tree is not connected")
+        return path_incidence(paths, nodes, len(self.edges))
 
 
 def tree_path_lengths(tree: LearnedTree, nodes: tuple[str, ...] | None = None) -> np.ndarray:
     """Pairwise path-length matrix over `nodes` (default: all tree nodes).
 
-    With B the anchor-path incidence and l the line lengths, the path
-    between i and j is both anchor paths less twice their shared part:
-    s_i + s_j - 2 (B diag(l) B^T)_ij, where s = B l.
+    The sums come from grid.path_lengths over the tree's anchor-path
+    incidence (LearnedTree.path_incidence).
     """
     if nodes is None:
         nodes = tree.nodes
-    B = anchor_path_incidence(tree, nodes)
-    lengths = np.array([e.length for e in tree.edges])
-    s = B @ lengths
-    out = np.triu(s[:, None] + s[None, :] - 2.0 * ((B * lengths) @ B.T), 1)
-    return out + out.T
+    return path_lengths(tree.path_incidence(nodes), np.array([e.length for e in tree.edges]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
 """Linear power-flow simulator over the reduced tree.
 
-Voltage-magnitude and angle deviations respond linearly to the power
-injections: with H_r, H_x the reduced Laplacians weighted by 1/r and 1/x,
+Voltage-magnitude deviations respond linearly to the power injections: with
+H_r, H_x the reduced Laplacians weighted by 1/r and 1/x,
 
-    v     = H_r^-1 p + H_x^-1 q
-    theta = H_x^-1 p - H_r^-1 q
+    v = H_r^-1 p + H_x^-1 q
 
 All variables are zero-mean deviations from the operating point. Injections
 are drawn independently per node and per sample; hidden junctions inject too,
-but only observed leaves appear in the exported measurements. Angles are
-computed for completeness and never exported.
+but only observed leaves appear in the exported measurements.
 """
 from __future__ import annotations
 
@@ -139,36 +137,32 @@ def sample_injections(g: Grid, spec: InjectionSpec, T: int, seed: int) -> tuple[
     return p, q
 
 
-def solve_lcpf(g: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Voltage and angle deviations for injection rows over the reduced nodes."""
+def _h_inverses(g: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """H_r^-1 and H_x^-1 over g.reduced_nodes, by dense inversion."""
+    return np.linalg.inv(reduced_laplacian(g, "r")), np.linalg.inv(reduced_laplacian(g, "x"))
+
+
+def solve_lcpf(g: Grid, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Voltage deviations for injection rows (or one row) over the reduced nodes.
+
+    Both inverses are symmetric, so v = p H_r^-1 + q H_x^-1 row by row.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValidationError("p and q must have the same shape")
-    single = p.ndim == 1
-    if single:
-        p, q = p[None, :], q[None, :]
-    L_r = reduced_laplacian(g, "r").matrix
-    L_x = reduced_laplacian(g, "x").matrix
-    if p.shape[1] != L_r.shape[0]:
+    h_r, h_x = _h_inverses(g)
+    if p.shape[-1:] != (len(h_r),):
         raise ValidationError(
-            f"expected {L_r.shape[0]} injection columns (reduced nodes), got {p.shape[1]}"
+            f"expected {len(h_r)} injection columns (reduced nodes), got shape {p.shape}"
         )
-    hp_r = np.linalg.solve(L_r, p.T).T
-    hp_x = np.linalg.solve(L_x, p.T).T
-    hq_r = np.linalg.solve(L_r, q.T).T
-    hq_x = np.linalg.solve(L_x, q.T).T
-    v = hp_r + hq_x
-    theta = hp_x - hq_r
-    if single:
-        return v[0], theta[0]
-    return v, theta
+    return p @ h_r + q @ h_x
 
 
 def simulate(g: Grid, spec: InjectionSpec, T: int, seed: int) -> MeasurementSet:
     """End-to-end draw: injections everywhere, measurements at observed leaves."""
     p, q = sample_injections(g, spec, T, seed)
-    v, _theta = solve_lcpf(g, p, q)
+    v = solve_lcpf(g, p, q)
     cols = np.array([g.reduced_nodes.index(n) for n in g.observed_nodes])
     if cols.size == 0:
         raise ValidationError("grid has no observed nodes to measure")
@@ -182,11 +176,8 @@ def analytic_moments(g: Grid, spec: InjectionSpec = InjectionSpec()) -> MomentSe
     E[v_a q_b] = H_r^-1(a,b) E[p_b q_b] + H_x^-1(a,b) E[q_b^2]; injections are
     independent across nodes, so only node b's own moments survive.
     """
-    lap_r = reduced_laplacian(g, "r")
-    h_r = np.linalg.inv(lap_r.matrix)
-    h_x = np.linalg.inv(reduced_laplacian(g, "x").matrix)
-    reduced = lap_r.nodes
-    cols = np.array([reduced.index(n) for n in g.observed_nodes])
+    h_r, h_x = _h_inverses(g)
+    cols = np.array([g.reduced_nodes.index(n) for n in g.observed_nodes])
     spp, sqq, spq = np.empty(len(cols)), np.empty(len(cols)), np.empty(len(cols))
     for i, n in enumerate(g.observed_nodes):
         spp[i], sqq[i], spq[i] = spec.moments_for(n)

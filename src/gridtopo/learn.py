@@ -5,7 +5,8 @@ distances from second moments, run recursive grouping on their mean
 (d_r + d_x) / 2 to pin down the topology, then fit every line's r and every
 line's x by least squares on the matching distances over the learned
 topology, through normal equations built from each terminal's path to one
-anchor node rather than from one row per terminal pair. Both metrics are additive on the same tree; their mean has fewer
+anchor node (grid.path_incidence) rather than from one row per terminal
+pair. Both metrics are additive on the same tree; their mean has fewer
 lines shorter than the grouping tolerance than r alone and averages two
 nearly independent estimates, so grouping on it misses fewer splits.
 Negative fitted values are clamped to zero with a warning, mirroring the
@@ -23,7 +24,7 @@ import numpy as np
 from .distances import DistanceMatrix
 from .exceptions import FormatError, NegativeLengthWarning, ValidationError
 from .grid import Edge, parse_nodes_and_edges, read_json
-from .grouping import LearnedTree, RGConfig, anchor_path_incidence, rg_sampled
+from .grouping import LearnedTree, RGConfig, rg_sampled
 from .lcpf import MeasurementSet
 from .moments import MomentSet, accumulate, estimate_distances
 
@@ -75,7 +76,7 @@ def assign_reactances(tree: LearnedTree, d: DistanceMatrix, mode: str = "x") -> 
     nodes = tuple(n for n in d.nodes if n in in_tree)
     if len(nodes) < 2:
         raise ValidationError("impedance fit needs at least two observed nodes")
-    B = anchor_path_incidence(tree, nodes)
+    B = tree.path_incidence(nodes)
     C = B.T @ B
     n = np.diag(C)
     gram = len(nodes) * C + np.outer(n, n) - 2.0 * C * (n[:, None] + n[None, :]) + 2.0 * C * C

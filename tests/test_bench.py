@@ -244,12 +244,11 @@ def test_evaluate_reports(star_grid, monkeypatch):
         return edge_splits(obj)
 
     monkeypatch.setattr(bench, "edge_splits", counted)
-    rep = evaluate(star_grid, lg, runtime=1.5)
+    rep = evaluate(star_grid, lg)
     assert calls == [star_grid, lg]  # each tree is split once
     assert rep.exact_recovery and rep.edge_difference == 0
     assert rep.avg_impedance_error == pytest.approx(0.0, abs=1e-12)
     assert rep.avg_impedance_error == impedance_error(star_grid, lg)
-    assert rep.runtime == 1.5
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gridtopo import (
+    DistanceMatrix,
     Edge,
     FormatError,
     Grid,
@@ -32,10 +33,10 @@ def test_star_structure(star_grid):
     assert star_grid.depth == 2
 
 
-def test_star_paths_and_distances(star_grid):
-    assert [e.key for e in star_grid.path_edges("a", "b")] == [
-        frozenset({"h", "a"}), frozenset({"h", "b"}),
-    ]
+def test_star_paths_and_distances(star_grid, cherry_grid):
+    # The a - c path climbs a - j1 - j0 and descends j0 - j2 - c.
+    assert true_distance(cherry_grid, "a", "c") == pytest.approx(0.10 + 0.20 + 0.40 + 0.50)
+    assert true_distance(cherry_grid, "a", "c", "x") == pytest.approx(0.20 + 0.15 + 0.30 + 0.40)
     assert true_distance(star_grid, "a", "b") == pytest.approx(3.0)
     assert true_distance(star_grid, "a", "c") == pytest.approx(4.0)
     assert true_distance(star_grid, "b", "c") == pytest.approx(5.0)
@@ -83,26 +84,29 @@ def test_validation_catches_bad_impedance_and_cycles():
 
 def test_disconnected_grid_is_reported(split_grid):
     assert "graph is not connected" in validate_grid(split_grid).violations
-    assert split_grid.root_path_edges("a")
+    assert h_inverse_entry(split_grid, "a", "a") == pytest.approx(1.5)
     for node in ("d", "e"):
         with pytest.raises(ValidationError, match="not connected to the root"):
-            split_grid.root_path_edges(node)
-    with pytest.raises(ValidationError):
-        true_distance(split_grid, "a", "d")
-    with pytest.raises(ValidationError):
-        true_distance(split_grid, "d", "d")
+            h_inverse_entry(split_grid, node, "a")
+        with pytest.raises(ValidationError, match="not connected to the root"):
+            true_distance(split_grid, "a", node)
+        with pytest.raises(ValidationError, match="not connected to the root"):
+            true_distance(split_grid, node, node)
+    with pytest.raises(ValidationError, match="unknown node 'z'"):
+        true_distance(split_grid, "a", "z")
 
 
 def test_reduced_laplacian_star(star_grid):
     lap = reduced_laplacian(star_grid, "r")
-    assert set(lap.nodes) == {"h", "a", "b", "c"}
-    ih = lap.nodes.index("h")
-    ia = lap.nodes.index("a")
+    nodes = star_grid.reduced_nodes
+    assert lap.shape == (4, 4) and set(nodes) == {"h", "a", "b", "c"}
+    ih = nodes.index("h")
+    ia = nodes.index("a")
     # Diagonal of h: 1/0.5 (root line) + 1/1 + 1/2 + 1/3.
-    assert lap.matrix[ih, ih] == pytest.approx(2.0 + 1.0 + 0.5 + 1.0 / 3.0)
-    assert lap.matrix[ia, ia] == pytest.approx(1.0)
-    assert lap.matrix[ih, ia] == pytest.approx(-1.0)
-    assert np.allclose(lap.matrix, lap.matrix.T)
+    assert lap[ih, ih] == pytest.approx(2.0 + 1.0 + 0.5 + 1.0 / 3.0)
+    assert lap[ia, ia] == pytest.approx(1.0)
+    assert lap[ih, ia] == pytest.approx(-1.0)
+    assert np.allclose(lap, lap.T)
 
 
 def test_h_inverse_entry_is_shared_root_path(star_grid):
@@ -120,9 +124,8 @@ def test_h_inverse_entry_matches_dense_inverse():
         n = int(rng.integers(6, 30))
         g = random_radial_grid(n, seed=int(rng.integers(1 << 31)))
         for mode in ("r", "x"):
-            lap = reduced_laplacian(g, mode)
-            dense = np.linalg.inv(lap.matrix)
-            nodes = lap.nodes
+            dense = np.linalg.inv(reduced_laplacian(g, mode))
+            nodes = g.reduced_nodes
             for i, u in enumerate(nodes):
                 for j, v in enumerate(nodes):
                     assert h_inverse_entry(g, u, v, mode) == pytest.approx(
@@ -139,6 +142,30 @@ def test_distance_from_h_entries(star_grid):
             - 2.0 * h_inverse_entry(star_grid, u, v)
         )
         assert d == pytest.approx(true_distance(star_grid, u, v))
+
+
+def test_from_grid_matches_pairwise_true_distance(split_grid):
+    # Reference: one true_distance call per pair, the path walked edge by edge.
+    rng = np.random.default_rng(11)
+    for n in [7, 200] + [int(k) for k in rng.integers(7, 201, size=18)]:
+        g = random_radial_grid(n, seed=int(rng.integers(1 << 31)))
+        assert DistanceMatrix.from_grid(g).nodes == g.observed_nodes
+        perm = rng.permutation(len(g.reduced_nodes))
+        nodes = tuple(g.reduced_nodes[i] for i in perm[: max(2, len(perm) // 2)])
+        d = DistanceMatrix.from_grid(g, nodes)
+        assert d.nodes == nodes
+        for mode in ("r", "x"):
+            ref = np.zeros((len(nodes), len(nodes)))
+            for i, u in enumerate(nodes):
+                for j in range(i + 1, len(nodes)):
+                    ref[i, j] = ref[j, i] = true_distance(g, u, nodes[j], mode)
+            np.testing.assert_allclose(d.mode(mode), ref, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValidationError, match="'t' is the root"):
+        DistanceMatrix.from_grid(split_grid, ("a", "t"))
+    with pytest.raises(ValidationError, match="unknown node 'z'"):
+        DistanceMatrix.from_grid(split_grid, ("a", "z"))
+    with pytest.raises(ValidationError, match="'d' is not connected to the root"):
+        DistanceMatrix.from_grid(split_grid, ("a", "d"))
 
 
 def test_grid_json_round_trip(tmp_path, cherry_grid):

@@ -12,7 +12,7 @@ from gridtopo import (
     analytic_moments,
     h_inverse_entry,
     load_measurements,
-    reduced_laplacian,
+    random_radial_grid,
     sample_injections,
     save_measurements,
     simulate,
@@ -21,16 +21,34 @@ from gridtopo import (
 
 
 def test_solve_lcpf_unit_injection_reads_h_column(star_grid):
-    nodes = reduced_laplacian(star_grid, "r").nodes
-    p = np.zeros(len(nodes))
-    p[nodes.index("a")] = 1.0
-    q = np.zeros_like(p)
-    v, theta = solve_lcpf(star_grid, p, q)
-    # With q = 0, voltage deviations are the resistance-Laplacian inverse
-    # column of a, and angles are the reactance analogue.
+    nodes = star_grid.reduced_nodes
+    unit = np.zeros(len(nodes))
+    unit[nodes.index("a")] = 1.0
+    # A unit p at a reads the resistance-Laplacian inverse column of a; a
+    # unit q reads the reactance analogue.
+    v_p = solve_lcpf(star_grid, unit, np.zeros_like(unit))
+    v_q = solve_lcpf(star_grid, np.zeros_like(unit), unit)
     for i, n in enumerate(nodes):
-        assert v[i] == pytest.approx(h_inverse_entry(star_grid, n, "a", "r"))
-        assert theta[i] == pytest.approx(h_inverse_entry(star_grid, n, "a", "x"))
+        assert v_p[i] == pytest.approx(h_inverse_entry(star_grid, n, "a", "r"))
+        assert v_q[i] == pytest.approx(h_inverse_entry(star_grid, n, "a", "x"))
+
+
+def test_solve_lcpf_matches_path_identity():
+    # Oracle: H^-1 built entry by entry from shared root-path sums, with no
+    # matrix inverse.
+    rng = np.random.default_rng(5)
+    for n in (7, 20, 45):
+        g = random_radial_grid(n, seed=int(rng.integers(1 << 31)))
+        nodes = g.reduced_nodes
+        h_r, h_x = (
+            np.array([[h_inverse_entry(g, a, b, mode) for b in nodes] for a in nodes])
+            for mode in ("r", "x")
+        )
+        p, q = rng.normal(size=(2, 6, len(nodes)))
+        want = p @ h_r + q @ h_x
+        for got, ref in ((solve_lcpf(g, p, q), want), (solve_lcpf(g, p[2], q[2]), want[2])):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_solve_lcpf_superposition(star_grid):
@@ -38,11 +56,9 @@ def test_solve_lcpf_superposition(star_grid):
     m = len(star_grid.reduced_nodes)
     p1, q1 = rng.normal(size=m), rng.normal(size=m)
     p2, q2 = rng.normal(size=m), rng.normal(size=m)
-    v1, t1 = solve_lcpf(star_grid, p1, q1)
-    v2, t2 = solve_lcpf(star_grid, p2, q2)
-    v12, t12 = solve_lcpf(star_grid, p1 + p2, q1 + q2)
-    assert np.allclose(v12, v1 + v2)
-    assert np.allclose(t12, t1 + t2)
+    v1 = solve_lcpf(star_grid, p1, q1)
+    v2 = solve_lcpf(star_grid, p2, q2)
+    assert np.allclose(solve_lcpf(star_grid, p1 + p2, q1 + q2), v1 + v2)
 
 
 def test_solve_lcpf_shape_checks(star_grid):
