@@ -44,6 +44,9 @@ HIDDEN_PREFIX = "h#"
 WITNESS_CAP = 15
 # A round that classifies no pair retries at this many times the tolerance.
 EPS_GROWTH = 1.5
+# _pair_stats works on this many pairs at a time, so its arrays are
+# (PAIR_BLOCK, k) rather than (k(k - 1)/2, k).
+PAIR_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -225,18 +228,24 @@ def _pair_stats(D: np.ndarray, cap: int | None):
     """
     k = D.shape[0]
     i, j = np.triu_indices(k, 1)
-    Phi = D[i]
-    M = np.maximum(Phi, D[j])
-    Phi -= D[j]
-    np.put_along_axis(M, np.stack([i, j], axis=1), np.inf, axis=1)
-    W = M < np.inf
-    if cap is not None and k - 2 > cap:
-        kth = np.partition(M, cap - 1, axis=1)[:, [cap - 1]]
-        W &= M <= kth
+    phi_hi, phi_lo, phi_mean = np.empty(len(i)), np.empty(len(i)), np.empty(len(i))
+    # Each pair's row is reduced on its own, so the block size cannot
+    # change a bit of the result.
+    for s in range(0, len(i), PAIR_BLOCK):
+        blk = slice(s, s + PAIR_BLOCK)
+        bi, bj = i[blk], j[blk]
+        Phi = D[bi]
+        M = np.maximum(Phi, D[bj])
+        Phi -= D[bj]
+        np.put_along_axis(M, np.stack([bi, bj], axis=1), np.inf, axis=1)
+        W = M < np.inf
+        if cap is not None and k - 2 > cap:
+            kth = np.partition(M, cap - 1, axis=1)[:, [cap - 1]]
+            W &= M <= kth
+        phi_hi[blk] = np.where(W, Phi, -np.inf).max(axis=1)
+        phi_lo[blk] = np.where(W, Phi, np.inf).min(axis=1)
+        phi_mean[blk] = np.where(W, Phi, 0.0).sum(axis=1) / np.maximum(W.sum(axis=1), 1)
     d = D[i, j]
-    phi_hi = np.where(W, Phi, -np.inf).max(axis=1)
-    phi_lo = np.where(W, Phi, np.inf).min(axis=1)
-    phi_mean = np.where(W, Phi, 0.0).sum(axis=1) / np.maximum(W.sum(axis=1), 1)
     # |Phi -/+ d| peaks over the witnesses at phi_hi or phi_lo. Rounding is
     # monotone, so this matches the per-witness maximum bit for bit.
     dev_ba = np.maximum(np.abs(phi_hi - d), np.abs(phi_lo - d))

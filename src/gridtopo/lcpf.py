@@ -125,13 +125,13 @@ def sample_injections(g: Grid, spec: InjectionSpec, T: int, seed: int) -> tuple[
     half_width = math.sqrt(3.0)
     for chunk_idx, start in enumerate(range(0, T, SIM_CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_idx,)))
-        # Always draw the full chunk so shorter runs share the prefix exactly.
-        if spec.family == "gaussian":
-            z = rng.standard_normal((SIM_CHUNK, m, 2))
-        else:
-            z = rng.uniform(-half_width, half_width, size=(SIM_CHUNK, m, 2))
+        # Each chunk has its own seed stream, and both draws fill z in C
+        # order, so drawing only the rows used keeps shorter runs a prefix.
         rows = min(SIM_CHUNK, T - start)
-        z = z[:rows]
+        if spec.family == "gaussian":
+            z = rng.standard_normal((rows, m, 2))
+        else:
+            z = rng.uniform(-half_width, half_width, size=(rows, m, 2))
         p[start:start + rows] = z[:, :, 0] * a
         q[start:start + rows] = z[:, :, 0] * b + z[:, :, 1] * c
     return p, q
@@ -193,20 +193,26 @@ def analytic_moments(g: Grid, spec: InjectionSpec = InjectionSpec()) -> MomentSe
 # ---------------------------------------------------------------------------
 
 def save_measurements(ms: MeasurementSet, path: str | Path) -> None:
-    """Write `t` plus a (v, p, q) column triplet per node; seed in a comment."""
+    """Write `t` plus a (v, p, q) column triplet per node; seed in a comment.
+
+    Each value is its shortest round-trip repr, so a reload is bit-exact.
+    The header goes through csv.writer, which quotes node ids that need it;
+    the numeric rows are joined directly, _WRITE_CHUNK rows at a time, each
+    ending in csv's default "\\r\\n".
+    """
     path = Path(path)
     with path.open("w", newline="") as fh:
         if ms.seed is not None:
             fh.write(f"# seed={ms.seed}\n")
-        writer = csv.writer(fh)
         header = ["t"]
         for n in ms.nodes:
             header += [f"v:{n}", f"p:{n}", f"q:{n}"]
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         for start in range(0, ms.T, _WRITE_CHUNK):  # one chunk as Python floats at a time
-            blocks = (b[start:start + _WRITE_CHUNK].tolist() for b in (ms.v, ms.p, ms.q))
-            for t, rows in enumerate(zip(*blocks), start):
-                writer.writerow([str(t)] + [repr(x) for vpq in zip(*rows) for x in vpq])
+            stop = start + _WRITE_CHUNK
+            vpq = np.stack((ms.v[start:stop], ms.p[start:stop], ms.q[start:stop]), axis=2)
+            fh.writelines(",".join((str(t), *map(repr, row))) + "\r\n"
+                          for t, row in enumerate(vpq.reshape(len(vpq), -1).tolist(), start))
 
 
 def load_measurements(path: str | Path) -> MeasurementSet:

@@ -17,6 +17,7 @@ from gridtopo import (
     rg_sampled,
     tree_path_lengths,
 )
+from gridtopo import grouping
 from gridtopo.grouping import (
     EXACT_TOL,
     WITNESS_CAP,
@@ -148,6 +149,17 @@ def _relations_loop(k, eps, i, j, d, phi_mean, spread, absmax, dev_ba, dev_ab):
     return parents, siblings, sib_ok
 
 
+@pytest.mark.parametrize("case", ["no cap", "ties"])
+def test_pair_stats_do_not_depend_on_block_size(case, monkeypatch):
+    D, cap = _pair_stats_input(case)
+    want = _pair_stats(D, cap)
+    monkeypatch.setattr(grouping, "PAIR_BLOCK", 7)
+    got = _pair_stats(D, cap)
+    assert len(got[0]) > 7
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_relations_match_pair_loop():
     # Leaves of a noisy additive metric give sibling verdicts; the integer
     # path metric gives exact, tied parent verdicts.
@@ -183,6 +195,24 @@ def test_pair_stats_memory_stays_below_dense_tensors():
     finally:
         tracemalloc.stop()
     assert peak < 32_000_000
+
+
+def test_grouping_memory_stays_below_one_pair_array():
+    # k = 132: one float array over the unordered pairs by k witnesses
+    # takes 9.1 MB; grouping works on blocks of pairs and never holds one.
+    g = random_radial_grid(200, seed=0)
+    d = DistanceMatrix.from_grid(g)
+    D = (d.d_r + d.d_x) / 2.0
+    k = len(D)
+    pair_array = k * (k - 1) // 2 * k * 8
+    for run in (lambda: _pair_stats(D, WITNESS_CAP), lambda: rg_exact(g.observed_nodes, D)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pair_array
 
 
 def test_coarsest_partition_hand_relations():

@@ -1,4 +1,5 @@
 """Linearized power-flow simulation and the analytic moment formulas."""
+import csv
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from gridtopo import (
     simulate,
     solve_lcpf,
 )
+from gridtopo.lcpf import SIM_CHUNK
 
 
 def test_solve_lcpf_unit_injection_reads_h_column(star_grid):
@@ -90,6 +92,16 @@ def test_measurement_head_is_a_prefix(star_grid):
     head = ms.head(40)
     assert head.T == 40
     assert np.array_equal(head.v, ms.v[:40])
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_injections_are_a_prefix_across_chunks(star_grid, family):
+    spec = InjectionSpec(sigma_pq=0.3, family=family)
+    p, q = sample_injections(star_grid, spec, 3 * SIM_CHUNK, seed=8)
+    for T in (SIM_CHUNK + 1, 2 * SIM_CHUNK + 5):
+        p_t, q_t = sample_injections(star_grid, spec, T, seed=8)
+        assert p_t.tobytes() == p[:T].tobytes()
+        assert q_t.tobytes() == q[:T].tobytes()
 
 
 def test_sample_injection_moments_match_spec(star_grid):
@@ -192,6 +204,45 @@ def test_measurements_csv_bytes_are_pinned(tmp_path, star_grid):
     for t in (0, 255, 256, 511, 512, 599):
         fields = [repr(float(x)) for triple in zip(long.v[t], long.p[t], long.q[t]) for x in triple]
         assert rows[t] == ",".join([str(t)] + fields)
+
+
+def _reference_csv(ms: MeasurementSet, path) -> None:
+    """save_measurements as a per-field csv.writer loop, one row at a time."""
+    with path.open("w", newline="") as fh:
+        if ms.seed is not None:
+            fh.write(f"# seed={ms.seed}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"{kind}:{n}" for n in ms.nodes for kind in "vpq"])
+        for t in range(ms.T):
+            triples = zip(ms.v[t].tolist(), ms.p[t].tolist(), ms.q[t].tolist())
+            writer.writerow([str(t)] + [repr(x) for vpq in triples for x in vpq])
+
+
+def test_measurements_csv_matches_reference_writer(tmp_path):
+    # 600 rows span three write chunks, the last one partial. A node id
+    # with a comma and a quote makes csv quote its header columns.
+    rng = np.random.default_rng(3)
+    nodes = ("a", 'odd,"id"', "c")
+    v, p, q = (rng.standard_normal((600, 3)) * 10.0 ** rng.integers(-300, 300, (600, 3))
+               for _ in range(3))
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    for block, shift in ((v, 0), (p, 1), (q, 2)):
+        for r, x in enumerate(special):
+            block[(255 + 128 * r + shift) % 600, (r + shift) % 3] = x
+    ms = MeasurementSet(nodes, v, p, q, seed=9)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_measurements(ms, got)
+    _reference_csv(ms, want)
+    assert got.read_bytes() == want.read_bytes()
+    back = load_measurements(got)
+    assert back.nodes == nodes
+    for name in ("v", "p", "q"):
+        assert getattr(back, name).tobytes() == getattr(ms, name).tobytes(), name
+    # A set without nodes writes the sample index alone on each row.
+    empty = MeasurementSet((), np.zeros((3, 0)), np.zeros((3, 0)), np.zeros((3, 0)))
+    save_measurements(empty, got)
+    _reference_csv(empty, want)
+    assert got.read_bytes() == want.read_bytes() == b"t\r\n0\r\n1\r\n2\r\n"
 
 
 def test_measurements_csv_rejects_bad_files(tmp_path):
