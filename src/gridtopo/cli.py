@@ -29,8 +29,9 @@ from .exceptions import Error
 from .grid import Grid, ensure_valid, load_grid, save_grid
 from .grouping import RGConfig
 from .learn import LearnedGrid, learn_from_moments, load_learned, save_learned
-from .lcpf import InjectionSpec, load_measurements, save_measurements, simulate
-from .moments import accumulate, load_moments, save_moments
+from .lcpf import InjectionSpec, read_measurement_blocks, save_measurements, simulate_blocks
+from .lcpf import load_measurements, simulate  # noqa: F401  (perfbench/tracer.py wraps them here)
+from .moments import MomentAccumulator, accumulate, load_moments, save_moments
 
 GRID_FORMAT = (
     'grid JSON: {"nodes": [{"id", "root", "observed"}], '
@@ -128,19 +129,31 @@ def _cmd_generate_grid(args) -> int:
 def _cmd_simulate(args) -> int:
     g = load_grid(args.grid)
     ensure_valid(g)
-    ms = simulate(g, _injection_spec(args), args.samples, args.seed)
+    blocks = simulate_blocks(g, _injection_spec(args), args.samples, args.seed)
+    k = len(g.observed_nodes)
+    if args.out and args.moments:  # one draw for both: each block is folded as it is written
+        acc = MomentAccumulator(g.observed_nodes)
+        blocks = _folded(blocks, acc)
     if args.out:
-        save_measurements(ms, args.out)
-        print(f"wrote {args.out}: {ms.T} samples x {len(ms.nodes)} terminals (seed {args.seed})")
+        save_measurements(blocks, args.out)
+        print(f"wrote {args.out}: {args.samples} samples x {k} terminals (seed {args.seed})")
     if args.moments:
-        save_moments(accumulate(ms), args.moments)
-        print(f"wrote {args.moments}: moments over {len(ms.nodes)} terminals from {ms.T} samples")
+        save_moments(acc.result() if args.out else accumulate(blocks), args.moments)
+        print(f"wrote {args.moments}: moments over {k} terminals from {args.samples} samples")
     return 0
+
+
+def _folded(blocks, acc: MomentAccumulator):
+    """Pass SIM_CHUNK-row blocks through, folding each into acc, as accumulate would."""
+    for ms in blocks:
+        acc.update(ms.v, ms.p, ms.q)
+        yield ms
+        del ms  # not alive while the next block is drawn
 
 
 def _cmd_estimate(args) -> int:
     if args.measurements:
-        m = accumulate(load_measurements(args.measurements))
+        m = accumulate(read_measurement_blocks(args.measurements))
     else:
         m = load_moments(args.moments)
     learned = learn_from_moments(m, cfg=_rg_config(args))
@@ -165,8 +178,8 @@ def _cmd_pipeline(args) -> int:
     g = load_grid(args.grid)
     ensure_valid(g)
     print(f"grid {args.grid}: {_grid_summary(g)}")
-    ms = simulate(g, _injection_spec(args), args.samples, args.seed)
-    learned = learn_from_moments(accumulate(ms), cfg=_rg_config(args))
+    blocks = simulate_blocks(g, _injection_spec(args), args.samples, args.seed)
+    learned = learn_from_moments(accumulate(blocks), cfg=_rg_config(args))
     print(f"learned: {_learned_summary(learned)}")
     report = evaluate(g, learned)
     print(_report_line(report))
@@ -233,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw measurement samples at the terminals of a grid",
                        epilog=f"Input -- {GRID_FORMAT}. Output -- {MEAS_FORMAT}; {MOMENTS_FORMAT}.")
     p.add_argument("--grid", required=True, help="grid JSON path")
-    p.add_argument("--samples", type=int, required=True, help="number of measurement rows T")
+    p.add_argument("--samples", type=int, required=True,
+                   help="number of measurement rows T (memory does not grow with T)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     _add_injection_flags(p)
     p.add_argument("-o", "--out", help="measurements CSV output path")
@@ -243,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="learn a grid from measurements or moments",
                        epilog=f"Inputs -- {MEAS_FORMAT}; {MOMENTS_FORMAT}. Output -- {LEARNED_FORMAT}.")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--measurements", help="measurements CSV path")
+    src.add_argument("--measurements",
+                     help="measurements CSV path, read in blocks (memory does not grow with its rows)")
     src.add_argument("--moments", help="moments JSON path")
     _add_learner_flags(p)
     p.add_argument("-o", "--out", required=True, help="learned grid JSON output path")
@@ -260,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="simulate, learn, and score against a grid file in one run",
                        epilog=f"Input -- {GRID_FORMAT}. Outputs -- {LEARNED_FORMAT}; report JSON.")
     p.add_argument("--grid", required=True, help="true grid JSON path")
-    p.add_argument("--samples", type=int, required=True, help="number of measurement rows T")
+    p.add_argument("--samples", type=int, required=True,
+                   help="number of measurement rows T (memory does not grow with T)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     _add_injection_flags(p)
     _add_learner_flags(p)

@@ -237,7 +237,8 @@ def _pair_stats(D: np.ndarray, cap: int | None):
         Phi = D[bi]
         M = np.maximum(Phi, D[bj])
         Phi -= D[bj]
-        np.put_along_axis(M, np.stack([bi, bj], axis=1), np.inf, axis=1)
+        r = np.arange(len(bi))
+        M[r, bi] = M[r, bj] = np.inf
         W = M < np.inf
         if cap is not None and k - 2 > cap:
             kth = np.partition(M, cap - 1, axis=1)[:, [cap - 1]]
@@ -408,8 +409,9 @@ def _rg_core(
                 col[a] = float(
                     (D[a, others] + phi_mean[a, others]).sum() / (2.0 * len(others))
                 )
-            outside = np.setdiff1d(np.arange(k), children)
-            if outside.size:
+            outside = np.ones(k, dtype=bool)
+            outside[children] = False
+            if outside.any():
                 col[outside] = (
                     D[outside][:, children] - col[children][None, :]
                 ).mean(axis=1)

@@ -8,6 +8,13 @@ H_r, H_x the reduced Laplacians weighted by 1/r and 1/x,
 All variables are zero-mean deviations from the operating point. Injections
 are drawn independently per node and per sample; hidden junctions inject too,
 but only observed leaves appear in the exported measurements.
+
+The file path streams: simulate_blocks draws and solves one SIM_CHUNK-row
+window at a time, save_measurements writes windows as they come, and
+read_measurement_blocks parses a CSV in ACCUMULATOR_CHUNK-row blocks. Memory
+on that path does not grow with the sample count T. Draws and solves run on
+_ROW_BLOCK-row sub-blocks aligned to multiples of _ROW_BLOCK, so a window is
+bit for bit the same rows of simulate().
 """
 from __future__ import annotations
 
@@ -16,16 +23,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .exceptions import FormatError, ValidationError
 from .grid import Grid, ensure_valid, reduced_laplacian
-from .moments import MomentSet
+from .moments import ACCUMULATOR_CHUNK, MomentSet
 
 SIM_CHUNK = 4096  # frozen: part of the reproducibility contract
+_ROW_BLOCK = 512  # rows per draw and per solve; divides SIM_CHUNK
 _WRITE_CHUNK = 256  # measurement rows per save_measurements batch
+assert SIM_CHUNK % _ROW_BLOCK == 0 and SIM_CHUNK == ACCUMULATOR_CHUNK
 
 _FAMILIES = ("gaussian", "uniform")
 
@@ -108,32 +117,43 @@ def _cholesky_coeffs(g: Grid, spec: InjectionSpec) -> tuple[np.ndarray, np.ndarr
     return np.array(a), np.array(b), np.array(c)
 
 
-def sample_injections(g: Grid, spec: InjectionSpec, T: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (p, q) of shape (T, m) over the reduced nodes, hidden included.
+def sample_injections(
+    g: Grid, spec: InjectionSpec, T: int, seed: int, start: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw rows start..T-1 of (p, q) over the reduced nodes, hidden included.
 
     Sampling is chunked with a fixed chunk size and one child RNG stream per
     chunk, so the output is identical whether chunks run serially or in
-    parallel, and a shorter run is an exact prefix of a longer one.
+    parallel, a shorter run is an exact prefix of a longer one, and a row
+    window (start a multiple of SIM_CHUNK) is the matching slice of the full
+    draw.
     """
     ensure_valid(g)
     if T < 1:
         raise ValidationError(f"sample count must be >= 1, got {T}")
+    if start % SIM_CHUNK or not 0 <= start < T:
+        raise ValidationError(
+            f"row window start must be a multiple of {SIM_CHUNK} below {T}, got {start}"
+        )
     a, b, c = _cholesky_coeffs(g, spec)
     m = len(g.reduced_nodes)
-    p = np.empty((T, m))
-    q = np.empty((T, m))
+    p = np.empty((T - start, m))
+    q = np.empty((T - start, m))
     half_width = math.sqrt(3.0)
-    for chunk_idx, start in enumerate(range(0, T, SIM_CHUNK)):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_idx,)))
-        # Each chunk has its own seed stream, and both draws fill z in C
-        # order, so drawing only the rows used keeps shorter runs a prefix.
-        rows = min(SIM_CHUNK, T - start)
-        if spec.family == "gaussian":
-            z = rng.standard_normal((rows, m, 2))
-        else:
-            z = rng.uniform(-half_width, half_width, size=(rows, m, 2))
-        p[start:start + rows] = z[:, :, 0] * a
-        q[start:start + rows] = z[:, :, 0] * b + z[:, :, 1] * c
+    for chunk in range(start, T, SIM_CHUNK):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(chunk // SIM_CHUNK,)))
+        # Both draws fill z in C order from the chunk's own stream, so drawing
+        # it in sub-blocks, and only the rows used, gives the same numbers.
+        for row in range(chunk, min(chunk + SIM_CHUNK, T), _ROW_BLOCK):
+            rows = min(_ROW_BLOCK, T - row)
+            if spec.family == "gaussian":
+                z = rng.standard_normal((rows, m, 2))
+            else:
+                z = rng.uniform(-half_width, half_width, size=(rows, m, 2))
+            out = slice(row - start, row - start + rows)
+            p[out] = z[:, :, 0] * a
+            q[out] = z[:, :, 0] * b + z[:, :, 1] * c
     return p, q
 
 
@@ -145,7 +165,10 @@ def _h_inverses(g: Grid) -> tuple[np.ndarray, np.ndarray]:
 def solve_lcpf(g: Grid, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Voltage deviations for injection rows (or one row) over the reduced nodes.
 
-    Both inverses are symmetric, so v = p H_r^-1 + q H_x^-1 row by row.
+    Both inverses are symmetric, so v = p H_r^-1 + q H_x^-1 row by row. Rows
+    are multiplied _ROW_BLOCK at a time: a matrix product's rounding can
+    depend on its row count, and fixed blocks keep each row's bits the same
+    in a SIM_CHUNK window as in the whole run.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -156,17 +179,49 @@ def solve_lcpf(g: Grid, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"expected {len(h_r)} injection columns (reduced nodes), got shape {p.shape}"
         )
-    return p @ h_r + q @ h_x
+    if p.ndim < 2:
+        return p @ h_r + q @ h_x
+    v = np.empty(p.shape)
+    for row in range(0, len(p), _ROW_BLOCK):
+        rows = slice(row, row + _ROW_BLOCK)
+        v[rows] = p[rows] @ h_r + q[rows] @ h_x
+    return v
 
 
 def simulate(g: Grid, spec: InjectionSpec, T: int, seed: int) -> MeasurementSet:
     """End-to-end draw: injections everywhere, measurements at observed leaves."""
-    p, q = sample_injections(g, spec, T, seed)
-    v = solve_lcpf(g, p, q)
+    return _measure(g, spec, T, seed, 0, _observed_columns(g))
+
+
+def simulate_blocks(g: Grid, spec: InjectionSpec, T: int, seed: int) -> Iterator[MeasurementSet]:
+    """simulate() as SIM_CHUNK-row windows, drawn and solved one at a time.
+
+    Each window holds the same bits as the same rows of simulate(), and only
+    the window being consumed is alive. The grid, spec and T are checked here,
+    before any window is drawn.
+    """
+    cols = _observed_columns(g)
+    _cholesky_coeffs(g, spec)
+    if T < 1:
+        raise ValidationError(f"sample count must be >= 1, got {T}")
+    return (_measure(g, spec, min(start + SIM_CHUNK, T), seed, start, cols)
+            for start in range(0, T, SIM_CHUNK))
+
+
+def _observed_columns(g: Grid) -> np.ndarray:
+    ensure_valid(g)
     cols = np.array([g.reduced_nodes.index(n) for n in g.observed_nodes])
     if cols.size == 0:
         raise ValidationError("grid has no observed nodes to measure")
-    return MeasurementSet(g.observed_nodes, v[:, cols], p[:, cols], q[:, cols], seed=seed)
+    return cols
+
+
+def _measure(g: Grid, spec: InjectionSpec, T: int, seed: int, start: int,
+             cols: np.ndarray) -> MeasurementSet:
+    """Rows start..T-1 of the simulation, at the observed columns."""
+    p, q = sample_injections(g, spec, T, seed, start)
+    v = solve_lcpf(g, p, q)[:, cols]  # the hidden columns go before p and q are sliced
+    return MeasurementSet(g.observed_nodes, v, p[:, cols], q[:, cols], seed=seed)
 
 
 def analytic_moments(g: Grid, spec: InjectionSpec = InjectionSpec()) -> MomentSet:
@@ -192,37 +247,53 @@ def analytic_moments(g: Grid, spec: InjectionSpec = InjectionSpec()) -> MomentSe
 # Measurement CSV round trip
 # ---------------------------------------------------------------------------
 
-def save_measurements(ms: MeasurementSet, path: str | Path) -> None:
+def save_measurements(ms: MeasurementSet | Iterable[MeasurementSet], path: str | Path) -> None:
     """Write `t` plus a (v, p, q) column triplet per node; seed in a comment.
 
-    Each value is its shortest round-trip repr, so a reload is bit-exact.
-    The header goes through csv.writer, which quotes node ids that need it;
-    the numeric rows are joined directly, _WRITE_CHUNK rows at a time, each
-    ending in csv's default "\\r\\n".
+    ms is one set, or consecutive row blocks of one set (simulate_blocks),
+    written as they arrive and then dropped. Each value is its shortest
+    round-trip repr, so a reload is bit-exact. The header goes through
+    csv.writer, which quotes node ids that need it; the numeric rows are
+    joined directly, _WRITE_CHUNK rows at a time, each ending in csv's
+    default "\\r\\n".
     """
     path = Path(path)
     with path.open("w", newline="") as fh:
-        if ms.seed is not None:
-            fh.write(f"# seed={ms.seed}\n")
-        header = ["t"]
-        for n in ms.nodes:
-            header += [f"v:{n}", f"p:{n}", f"q:{n}"]
-        csv.writer(fh).writerow(header)
-        for start in range(0, ms.T, _WRITE_CHUNK):  # one chunk as Python floats at a time
-            stop = start + _WRITE_CHUNK
-            vpq = np.stack((ms.v[start:stop], ms.p[start:stop], ms.q[start:stop]), axis=2)
-            fh.writelines(",".join((str(t), *map(repr, row))) + "\r\n"
-                          for t, row in enumerate(vpq.reshape(len(vpq), -1).tolist(), start))
+        t0, nodes = 0, None
+        for block in [ms] if isinstance(ms, MeasurementSet) else ms:
+            if nodes is None:
+                nodes = block.nodes
+                if block.seed is not None:
+                    fh.write(f"# seed={block.seed}\n")
+                csv.writer(fh).writerow(["t"] + [f"{kind}:{n}" for n in nodes for kind in "vpq"])
+            elif block.nodes != nodes:
+                raise ValidationError("measurement blocks cover different node lists")
+            for start in range(0, block.T, _WRITE_CHUNK):  # one chunk as Python floats at a time
+                stop = start + _WRITE_CHUNK
+                vpq = np.stack((block.v[start:stop], block.p[start:stop], block.q[start:stop]), axis=2)
+                fh.writelines(",".join((str(t), *map(repr, row))) + "\r\n"
+                              for t, row in enumerate(vpq.reshape(len(vpq), -1).tolist(), t0 + start))
+            t0 += block.T
+            del block  # not alive while the next one is drawn
 
 
 def load_measurements(path: str | Path) -> MeasurementSet:
-    """Read a measurements CSV as written by save_measurements.
+    """Read a measurements CSV as written by save_measurements, whole."""
+    blocks = list(read_measurement_blocks(path))
+    v, p, q = (np.concatenate([getattr(b, kind) for b in blocks]) for kind in "vpq")
+    return MeasurementSet(blocks[0].nodes, v, p, q, seed=blocks[0].seed)
+
+
+def read_measurement_blocks(path: str | Path) -> Iterator[MeasurementSet]:
+    """Yield a measurements CSV as consecutive ACCUMULATOR_CHUNK-row sets.
 
     Leading '#' lines are comments; a 'seed=<n>' token in one sets the seed.
     The header is 't' and a v, p and q column per node. Each later line holds
     one number per header column; empty lines are skipped, as numpy.loadtxt
     skips them. Every fault raises FormatError naming the file, and a bad
-    row its 1-based line in the file.
+    row its 1-based line in the file. Only one block is parsed at a time, and
+    its columns have the layout of simulate()'s, so accumulate() over the
+    blocks gives the same bits as over the set that was written.
     """
     path = Path(path)
     try:
@@ -264,18 +335,27 @@ def load_measurements(path: str | Path) -> MeasurementSet:
             for kind in ("v", "p", "q"):
                 if f"{kind}:{node}" not in col_of:
                     raise FormatError(f"{path}: missing column '{kind}:{node}'")
-        # loadtxt warns on a body without data, so the first row is read here.
-        first = next((row for row in fh if row.strip("\r\n")), None)
+        cols = [[col_of[f"{kind}:{n}"] for n in nodes] for kind in "vpq"]
+        rows = (row for row in fh if row.strip("\r\n"))
+        # loadtxt warns on a body without data, so each block's first row is read here.
+        first = next(rows, None)
         if first is None:
             raise FormatError(f"{path}: no measurement rows")
-        try:
-            data = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise FormatError(f"{path}: {_bad_row(path, header_line, len(header)) or exc}") from None
+        while first is not None:
+            lines = itertools.chain([first], itertools.islice(rows, ACCUMULATOR_CHUNK - 1))
+            yield _parse_block(path, header_line, header, lines, tuple(nodes), cols, seed)
+            first = next(rows, None)
+
+
+def _parse_block(path: Path, header_line: int, header: list[str], lines: Iterable[str],
+                 nodes: tuple[str, ...], cols: list[list[int]], seed: int | None) -> MeasurementSet:
+    try:
+        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {_bad_row(path, header_line, len(header)) or exc}") from None
     if data.shape[1] != len(header):
         raise FormatError(f"{path}: {_bad_row(path, header_line, len(header))}")
-    v, p, q = (data[:, [col_of[f"{kind}:{n}"] for n in nodes]] for kind in "vpq")
-    return MeasurementSet(tuple(nodes), v, p, q, seed=seed)
+    return MeasurementSet(nodes, *(data[:, c] for c in cols), seed=seed)
 
 
 def _bad_row(path: Path, header_line: int, width: int) -> str | None:

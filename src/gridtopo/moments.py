@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -120,14 +120,29 @@ class MomentAccumulator:
         )
 
 
-def accumulate(ms: "MeasurementSet", chunk: int = ACCUMULATOR_CHUNK) -> MomentSet:
-    """Second moments of a measurement set."""
-    if ms.T == 0:
+def accumulate(
+    source: "MeasurementSet | Iterable[MeasurementSet]", chunk: int = ACCUMULATOR_CHUNK,
+) -> MomentSet:
+    """Second moments of a measurement set, or of its consecutive row blocks.
+
+    Blocks (simulate_blocks, read_measurement_blocks) are folded as they
+    arrive and dropped, each in chunk-row pieces; blocks of chunk rows give
+    the same bits as the set they were cut from.
+    """
+    from .lcpf import MeasurementSet  # lcpf imports this module
+
+    acc = None
+    for ms in [source] if isinstance(source, MeasurementSet) else source:
+        if acc is None:
+            acc = MomentAccumulator(ms.nodes)
+        elif ms.nodes != acc.nodes:
+            raise ValidationError("measurement blocks cover different node lists")
+        for start in range(0, ms.T, chunk):
+            stop = min(start + chunk, ms.T)
+            acc.update(ms.v[start:stop], ms.p[start:stop], ms.q[start:stop])
+        del ms  # not alive while the next block is read
+    if acc is None or acc.count == 0:
         raise ValidationError("cannot accumulate an empty measurement set")
-    acc = MomentAccumulator(ms.nodes)
-    for start in range(0, ms.T, chunk):
-        stop = min(start + chunk, ms.T)
-        acc.update(ms.v[start:stop], ms.p[start:stop], ms.q[start:stop])
     return acc.result()
 
 

@@ -1,10 +1,30 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 import json
+import os
+import tracemalloc
 
 import pytest
 
-from gridtopo import ExperimentConfig, load_grid, load_learned, save_experiment_config, validate_grid
+from gridtopo import (
+    ExperimentConfig,
+    InjectionSpec,
+    accumulate,
+    load_grid,
+    load_moments,
+    random_radial_grid,
+    read_measurement_blocks,
+    save_experiment_config,
+    save_grid,
+    save_measurements,
+    simulate,
+    validate_grid,
+)
 from gridtopo.cli import main
+from gridtopo.lcpf import SIM_CHUNK
+
+# At n = 200 each injection family writes about 300 MB of CSV here, so that
+# case runs with GRIDTOPO_FULL=1; test_lcpf.py checks its windows bit for bit.
+FULL = os.environ.get("GRIDTOPO_FULL") == "1"
 
 
 def test_generate_grid_writes_valid_file(tmp_path, capsys):
@@ -58,17 +78,52 @@ def test_full_pipeline_via_files(tmp_path, capsys):
     assert payload["edge_difference"] == 0
     assert payload["avg_impedance_error"] < 0.2
 
-    # Estimating from the moments file gives the same grid (same lines; the
-    # impedances may differ in the last float bits because the two paths
-    # accumulate moments from differently laid-out arrays).
+    # The moments written alongside the CSV are those of the CSV read back,
+    # bit for bit, so estimating from either file learns the same grid.
+    written, read = load_moments(moments), accumulate(read_measurement_blocks(meas))
+    assert written.nodes == read.nodes and written.count == read.count == 30000
+    for name in ("vp", "vq", "pp", "qq", "pq"):
+        assert getattr(written, name).tobytes() == getattr(read, name).tobytes(), name
+    alone = tmp_path / "alone.json"  # --moments without -o accumulates the same windows
+    assert main(["simulate", "--grid", str(grid), "--samples", "30000", "--seed", "4",
+                 "--moments", str(alone)]) == 0
+    assert alone.read_bytes() == moments.read_bytes()
     learned2 = tmp_path / "learned2.json"
     rc = main(["estimate", "--moments", str(moments), "-o", str(learned2)])
     assert rc == 0
-    a, b = load_learned(learned), load_learned(learned2)
-    assert [(e.u, e.v) for e in a.edges] == [(e.u, e.v) for e in b.edges]
-    for ea, eb in zip(a.edges, b.edges):
-        assert ea.r == pytest.approx(eb.r, rel=1e-9)
-        assert ea.x == pytest.approx(eb.x, rel=1e-9)
+    assert learned2.read_bytes() == learned.read_bytes()
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+@pytest.mark.parametrize("n", [30, 200] if FULL else [30])
+def test_simulate_file_matches_the_whole_simulation(tmp_path, n, family):
+    # simulate -o draws, solves and writes one SIM_CHUNK-row window at a time.
+    g = random_radial_grid(n, 1)
+    grid, streamed, whole = tmp_path / "grid.json", tmp_path / "streamed.csv", tmp_path / "whole.csv"
+    save_grid(g, grid)
+    spec = InjectionSpec(sigma_pq=0.3, family=family)
+    for T in (1, SIM_CHUNK - 1, SIM_CHUNK, SIM_CHUNK + 1, 2 * SIM_CHUNK + 5):
+        assert main(["simulate", "--grid", str(grid), "--samples", str(T), "--seed", "6",
+                     "--sigma-pq", "0.3", "--family", family, "-o", str(streamed)]) == 0
+        save_measurements(simulate(g, spec, T, seed=6), whole)
+        assert streamed.read_bytes() == whole.read_bytes(), T
+
+
+def test_file_path_memory_does_not_grow_with_samples(tmp_path):
+    grid, meas, learned = tmp_path / "grid.json", tmp_path / "meas.csv", tmp_path / "learned.json"
+    save_grid(random_radial_grid(12, 2), grid)
+    peaks = {}
+    for T in (SIM_CHUNK, 4 * SIM_CHUNK):
+        for argv in (["simulate", "--grid", str(grid), "--samples", str(T), "-o", str(meas)],
+                     ["estimate", "--measurements", str(meas), "-o", str(learned)]):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[argv[0], T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for command in ("simulate", "estimate"):
+        assert peaks[command, 4 * SIM_CHUNK] <= 1.25 * peaks[command, SIM_CHUNK], (command, peaks)
 
 
 def test_pipeline_command_single_shot(tmp_path, capsys):

@@ -10,16 +10,20 @@ from gridtopo import (
     InjectionSpec,
     MeasurementSet,
     ValidationError,
+    accumulate,
     analytic_moments,
     h_inverse_entry,
     load_measurements,
     random_radial_grid,
+    read_measurement_blocks,
     sample_injections,
     save_measurements,
     simulate,
+    simulate_blocks,
     solve_lcpf,
 )
 from gridtopo.lcpf import SIM_CHUNK
+from gridtopo.moments import ACCUMULATOR_CHUNK
 
 
 def test_solve_lcpf_unit_injection_reads_h_column(star_grid):
@@ -102,6 +106,43 @@ def test_injections_are_a_prefix_across_chunks(star_grid, family):
         p_t, q_t = sample_injections(star_grid, spec, T, seed=8)
         assert p_t.tobytes() == p[:T].tobytes()
         assert q_t.tobytes() == q[:T].tobytes()
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
+def test_injection_row_windows_are_slices_of_the_full_draw(star_grid, family):
+    spec = InjectionSpec(sigma_pq=0.3, family=family)
+    T = 2 * SIM_CHUNK + 5
+    p, q = sample_injections(star_grid, spec, T, seed=8)
+    for start in (0, SIM_CHUNK, 2 * SIM_CHUNK):
+        for stop in (start + 1, min(start + SIM_CHUNK, T), T):
+            p_w, q_w = sample_injections(star_grid, spec, stop, seed=8, start=start)
+            assert p_w.tobytes() == p[start:stop].tobytes(), (start, stop)
+            assert q_w.tobytes() == q[start:stop].tobytes(), (start, stop)
+    for start in (-SIM_CHUNK, 1, SIM_CHUNK - 1, SIM_CHUNK + 512, 2 * SIM_CHUNK + 1, 3 * SIM_CHUNK):
+        with pytest.raises(ValidationError, match="row window start"):
+            sample_injections(star_grid, spec, T, seed=8, start=start)
+    with pytest.raises(ValidationError, match="row window start"):
+        sample_injections(star_grid, spec, SIM_CHUNK, seed=8, start=SIM_CHUNK)
+
+
+@pytest.mark.parametrize("n", [30, 200])
+def test_simulate_blocks_are_windows_of_simulate(n):
+    # At n = 200 a matrix product's rounding depends on its row count, so
+    # this holds only because both paths solve the same fixed row blocks.
+    g = random_radial_grid(n, 1)
+    for family in ("gaussian", "uniform"):
+        spec = InjectionSpec(sigma_pq=0.3, family=family)
+        for T in (1, SIM_CHUNK - 1, SIM_CHUNK, SIM_CHUNK + 1, 2 * SIM_CHUNK + 5):
+            whole = simulate(g, spec, T, seed=6)
+            blocks = list(simulate_blocks(g, spec, T, seed=6))
+            assert [b.T for b in blocks] == [min(SIM_CHUNK, T - s) for s in range(0, T, SIM_CHUNK)]
+            assert all(b.nodes == whole.nodes and b.seed == 6 for b in blocks)
+            for name in ("v", "p", "q"):
+                got = np.concatenate([getattr(b, name) for b in blocks])
+                assert got.tobytes() == getattr(whole, name).tobytes(), (family, T, name)
+            assert accumulate(blocks).vp.tobytes() == accumulate(whole).vp.tobytes()
+    with pytest.raises(ValidationError):
+        simulate_blocks(g, InjectionSpec(), 0, seed=6)  # before any window is drawn
 
 
 def test_sample_injection_moments_match_spec(star_grid):
@@ -265,6 +306,44 @@ def test_measurements_csv_rejects_bad_files(tmp_path):
     missing = tmp_path / "absent.csv"
     with pytest.raises(FormatError, match=f"^{re.escape(str(missing))}: file not found"):
         load_measurements(missing)
+
+
+def test_measurements_csv_streams_in_accumulator_blocks(tmp_path, star_grid):
+    ms = simulate(star_grid, InjectionSpec(), T=2 * ACCUMULATOR_CHUNK + 3, seed=5)
+    path = tmp_path / "meas.csv"
+    save_measurements(ms, path)
+    # Empty lines do not count towards a block's rows.
+    comment, header, *rows = path.read_text().splitlines(keepends=True)
+    rows[10:10] = ["\n", "\r\n"]
+    path.write_text("".join([comment, header] + rows))
+    blocks = list(read_measurement_blocks(path))
+    assert [b.T for b in blocks] == [ACCUMULATOR_CHUNK, ACCUMULATOR_CHUNK, 3]
+    assert all(b.nodes == ms.nodes and b.seed == 5 for b in blocks)
+    # Same values and the same column layout: the moments match bit for bit.
+    want = accumulate(ms)
+    for got in (accumulate(iter(blocks)), accumulate(load_measurements(path))):
+        for name in ("vp", "vq", "pp", "qq", "pq"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_measurements_csv_reports_bad_rows_in_later_blocks(tmp_path):
+    path = tmp_path / "bad.csv"
+    good = [f"{t},1.0,2.0,3.0\n" for t in range(ACCUMULATOR_CHUNK + 10)]
+    bad_at = ACCUMULATOR_CHUNK + 3  # a row of the second block
+    line = bad_at + 3  # after the comment and the header, counted from 1
+    cases = [
+        ({bad_at: f"{bad_at},1.0,oops,3.0\n"}, f"line {line}: .*'oops'"),
+        ({bad_at: f"{bad_at},1.0,2.0\n"}, f"line {line} has 3 fields, expected 4"),
+        ({t: f"{t},1.0,2.0\n" for t in range(ACCUMULATOR_CHUNK, len(good))},
+         f"line {ACCUMULATOR_CHUNK + 3} has 3 fields, expected 4"),
+    ]
+    for changed, detail in cases:
+        body = [changed.get(t, row) for t, row in enumerate(good)]
+        path.write_text("# seed=3\nt,v:a,p:a,q:a\n" + "".join(body))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {detail}"):
+            load_measurements(path)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {detail}"):
+            accumulate(read_measurement_blocks(path))
 
 
 def test_measurement_set_shape_validation():
