@@ -298,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "simulate" and not (args.out or args.moments):
+        parser.error("simulate: give -o/--out, --moments or both")
     try:
         return args.func(args)
     except Error as exc:

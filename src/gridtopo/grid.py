@@ -55,7 +55,8 @@ class Grid:
     """Immutable grid: node ids, edges, root flags and observed flags.
 
     Construction does not validate; run validate_grid() for the full report.
-    Operations that need a well-formed grid raise ValidationError otherwise.
+    Operations that need a well-formed grid raise ValidationError otherwise,
+    and check it through ensure_valid(), which validates each grid once.
     """
 
     nodes: tuple[str, ...]
@@ -88,6 +89,11 @@ class Grid:
                 adj[e.u][e.v] = e
                 adj[e.v][e.u] = e
         return adj
+
+    @cached_property
+    def _validation(self) -> "ValidationReport":
+        """validate_grid(self), computed on first use and kept: the grid is immutable."""
+        return validate_grid(self)
 
     @property
     def root(self) -> str:
@@ -256,7 +262,7 @@ def validate_grid(g: Grid) -> ValidationReport:
 
 
 def ensure_valid(g: Grid) -> Grid:
-    report = validate_grid(g)
+    report = g._validation
     if not report.ok:
         raise ValidationError(f"invalid grid: {report}")
     return g

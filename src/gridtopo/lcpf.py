@@ -9,12 +9,13 @@ All variables are zero-mean deviations from the operating point. Injections
 are drawn independently per node and per sample; hidden junctions inject too,
 but only observed leaves appear in the exported measurements.
 
-The file path streams: simulate_blocks draws and solves one SIM_CHUNK-row
-window at a time, save_measurements writes windows as they come, and
-read_measurement_blocks parses a CSV in ACCUMULATOR_CHUNK-row blocks. Memory
-on that path does not grow with the sample count T. Draws and solves run on
-_ROW_BLOCK-row sub-blocks aligned to multiples of _ROW_BLOCK, so a window is
-bit for bit the same rows of simulate().
+Every simulation runs in SIM_CHUNK-row windows, with H_r^-1 and H_x^-1
+formed once per run: simulate_blocks yields the windows, and simulate writes
+them in place into its (T, k) outputs, so its memory is the output plus about
+one full-width window. save_measurements writes windows as they come, and
+read_measurement_blocks parses a CSV in ACCUMULATOR_CHUNK-row blocks. Draws
+and solves run on _ROW_BLOCK-row sub-blocks aligned to multiples of
+_ROW_BLOCK, so the bits do not depend on the window a row falls in.
 """
 from __future__ import annotations
 
@@ -106,15 +107,10 @@ class MeasurementSet:
 
 def _cholesky_coeffs(g: Grid, spec: InjectionSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node (a, b, c) with p = a z1, q = b z1 + c z2 matching the moments."""
-    a, b, c = [], [], []
-    for n in g.reduced_nodes:
-        spp, sqq, spq = spec.moments_for(n)
-        ai = math.sqrt(spp)
-        bi = spq / ai
-        c.append(math.sqrt(sqq - bi * bi))
-        a.append(ai)
-        b.append(bi)
-    return np.array(a), np.array(b), np.array(c)
+    spp, sqq, spq = np.array([spec.moments_for(n) for n in g.reduced_nodes]).reshape(-1, 3).T
+    a = np.sqrt(spp)
+    b = spq / a
+    return a, b, np.sqrt(sqq - b * b)
 
 
 def sample_injections(
@@ -151,30 +147,35 @@ def sample_injections(
                 z = rng.standard_normal((rows, m, 2))
             else:
                 z = rng.uniform(-half_width, half_width, size=(rows, m, 2))
-            out = slice(row - start, row - start + rows)
-            p[out] = z[:, :, 0] * a
-            q[out] = z[:, :, 0] * b + z[:, :, 1] * c
+            # In place, with the rounding of p = z1 a and q = z1 b + z2 c.
+            p_out, q_out = p[row - start:row - start + rows], q[row - start:row - start + rows]
+            np.multiply(z[:, :, 0], a, out=p_out)
+            np.multiply(z[:, :, 0], b, out=q_out)
+            q_out += z[:, :, 1] * c
     return p, q
 
 
-def _h_inverses(g: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """H_r^-1 and H_x^-1 over g.reduced_nodes, by dense inversion."""
-    return np.linalg.inv(reduced_laplacian(g, "r")), np.linalg.inv(reduced_laplacian(g, "x"))
+def _forward_model(g: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H_r^-1 and H_x^-1 over g.reduced_nodes, by dense inversion, and the
+    positions of g.observed_nodes among the reduced nodes."""
+    h_r, h_x = np.linalg.inv(reduced_laplacian(g, "r")), np.linalg.inv(reduced_laplacian(g, "x"))
+    cols = np.array([g.reduced_nodes.index(n) for n in g.observed_nodes], dtype=np.intp)
+    return h_r, h_x, cols
 
 
-def solve_lcpf(g: Grid, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def solve_lcpf(h_r: np.ndarray, h_x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Voltage deviations for injection rows (or one row) over the reduced nodes.
 
-    Both inverses are symmetric, so v = p H_r^-1 + q H_x^-1 row by row. Rows
-    are multiplied _ROW_BLOCK at a time: a matrix product's rounding can
-    depend on its row count, and fixed blocks keep each row's bits the same
-    in a SIM_CHUNK window as in the whole run.
+    h_r and h_x are H_r^-1 and H_x^-1 over the reduced nodes; a simulation
+    forms them once per run and passes them to every window. Both are
+    symmetric, so v = p H_r^-1 + q H_x^-1 row by row. Rows are multiplied
+    _ROW_BLOCK at a time: a matrix product's rounding can depend on its row
+    count, and fixed blocks keep each row's bits the same in any window.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValidationError("p and q must have the same shape")
-    h_r, h_x = _h_inverses(g)
     if p.shape[-1:] != (len(h_r),):
         raise ValidationError(
             f"expected {len(h_r)} injection columns (reduced nodes), got shape {p.shape}"
@@ -184,44 +185,67 @@ def solve_lcpf(g: Grid, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     v = np.empty(p.shape)
     for row in range(0, len(p), _ROW_BLOCK):
         rows = slice(row, row + _ROW_BLOCK)
-        v[rows] = p[rows] @ h_r + q[rows] @ h_x
+        np.matmul(p[rows], h_r, out=v[rows])  # with the += below, the rounding of p H_r^-1 + q H_x^-1
+        v[rows] += q[rows] @ h_x
     return v
 
 
 def simulate(g: Grid, spec: InjectionSpec, T: int, seed: int) -> MeasurementSet:
-    """End-to-end draw: injections everywhere, measurements at observed leaves."""
-    return _measure(g, spec, T, seed, 0, _observed_columns(g))
+    """End-to-end draw: injections everywhere, measurements at observed leaves.
+
+    The windows of simulate_blocks() are written in place into (T, k) arrays
+    in Fortran order, like each window's: memory is the output plus about one
+    full-width window, and H_r^-1, H_x^-1 are formed once.
+    """
+    model = _run_model(g, spec, T)
+    v, p, q = (np.empty((T, len(g.observed_nodes)), order="F") for _ in "vpq")
+    for start in range(0, T, SIM_CHUNK):
+        rows = slice(start, min(start + SIM_CHUNK, T))
+        _fill_window(g, spec, seed, rows, model, v[rows], p[rows], q[rows])
+    return MeasurementSet(g.observed_nodes, v, p, q, seed=seed)
 
 
 def simulate_blocks(g: Grid, spec: InjectionSpec, T: int, seed: int) -> Iterator[MeasurementSet]:
     """simulate() as SIM_CHUNK-row windows, drawn and solved one at a time.
 
     Each window holds the same bits as the same rows of simulate(), and only
-    the window being consumed is alive. The grid, spec and T are checked here,
-    before any window is drawn.
+    the window being consumed is alive. The grid, spec and T are checked, and
+    H_r^-1, H_x^-1 formed, here, before any window is drawn.
     """
-    cols = _observed_columns(g)
-    _cholesky_coeffs(g, spec)
-    if T < 1:
-        raise ValidationError(f"sample count must be >= 1, got {T}")
-    return (_measure(g, spec, min(start + SIM_CHUNK, T), seed, start, cols)
+    model = _run_model(g, spec, T)
+    return (_window(g, spec, seed, slice(start, min(start + SIM_CHUNK, T)), model)
             for start in range(0, T, SIM_CHUNK))
 
 
-def _observed_columns(g: Grid) -> np.ndarray:
+def _run_model(g: Grid, spec: InjectionSpec, T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a simulation's grid, spec and T; form its forward model once."""
     ensure_valid(g)
-    cols = np.array([g.reduced_nodes.index(n) for n in g.observed_nodes])
-    if cols.size == 0:
+    if not g.observed_nodes:
         raise ValidationError("grid has no observed nodes to measure")
-    return cols
+    _cholesky_coeffs(g, spec)
+    if T < 1:
+        raise ValidationError(f"sample count must be >= 1, got {T}")
+    return _forward_model(g)
 
 
-def _measure(g: Grid, spec: InjectionSpec, T: int, seed: int, start: int,
-             cols: np.ndarray) -> MeasurementSet:
-    """Rows start..T-1 of the simulation, at the observed columns."""
-    p, q = sample_injections(g, spec, T, seed, start)
-    v = solve_lcpf(g, p, q)[:, cols]  # the hidden columns go before p and q are sliced
-    return MeasurementSet(g.observed_nodes, v, p[:, cols], q[:, cols], seed=seed)
+def _window(g: Grid, spec: InjectionSpec, seed: int, rows: slice,
+            model: tuple[np.ndarray, np.ndarray, np.ndarray]) -> MeasurementSet:
+    """One window of the simulation as its own measurement set."""
+    v, p, q = (np.empty((rows.stop - rows.start, len(g.observed_nodes)), order="F") for _ in "vpq")
+    _fill_window(g, spec, seed, rows, model, v, p, q)
+    return MeasurementSet(g.observed_nodes, v, p, q, seed=seed)
+
+
+def _fill_window(g: Grid, spec: InjectionSpec, seed: int, rows: slice,
+                 model: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 v: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
+    """Draw and solve rows of the simulation; write their observed columns into v, p, q."""
+    h_r, h_x, cols = model
+    p_full, q_full = sample_injections(g, spec, rows.stop, seed, rows.start)
+    v_full = solve_lcpf(h_r, h_x, p_full, q_full)
+    for out, full in ((v, v_full), (p, p_full), (q, q_full)):
+        for j, col in enumerate(cols):  # column by column: each is contiguous in out
+            out[:, j] = full[:, col]
 
 
 def analytic_moments(g: Grid, spec: InjectionSpec = InjectionSpec()) -> MomentSet:
@@ -231,8 +255,7 @@ def analytic_moments(g: Grid, spec: InjectionSpec = InjectionSpec()) -> MomentSe
     E[v_a q_b] = H_r^-1(a,b) E[p_b q_b] + H_x^-1(a,b) E[q_b^2]; injections are
     independent across nodes, so only node b's own moments survive.
     """
-    h_r, h_x = _h_inverses(g)
-    cols = np.array([g.reduced_nodes.index(n) for n in g.observed_nodes])
+    h_r, h_x, cols = _forward_model(g)
     spp, sqq, spq = np.empty(len(cols)), np.empty(len(cols)), np.empty(len(cols))
     for i, n in enumerate(g.observed_nodes):
         spp[i], sqq[i], spq[i] = spec.moments_for(n)

@@ -171,13 +171,21 @@ def test_invalid_generator_arguments_exit_one(tmp_path, capsys):
     assert not (tmp_path / "g6.json").exists()
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate-grid", "-o", str(tmp_path / "g.json")])  # missing --nodes
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    # simulate with nowhere to write would draw nothing and say nothing.
+    grid = tmp_path / "g.json"
+    main(["generate-grid", "--nodes", "12", "-o", str(grid)])
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--grid", str(grid), "--samples", "100"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "-o/--out" in err and "--moments" in err
     # Neither the witness radius, the eps growth factor nor the conditioning
     # threshold is a knob.
     for flag, value in (("--tau", "0.5"), ("--eps-growth", "2"), ("--lam", "0.1")):

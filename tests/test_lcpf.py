@@ -1,12 +1,14 @@
 """Linearized power-flow simulation and the analytic moment formulas."""
 import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gridtopo import (
     FormatError,
+    Grid,
     InjectionSpec,
     MeasurementSet,
     ValidationError,
@@ -16,14 +18,22 @@ from gridtopo import (
     load_measurements,
     random_radial_grid,
     read_measurement_blocks,
+    reduced_laplacian,
     sample_injections,
     save_measurements,
     simulate,
     simulate_blocks,
     solve_lcpf,
 )
+from gridtopo import grid as grid_module
+from gridtopo import lcpf
 from gridtopo.lcpf import SIM_CHUNK
 from gridtopo.moments import ACCUMULATOR_CHUNK
+
+
+def _inverses(g):
+    """H_r^-1 and H_x^-1 over g.reduced_nodes, as solve_lcpf takes them."""
+    return tuple(np.linalg.inv(reduced_laplacian(g, mode)) for mode in ("r", "x"))
 
 
 def test_solve_lcpf_unit_injection_reads_h_column(star_grid):
@@ -32,8 +42,9 @@ def test_solve_lcpf_unit_injection_reads_h_column(star_grid):
     unit[nodes.index("a")] = 1.0
     # A unit p at a reads the resistance-Laplacian inverse column of a; a
     # unit q reads the reactance analogue.
-    v_p = solve_lcpf(star_grid, unit, np.zeros_like(unit))
-    v_q = solve_lcpf(star_grid, np.zeros_like(unit), unit)
+    h = _inverses(star_grid)
+    v_p = solve_lcpf(*h, unit, np.zeros_like(unit))
+    v_q = solve_lcpf(*h, np.zeros_like(unit), unit)
     for i, n in enumerate(nodes):
         assert v_p[i] == pytest.approx(h_inverse_entry(star_grid, n, "a", "r"))
         assert v_q[i] == pytest.approx(h_inverse_entry(star_grid, n, "a", "x"))
@@ -52,7 +63,8 @@ def test_solve_lcpf_matches_path_identity():
         )
         p, q = rng.normal(size=(2, 6, len(nodes)))
         want = p @ h_r + q @ h_x
-        for got, ref in ((solve_lcpf(g, p, q), want), (solve_lcpf(g, p[2], q[2]), want[2])):
+        h = _inverses(g)
+        for got, ref in ((solve_lcpf(*h, p, q), want), (solve_lcpf(*h, p[2], q[2]), want[2])):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -62,16 +74,18 @@ def test_solve_lcpf_superposition(star_grid):
     m = len(star_grid.reduced_nodes)
     p1, q1 = rng.normal(size=m), rng.normal(size=m)
     p2, q2 = rng.normal(size=m), rng.normal(size=m)
-    v1 = solve_lcpf(star_grid, p1, q1)
-    v2 = solve_lcpf(star_grid, p2, q2)
-    assert np.allclose(solve_lcpf(star_grid, p1 + p2, q1 + q2), v1 + v2)
+    h = _inverses(star_grid)
+    v1 = solve_lcpf(*h, p1, q1)
+    v2 = solve_lcpf(*h, p2, q2)
+    assert np.allclose(solve_lcpf(*h, p1 + p2, q1 + q2), v1 + v2)
 
 
 def test_solve_lcpf_shape_checks(star_grid):
+    h = _inverses(star_grid)
     with pytest.raises(ValidationError):
-        solve_lcpf(star_grid, np.zeros(3), np.zeros(3))
+        solve_lcpf(*h, np.zeros(3), np.zeros(3))
     with pytest.raises(ValidationError):
-        solve_lcpf(star_grid, np.zeros(4), np.zeros(5))
+        solve_lcpf(*h, np.zeros(4), np.zeros(5))
 
 
 def test_simulate_exposes_only_observed_terminals(star_grid):
@@ -125,24 +139,93 @@ def test_injection_row_windows_are_slices_of_the_full_draw(star_grid, family):
         sample_injections(star_grid, spec, SIM_CHUNK, seed=8, start=SIM_CHUNK)
 
 
+def _whole_run(g, spec, T, seed):
+    """The simulation as one whole-T array: one draw, one solve, then the columns."""
+    p, q = sample_injections(g, spec, T, seed)
+    v = solve_lcpf(*_inverses(g), p, q)
+    cols = [g.reduced_nodes.index(n) for n in g.observed_nodes]
+    return MeasurementSet(g.observed_nodes, v[:, cols], p[:, cols], q[:, cols], seed=seed)
+
+
 @pytest.mark.parametrize("n", [30, 200])
 def test_simulate_blocks_are_windows_of_simulate(n):
-    # At n = 200 a matrix product's rounding depends on its row count, so
-    # this holds only because both paths solve the same fixed row blocks.
+    # simulate() and its windows must equal one whole-T draw and solve bit
+    # for bit, in the Fortran order of its column slices: accumulate's
+    # pp/qq/pq rounding depends on it. At n = 200 a matrix product's rounding
+    # depends on its row count, so this holds only because every path
+    # solves the same fixed row blocks.
     g = random_radial_grid(n, 1)
+    moments = ("vp", "vq", "pp", "qq", "pq")
     for family in ("gaussian", "uniform"):
         spec = InjectionSpec(sigma_pq=0.3, family=family)
-        for T in (1, SIM_CHUNK - 1, SIM_CHUNK, SIM_CHUNK + 1, 2 * SIM_CHUNK + 5):
+        for T in (1, 511, SIM_CHUNK - 1, SIM_CHUNK, SIM_CHUNK + 1, 2 * SIM_CHUNK + 5):
+            ref = _whole_run(g, spec, T, seed=6)
             whole = simulate(g, spec, T, seed=6)
             blocks = list(simulate_blocks(g, spec, T, seed=6))
             assert [b.T for b in blocks] == [min(SIM_CHUNK, T - s) for s in range(0, T, SIM_CHUNK)]
             assert all(b.nodes == whole.nodes and b.seed == 6 for b in blocks)
             for name in ("v", "p", "q"):
-                got = np.concatenate([getattr(b, name) for b in blocks])
-                assert got.tobytes() == getattr(whole, name).tobytes(), (family, T, name)
-            assert accumulate(blocks).vp.tobytes() == accumulate(whole).vp.tobytes()
+                want = getattr(ref, name)
+                parts = [getattr(whole, name)] + [getattr(b, name) for b in blocks]
+                assert want.flags.f_contiguous and all(a.flags.f_contiguous for a in parts)
+                assert parts[0].tobytes() == want.tobytes(), (family, T, name)
+                assert np.concatenate(parts[1:]).tobytes() == want.tobytes(), (family, T, name)
+            for t in sorted({1, T // 2 or 1, T}):
+                got, want = accumulate(whole.head(t)), accumulate(ref.head(t))
+                for name in moments:
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (T, t, name)
+            got, want = accumulate(blocks), accumulate(ref)
+            for name in moments:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (T, name)
     with pytest.raises(ValidationError):
         simulate_blocks(g, InjectionSpec(), 0, seed=6)  # before any window is drawn
+
+
+def test_simulate_memory_is_flat_in_the_sample_count():
+    # Above its three (T, k) outputs, simulate holds about one full-width
+    # window, whatever T is.
+    g = random_radial_grid(100, 1)
+    k = len(g.observed_nodes)
+    extra = []
+    for T in (SIM_CHUNK, 4 * SIM_CHUNK):
+        tracemalloc.start()
+        try:
+            ms = simulate(g, InjectionSpec(), T, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ms.T == T
+        extra.append(peak - 3 * T * k * 8)
+        del ms
+    assert extra[1] <= 1.25 * extra[0], extra
+
+
+def test_simulation_forms_the_model_once_and_draws_once_per_window(monkeypatch, cherry_grid):
+    calls = {"_forward_model": 0, "sample_injections": 0, "solve_lcpf": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(lcpf, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(lcpf, name, counted)
+    T = 2 * SIM_CHUNK + 5
+    for run in (lambda: simulate(cherry_grid, InjectionSpec(), T, seed=2),
+                lambda: list(simulate_blocks(cherry_grid, InjectionSpec(), T, seed=2))):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert calls == {"_forward_model": 1, "sample_injections": 3, "solve_lcpf": 3}
+
+
+def test_simulate_validates_the_grid_once(monkeypatch):
+    made = random_radial_grid(30, 2)
+    g = Grid(made.nodes, made.edges, made.roots, made.observed)  # nothing cached yet
+    calls = []
+    validate = grid_module.validate_grid
+    monkeypatch.setattr(grid_module, "validate_grid", lambda g: calls.append(g) or validate(g))
+    simulate(g, InjectionSpec(), 2 * SIM_CHUNK + 5, seed=1)
+    assert len(calls) == 1 and calls[0] is g
+    simulate(g, InjectionSpec(), 10, seed=1)
+    analytic_moments(g)
+    assert len(calls) == 1
 
 
 def test_sample_injection_moments_match_spec(star_grid):
