@@ -17,7 +17,7 @@ import time
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -239,16 +239,6 @@ def impedance_error(true_grid, learned) -> float:
     return _split_impedance_error(*_paired_splits(true_grid, learned))
 
 
-def match_hidden_and_diff(truth: Grid, learned) -> int:
-    """Edge difference after matching hidden junctions across the two trees.
-
-    Junctions are matched implicitly through the terminal bipartition each
-    line induces, which is exact for trees with labeled terminals; the count
-    is the symmetric difference of the line multisets under that matching.
-    """
-    return edge_difference(truth, learned)
-
-
 @dataclass(frozen=True)
 class EvalReport:
     exact_recovery: bool
@@ -427,10 +417,10 @@ def summarize(cfg: ExperimentConfig, rows: list[TrialResult]) -> dict:
             "mean_impedance_error": float(np.mean(imps)) if imps else None,
             "failures": sum(1 for r in batch if r.error),
         })
-    config = config_to_dict(cfg)
+    config = asdict(cfg)  # json renders its tuples as lists
     # Thread count changes scheduling, never results; keeping it out of the
     # artifact keeps summaries byte-identical across worker counts.
-    config.pop("threads", None)
+    del config["threads"]
     return {"config": config, "cells": out}
 
 
@@ -472,14 +462,6 @@ def write_summary_json(cfg: ExperimentConfig, rows: list[TrialResult], path: str
     Path(path).write_text(json.dumps(summarize(cfg, rows), indent=2) + "\n")
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        out[f.name] = list(val) if isinstance(val, tuple) else val
-    return out
-
-
 # Config file keys. Impedance bounds are flattened (r_lo/r_hi, x_lo/x_hi).
 _INT_KEYS = {"n", "trials", "seed", "max_degree", "threads"}
 _FLOAT_KEYS = {"sigma_pp", "sigma_qq", "sigma_pq"}
@@ -492,14 +474,17 @@ CONFIG_KEYS = sorted(_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOUND_KEYS | _LIST_K
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Parse a `key = value` experiment config file; unknown keys are errors.
 
-    Keys: n, max_degree, r_lo, r_hi, x_lo, x_hi, samples, eps0, trials, seed,
-    eps_mode, sigma_pp, sigma_qq, sigma_pq, injection_family, threads, name.
-    Lists (samples, eps0) are comma-separated; '#' starts a comment.
+    The keys are CONFIG_KEYS. Lists (samples, eps0) are comma-separated;
+    '#' starts a comment. Every fault raises FormatError naming the file.
     """
     path = Path(path)
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        raise FormatError(f"{path}: file not found") from None
     values: dict = {}
     bounds: dict[str, float] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -536,26 +521,3 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         return ExperimentConfig(**values)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-
-
-def save_experiment_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    lines = [
-        f"name = {cfg.name}",
-        f"n = {cfg.n}",
-        f"max_degree = {cfg.max_degree}",
-        f"r_lo = {cfg.r_range[0]!r}",
-        f"r_hi = {cfg.r_range[1]!r}",
-        f"x_lo = {cfg.x_range[0]!r}",
-        f"x_hi = {cfg.x_range[1]!r}",
-        f"samples = {', '.join(str(t) for t in cfg.samples)}",
-        f"eps0 = {', '.join(repr(e) for e in cfg.eps0)}",
-        f"eps_mode = {cfg.eps_mode}",
-        f"trials = {cfg.trials}",
-        f"seed = {cfg.seed}",
-        f"sigma_pp = {cfg.sigma_pp!r}",
-        f"sigma_qq = {cfg.sigma_qq!r}",
-        f"sigma_pq = {cfg.sigma_pq!r}",
-        f"injection_family = {cfg.injection_family}",
-        f"threads = {cfg.threads}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")

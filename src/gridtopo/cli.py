@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from .bench import (
-    ExperimentConfig,
+    CONFIG_KEYS,
     evaluate,
     load_experiment_config,
     random_radial_grid,
@@ -25,7 +24,7 @@ from .bench import (
     write_results_csv,
     write_summary_json,
 )
-from .exceptions import Error
+from .exceptions import Error, FormatError, ValidationError
 from .grid import Grid, ensure_valid, load_grid, save_grid
 from .grouping import RGConfig
 from .learn import LearnedGrid, learn_from_moments, load_learned, save_learned
@@ -43,11 +42,7 @@ MEAS_FORMAT = (
 )
 MOMENTS_FORMAT = "moments JSON: node list, sample count, dense moment tables"
 LEARNED_FORMAT = "learned grid JSON: grid JSON schema plus a 'provenance' object"
-CONFIG_FORMAT = (
-    "experiment config: 'key = value' lines; keys n, max_degree, r_lo, r_hi, "
-    "x_lo, x_hi, samples, eps0, trials, seed, eps_mode, sigma_pp, sigma_qq, "
-    "sigma_pq, injection_family, threads, name"
-)
+CONFIG_FORMAT = f"experiment config: 'key = value' lines; keys {', '.join(CONFIG_KEYS)}"
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -106,12 +101,7 @@ def _report_line(report) -> str:
 
 
 def _write_report_json(report, path: str) -> None:
-    payload = {
-        "exact_recovery": report.exact_recovery,
-        "edge_difference": report.edge_difference,
-        "avg_impedance_error": report.avg_impedance_error,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(asdict(report), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +143,10 @@ def _folded(blocks, acc: MomentAccumulator):
 
 def _cmd_estimate(args) -> int:
     if args.measurements:
-        m = accumulate(read_measurement_blocks(args.measurements))
+        try:  # the CSV format holds any float; the moments must be finite
+            m = accumulate(read_measurement_blocks(args.measurements))
+        except ValidationError as exc:
+            raise FormatError(f"{args.measurements}: {exc}") from None
     else:
         m = load_moments(args.moments)
     learned = learn_from_moments(m, cfg=_rg_config(args))
@@ -195,8 +188,6 @@ def _cmd_pipeline(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_experiment_config(args.config)
     if args.threads is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, threads=args.threads)
     rows = run_experiment(cfg)
     out_dir = Path(args.out_dir)

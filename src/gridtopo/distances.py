@@ -16,6 +16,8 @@ def _canonical(d: np.ndarray, label: str) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValidationError(f"{label}: expected a square matrix, got shape {d.shape}")
+    if not np.isfinite(d).all():
+        raise ValidationError(f"{label}: matrix has non-finite entries")
     if np.abs(d - d.T).max(initial=0.0) > _SYM_TOL:
         raise ValidationError(f"{label}: matrix is not symmetric")
     if np.abs(np.diagonal(d)).max(initial=0.0) > _SYM_TOL:
@@ -85,16 +87,3 @@ class DistanceMatrix:
         d_r = path_lengths(B, np.array([e.r for e in g.edges]))
         d_x = path_lengths(B, np.array([e.x for e in g.edges]))
         return cls(tuple(nodes), d_r, d_x)
-
-
-def perturbed(dm: DistanceMatrix, noise: float, seed: int) -> DistanceMatrix:
-    """Add independent uniform(-noise, +noise) error to each off-diagonal entry."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for d in (dm.d_r, dm.d_x):
-        m = d.shape[0]
-        delta = rng.uniform(-noise, noise, size=(m, m))
-        delta = np.triu(delta, k=1)
-        delta = delta + delta.T
-        out.append(d + delta)
-    return DistanceMatrix(dm.nodes, out[0], out[1])

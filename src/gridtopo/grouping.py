@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import DistanceMatrix, _canonical
+from .distances import _canonical
 from .exceptions import (
     GroupingStalledError,
     NegativeLengthWarning,
@@ -94,21 +94,6 @@ class LearnedTree:
     edges: tuple[TreeEdge, ...]
     hidden: frozenset[str]
     diagnostics: RGDiagnostics | None = field(default=None, compare=False, repr=False)
-
-    def adjacency(self) -> dict[str, dict[str, float]]:
-        adj: dict[str, dict[str, float]] = {n: {} for n in self.nodes}
-        for e in self.edges:
-            adj[e.u][e.v] = e.length
-            adj[e.v][e.u] = e.length
-        return adj
-
-    def degree(self, node: str) -> int:
-        return len(self.adjacency()[node])
-
-    @property
-    def leaves(self) -> tuple[str, ...]:
-        adj = self.adjacency()
-        return tuple(n for n in self.nodes if len(adj[n]) <= 1)
 
     def path_incidence(self, nodes: tuple[str, ...]) -> np.ndarray:
         """grid.path_incidence of `nodes`, anchored at nodes[0] of the tree.
@@ -467,18 +452,13 @@ def _rg_core(
     return tree
 
 
-def _grouping_input(
-    O: tuple[str, ...] | list[str], d: DistanceMatrix | np.ndarray, mode: str
-) -> tuple[tuple[str, ...], np.ndarray]:
+def _grouping_input(O: tuple[str, ...] | list[str], d: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     O = tuple(O)
     if len(set(O)) != len(O):
         raise ValidationError("node list contains duplicates")
     if len(O) == 0:
         raise ValidationError("node list is empty")
-    if isinstance(d, DistanceMatrix):
-        D = np.array(d.sub(O).mode(mode))
-    else:
-        D = np.array(_canonical(np.asarray(d, dtype=float), "distance matrix"))
+    D = np.array(_canonical(d, "distance matrix"))
     if D.shape[0] != len(O):
         raise ValidationError(f"distance matrix is {D.shape[0]}x{D.shape[0]} for {len(O)} nodes")
     return O, D
@@ -486,20 +466,20 @@ def _grouping_input(
 
 def rg_sampled(
     O: tuple[str, ...] | list[str],
-    d: DistanceMatrix | np.ndarray,
+    d: np.ndarray,
     cfg: RGConfig | None = None,
-    mode: str = "r",
 ) -> LearnedTree:
     """Grouping under noise: tolerance eps with the configured schedule.
 
-    Each pair keeps its WITNESS_CAP closest witnesses, and a round that had
-    to escalate eps commits every block that formed. Warns with
+    d holds the distances between the nodes O, in O's order. Each pair
+    keeps its WITNESS_CAP closest witnesses, and a round that had to
+    escalate eps commits every block that formed. Warns with
     NegativeLengthWarning when negative edge lengths were clamped to zero.
     Raises GroupingStalledError (carrying the partial tree) when the round
     budget of 4 rounds per input node runs out or a fixed eps makes no
     progress.
     """
-    O, D = _grouping_input(O, d, mode)
+    O, D = _grouping_input(O, d)
     tree = _rg_core(list(O), D, cfg or RGConfig(), WITNESS_CAP)
     clamped = tree.diagnostics.clamped_lengths
     if clamped:
@@ -511,23 +491,18 @@ def rg_sampled(
     return tree
 
 
-def rg_exact(
-    O: tuple[str, ...] | list[str],
-    d: DistanceMatrix | np.ndarray,
-    mode: str = "r",
-    tol: float = EXACT_TOL,
-) -> LearnedTree:
+def rg_exact(O: tuple[str, ...] | list[str], d: np.ndarray) -> LearnedTree:
     """Grouping for exact additive metrics; tolerance covers rounding only.
 
     Every witness is decisive on exact inputs, so none is trimmed: each pair
-    is tested against all other nodes, at the fixed tolerance tol, within
-    the same budget of 4 rounds per input node. The output tree is verified
-    to reproduce the input distances; a stalled round or any violation
-    beyond tol means the input was not an additive tree metric and raises
-    NotAdditiveError.
+    is tested against all other nodes, at the fixed tolerance EXACT_TOL,
+    within the same budget of 4 rounds per input node. The output tree is
+    verified to reproduce the input distances; a stalled round or any
+    violation beyond EXACT_TOL means the input was not an additive tree
+    metric and raises NotAdditiveError.
     """
-    O, D = _grouping_input(O, d, mode)
-    cfg = RGConfig(eps0=tol, dynamic_eps=False)
+    O, D = _grouping_input(O, d)
+    cfg = RGConfig(eps0=EXACT_TOL, dynamic_eps=False)
     try:
         tree = _rg_core(list(O), D, cfg, witness_cap=None)
     except GroupingStalledError as exc:
@@ -536,7 +511,7 @@ def rg_exact(
         ) from exc
     rebuilt = tree_path_lengths(tree, O)
     violation = float(np.abs(rebuilt - D).max())
-    allow = tol * max(1.0, float(np.abs(D).max()))
+    allow = EXACT_TOL * max(1.0, float(np.abs(D).max()))
     if violation > allow:
         raise NotAdditiveError(
             f"input distances are not an additive tree metric "

@@ -51,25 +51,16 @@ class MomentSet:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         m = len(self.nodes)
-        for name in ("vp", "vq"):
+        for name in ("vp", "vq", "pp", "qq", "pq"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (m, m):
-                raise ValidationError(f"moment block {name!r}: expected shape {(m, m)}, got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        for name in ("pp", "qq", "pq"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (m,):
-                raise ValidationError(f"moment block {name!r}: expected shape {(m,)}, got {arr.shape}")
+            shape = (m, m) if name in ("vp", "vq") else (m,)
+            if arr.shape != shape:
+                raise ValidationError(f"moment block {name!r}: expected shape {shape}, got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"moment block {name!r} has non-finite entries")
             object.__setattr__(self, name, arr)
         if self.count is not None and self.count < 0:
             raise ValidationError(f"sample count must be >= 0, got {self.count}")
-
-    @classmethod
-    def empty(cls, nodes: tuple[str, ...]) -> "MomentSet":
-        """Zero-count identity element for merge()."""
-        m = len(nodes)
-        z = np.zeros((m, m))
-        return cls(tuple(nodes), 0, z, z.copy(), np.zeros(m), np.zeros(m), np.zeros(m))
 
     def index(self, node: str) -> int:
         try:
@@ -81,9 +72,8 @@ class MomentSet:
 class MomentAccumulator:
     """Streaming accumulator for the five moment blocks.
 
-    Data is folded in fixed-size chunks; each chunk contributes its own mean,
-    merged with a count-weighted update. That keeps the result identical (to
-    rounding) whether the data arrives in one pass or in parts joined by merge().
+    Data is folded in blocks; each block contributes its own mean, merged
+    with a count-weighted update.
     """
 
     def __init__(self, nodes: tuple[str, ...]):
@@ -105,11 +95,12 @@ class MomentAccumulator:
         if v.shape != p.shape or v.shape != q.shape or v.shape[1] != len(self.nodes):
             raise ValidationError("measurement block shapes do not match the node list")
         w = t / (self.count + t)
-        self._vp += w * (v.T @ p / t - self._vp)
-        self._vq += w * (v.T @ q / t - self._vq)
-        self._pp += w * ((p * p).mean(axis=0) - self._pp)
-        self._qq += w * ((q * q).mean(axis=0) - self._qq)
-        self._pq += w * ((p * q).mean(axis=0) - self._pq)
+        with np.errstate(over="ignore", invalid="ignore"):  # result() rejects non-finite moments
+            self._vp += w * (v.T @ p / t - self._vp)
+            self._vq += w * (v.T @ q / t - self._vq)
+            self._pp += w * ((p * p).mean(axis=0) - self._pp)
+            self._qq += w * ((q * q).mean(axis=0) - self._qq)
+            self._pq += w * ((p * q).mean(axis=0) - self._pq)
         self.count += t
 
     def result(self) -> MomentSet:
@@ -120,14 +111,12 @@ class MomentAccumulator:
         )
 
 
-def accumulate(
-    source: "MeasurementSet | Iterable[MeasurementSet]", chunk: int = ACCUMULATOR_CHUNK,
-) -> MomentSet:
+def accumulate(source: "MeasurementSet | Iterable[MeasurementSet]") -> MomentSet:
     """Second moments of a measurement set, or of its consecutive row blocks.
 
     Blocks (simulate_blocks, read_measurement_blocks) are folded as they
-    arrive and dropped, each in chunk-row pieces; blocks of chunk rows give
-    the same bits as the set they were cut from.
+    arrive and dropped, each in ACCUMULATOR_CHUNK-row pieces; blocks of
+    ACCUMULATOR_CHUNK rows give the same bits as the set they were cut from.
     """
     from .lcpf import MeasurementSet  # lcpf imports this module
 
@@ -137,30 +126,13 @@ def accumulate(
             acc = MomentAccumulator(ms.nodes)
         elif ms.nodes != acc.nodes:
             raise ValidationError("measurement blocks cover different node lists")
-        for start in range(0, ms.T, chunk):
-            stop = min(start + chunk, ms.T)
+        for start in range(0, ms.T, ACCUMULATOR_CHUNK):
+            stop = min(start + ACCUMULATOR_CHUNK, ms.T)
             acc.update(ms.v[start:stop], ms.p[start:stop], ms.q[start:stop])
         del ms  # not alive while the next block is read
     if acc is None or acc.count == 0:
         raise ValidationError("cannot accumulate an empty measurement set")
     return acc.result()
-
-
-def merge(m1: MomentSet, m2: MomentSet) -> MomentSet:
-    """Count-weighted combination; equals accumulating the concatenated data."""
-    if m1.nodes != m2.nodes:
-        raise ValidationError("cannot merge moment sets over different node lists")
-    if m1.count is None or m2.count is None:
-        raise ValidationError("analytic moment sets (count=None) cannot be merged")
-    total = m1.count + m2.count
-    if total == 0:
-        return MomentSet.empty(m1.nodes)
-    w = m2.count / total
-    blocks = [
-        getattr(m1, name) + w * (getattr(m2, name) - getattr(m1, name))
-        for name in ("vp", "vq", "pp", "qq", "pq")
-    ]
-    return MomentSet(m1.nodes, total, *blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 Used to verify the packaged edge-difference computation on every leaf-labeled
 tree with a handful of terminals: the naive distance recomputes each line's
 terminal bipartition by cutting the line and flooding the remainder, and the
-naive isomorphism check tries every hidden-node bijection outright.
+naive isomorphism check tries every hidden-node bijection outright. Also
+holds the noisy-distance and node-degree helpers the grouping tests share.
 """
 import itertools
 from collections import Counter
 
-from gridtopo import Edge, LearnedGrid
+import numpy as np
+
+from gridtopo import DistanceMatrix, Edge, LearnedGrid
 
 Tree = tuple[tuple[str, ...], frozenset]  # (hidden names, edge set of frozenset pairs)
 
@@ -109,3 +112,21 @@ def brute_isomorphic(t1: Tree, t2: Tree) -> bool:
         if mapped == plain2:
             return True
     return False
+
+
+def perturbed(dm: DistanceMatrix, noise: float, seed: int) -> DistanceMatrix:
+    """Add independent uniform(-noise, +noise) error to each off-diagonal entry."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for d in (dm.d_r, dm.d_x):
+        m = d.shape[0]
+        delta = rng.uniform(-noise, noise, size=(m, m))
+        delta = np.triu(delta, k=1)
+        delta = delta + delta.T
+        out.append(d + delta)
+    return DistanceMatrix(dm.nodes, out[0], out[1])
+
+
+def degrees(tree) -> Counter:
+    """Line count at each node of a tree with .edges of (u, v, ...)."""
+    return Counter(n for e in tree.edges for n in (e.u, e.v))

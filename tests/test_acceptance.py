@@ -18,12 +18,12 @@ from gridtopo import (
     LearnedGrid,
     analytic_moments,
     assign_reactances,
+    edge_difference,
     edge_splits,
     estimate_distances,
     h_inverse_entry,
     impedance_error,
     learn_from_samples,
-    match_hidden_and_diff,
     random_radial_grid,
     reduced_laplacian,
     rg_exact,
@@ -66,8 +66,8 @@ def test_criterion_1_exact_pipeline_oracle():
             r_range=(0.1, 0.2), x_range=(0.1, 0.2),
         )
         d = estimate_distances(analytic_moments(g))
-        tree = rg_exact(g.observed_nodes, d)
-        if match_hidden_and_diff(g, tree) != 0:
+        tree = rg_exact(g.observed_nodes, d.d_r)
+        if edge_difference(g, tree) != 0:
             wrong_topology += 1
             continue
         learned = _learned_from_exact(g, d, tree)
@@ -224,7 +224,7 @@ def test_criterion_6_round_bound():
         n = int(rng.integers(10, 100))
         g = random_radial_grid(n, seed=int(rng.integers(1 << 31)))
         d = estimate_distances(analytic_moments(g))
-        tree = rg_exact(g.observed_nodes, d)
+        tree = rg_exact(g.observed_nodes, d.d_r)
         rounds = tree.diagnostics.rounds
         worst = max(worst, rounds / g.depth)
         if rounds > g.depth:
@@ -270,8 +270,7 @@ def test_criterion_7_metric_unit_cases():
         leaves = tuple("abcde"[:size])
         trees = enumerate_leaf_trees(leaves)
         for t1, t2 in itertools.product(trees, trees):
-            got = match_hidden_and_diff(as_learned_grid(leaves, t1),
-                                        as_learned_grid(leaves, t2))
+            got = edge_difference(as_learned_grid(leaves, t1), as_learned_grid(leaves, t2))
             checked += 1
             if got != naive_edge_difference(leaves, t1, t2):
                 mismatches += 1

@@ -1,7 +1,9 @@
 """Benchmark harness: generator, scoring metrics, sweeps, and artifacts."""
 import itertools
+import json
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,10 +28,8 @@ from gridtopo import (
     learn_from_moments,
     analytic_moments,
     load_experiment_config,
-    match_hidden_and_diff,
     random_radial_grid,
     run_experiment,
-    save_experiment_config,
     summarize,
     tradeoff_report,
     validate_grid,
@@ -124,7 +124,6 @@ def test_edge_splits_reject_non_trees(split_grid):
 def test_edge_difference_zero_for_relabeled_copy(cherry_grid):
     lg = learn_from_moments(analytic_moments(cherry_grid))
     assert edge_difference(cherry_grid, lg) == 0
-    assert match_hidden_and_diff(cherry_grid, lg) == 0
 
 
 def test_edge_difference_requires_same_terminals(star_grid, cherry_grid):
@@ -211,15 +210,14 @@ def test_impedance_error_undefined_when_topology_differs(star_grid):
         impedance_error(star_grid, other)
 
 
-def test_match_hidden_and_diff_agrees_with_brute_force():
+def test_edge_difference_agrees_with_brute_force():
     for size in (3, 4, 5):
         leaves = tuple("abcde"[:size])
         trees = enumerate_leaf_trees(leaves)
         expected = {3: 1, 4: 4, 5: 26}[size]
         assert len(trees) == expected
         for t1, t2 in itertools.product(trees, trees):
-            got = match_hidden_and_diff(as_learned_grid(leaves, t1),
-                                        as_learned_grid(leaves, t2))
+            got = edge_difference(as_learned_grid(leaves, t1), as_learned_grid(leaves, t2))
             want = naive_edge_difference(leaves, t1, t2)
             assert got == want, (t1, t2)
             # Zero distance must mean genuinely the same tree, and only then.
@@ -275,7 +273,7 @@ def test_run_experiment_shape_and_determinism():
 
 def test_run_experiment_thread_count_is_invisible():
     serial = run_experiment(SMALL)
-    threaded = run_experiment(ExperimentConfig(**{**_cfg_dict(SMALL), "threads": 4}))
+    threaded = run_experiment(replace(SMALL, threads=4))
     assert serial == threaded
 
 
@@ -294,12 +292,6 @@ def test_threaded_sweep_keeps_warnings_silenced():
     finally:
         sys.setswitchinterval(interval)
     assert not [w for w in caught if issubclass(w.category, NegativeLengthWarning)]
-
-
-def _cfg_dict(cfg: ExperimentConfig) -> dict:
-    from dataclasses import asdict
-
-    return asdict(cfg)
 
 
 def test_more_samples_do_not_hurt_small_grids():
@@ -334,14 +326,55 @@ def test_artifacts_are_byte_deterministic(tmp_path):
     assert a_json.read_bytes() == b_json.read_bytes()
 
 
+TRADEOFF = ExperimentConfig(
+    name="tradeoff", n=12, trials=2, samples=(100, 200), eps0=(0.07, 0.1),
+    eps_mode="fixed", seed=9, injection_family="uniform",
+)
+
+
 def test_experiment_config_round_trip(tmp_path):
-    cfg = ExperimentConfig(
-        name="tradeoff", n=12, trials=2, samples=(100, 200), eps0=(0.07, 0.1),
-        eps_mode="fixed", seed=9, injection_family="uniform",
-    )
     path = tmp_path / "exp.cfg"
-    save_experiment_config(cfg, path)
-    assert load_experiment_config(path) == cfg
+    path.write_text(
+        "name = tradeoff\nn = 12\nmax_degree = 4\n"
+        "r_lo = 0.05\nr_hi = 0.5\nx_lo = 0.05\nx_hi = 0.5\n"
+        "samples = 100, 200\neps0 = 0.07, 0.1\neps_mode = fixed  # no escalation\n"
+        "trials = 2\nseed = 9\nsigma_pp = 1.0\nsigma_qq = 1.0\nsigma_pq = 0.0\n"
+        "injection_family = uniform\nthreads = 1\n"
+    )
+    assert load_experiment_config(path) == TRADEOFF
+
+
+def test_summary_config_bytes_are_pinned():
+    # The summary artifact's config block, byte for byte; threads stays out.
+    text = json.dumps(summarize(replace(TRADEOFF, threads=3), [])["config"], indent=2)
+    assert text == """{
+  "name": "tradeoff",
+  "n": 12,
+  "trials": 2,
+  "samples": [
+    100,
+    200
+  ],
+  "eps0": [
+    0.07,
+    0.1
+  ],
+  "eps_mode": "fixed",
+  "seed": 9,
+  "max_degree": 4,
+  "r_range": [
+    0.05,
+    0.5
+  ],
+  "x_range": [
+    0.05,
+    0.5
+  ],
+  "sigma_pp": 1.0,
+  "sigma_qq": 1.0,
+  "sigma_pq": 0.0,
+  "injection_family": "uniform"
+}"""
 
 
 def test_experiment_config_file_errors(tmp_path):
@@ -360,6 +393,10 @@ def test_experiment_config_file_errors(tmp_path):
     gone.write_text("eps_growth = 2\n")
     with pytest.raises(FormatError, match="unknown key 'eps_growth'"):
         load_experiment_config(gone)
+    missing = tmp_path / "absent.cfg"
+    with pytest.raises(FormatError) as err:
+        load_experiment_config(missing)
+    assert str(err.value) == f"{missing}: file not found"
 
 
 def test_experiment_config_validation():

@@ -6,14 +6,12 @@ import tracemalloc
 import pytest
 
 from gridtopo import (
-    ExperimentConfig,
     InjectionSpec,
     accumulate,
     load_grid,
     load_moments,
     random_radial_grid,
     read_measurement_blocks,
-    save_experiment_config,
     save_grid,
     save_measurements,
     simulate,
@@ -138,10 +136,8 @@ def test_pipeline_command_single_shot(tmp_path, capsys):
 
 
 def test_sweep_outputs_are_thread_invariant(tmp_path):
-    cfg = ExperimentConfig(name="tiny", n=9, trials=2, samples=(400, 1500),
-                           eps0=(0.1,), seed=11)
     cfg_path = tmp_path / "exp.cfg"
-    save_experiment_config(cfg, cfg_path)
+    cfg_path.write_text("name = tiny\nn = 9\ntrials = 2\nsamples = 400, 1500\neps0 = 0.1\nseed = 11\n")
 
     out1, out4 = tmp_path / "run1", tmp_path / "run4"
     assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out1),
@@ -157,6 +153,25 @@ def test_missing_input_file_exits_one(tmp_path, capsys):
                "--samples", "10", "-o", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# One p value per case: nan and inf spoil E[v p] first; 1e308 overflows p * p.
+@pytest.mark.parametrize("value, block", [("nan", "vp"), ("inf", "vp"), ("1e308", "pp")])
+def test_non_finite_moments_from_a_csv_exit_one(tmp_path, capsys, value, block):
+    # The CSV holds any float, bit for bit, so the moment check must stop
+    # these: a NaN distance passes no eps test, and grouping would not end.
+    grid, csv = tmp_path / "grid.json", tmp_path / "meas.csv"
+    main(["generate-grid", "--nodes", "12", "-o", str(grid)])
+    main(["simulate", "--grid", str(grid), "--samples", "20", "-o", str(csv)])
+    lines = csv.read_text().splitlines(keepends=True)
+    fields = lines[5].split(",")  # line 6 of the file
+    fields[2] = value
+    lines[5] = ",".join(fields)
+    csv.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["estimate", "--measurements", str(csv), "-o", str(tmp_path / "l.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {csv}: moment block {block!r} has non-finite entries\n"
 
 
 def test_invalid_generator_arguments_exit_one(tmp_path, capsys):

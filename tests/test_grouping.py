@@ -10,8 +10,7 @@ from gridtopo import (
     NotAdditiveError,
     RGConfig,
     ValidationError,
-    match_hidden_and_diff,
-    perturbed,
+    edge_difference,
     random_radial_grid,
     rg_exact,
     rg_sampled,
@@ -25,6 +24,7 @@ from gridtopo.grouping import (
     _pair_stats,
     _relations_from_stats,
 )
+from _trees import degrees, perturbed
 
 STAR_NODES = ("a", "b", "c")
 STAR_D = np.array([
@@ -240,7 +240,7 @@ def test_rg_exact_star_recovers_hub():
     hub = next(iter(tree.hidden))
     lengths = sorted(e.length for e in tree.edges)
     assert lengths == pytest.approx([1.0, 2.0, 3.0])
-    assert tree.degree(hub) == 3
+    assert degrees(tree)[hub] == 3
     rebuilt = tree_path_lengths(tree, STAR_NODES)
     assert np.allclose(rebuilt, STAR_D, atol=1e-12)
 
@@ -248,8 +248,8 @@ def test_rg_exact_star_recovers_hub():
 def test_rg_exact_cherry_topology(cherry_grid):
     d = DistanceMatrix.from_grid(cherry_grid)
     for mode in ("r", "x"):
-        tree = rg_exact(cherry_grid.observed_nodes, d, mode=mode)
-        assert match_hidden_and_diff(cherry_grid, tree) == 0
+        tree = rg_exact(cherry_grid.observed_nodes, d.mode(mode))
+        assert edge_difference(cherry_grid, tree) == 0
         assert len(tree.hidden) == 3
 
 
@@ -259,8 +259,8 @@ def test_rg_exact_random_grids_roundtrip():
         n = int(rng.integers(6, 40))
         g = random_radial_grid(n, seed=int(rng.integers(1 << 31)))
         d = DistanceMatrix.from_grid(g)
-        tree = rg_exact(g.observed_nodes, d)
-        assert match_hidden_and_diff(g, tree) == 0, f"n={n}"
+        tree = rg_exact(g.observed_nodes, d.d_r)
+        assert edge_difference(g, tree) == 0, f"n={n}"
         rebuilt = tree_path_lengths(tree, g.observed_nodes)
         assert np.allclose(rebuilt, d.mode("r"), atol=1e-9)
 
@@ -277,14 +277,14 @@ def test_rg_exact_round_count_within_depth():
     rng = np.random.default_rng(41)
     for _ in range(10):
         g = random_radial_grid(int(rng.integers(8, 50)), seed=int(rng.integers(1 << 31)))
-        tree = rg_exact(g.observed_nodes, DistanceMatrix.from_grid(g))
+        tree = rg_exact(g.observed_nodes, DistanceMatrix.from_grid(g).d_r)
         assert tree.diagnostics is not None
         assert tree.diagnostics.rounds <= g.depth
 
 
 def test_rg_sampled_is_deterministic():
     g = random_radial_grid(20, seed=3)
-    noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.01, seed=7)
+    noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.01, seed=7).d_r
     t1 = rg_sampled(g.observed_nodes, noisy)
     t2 = rg_sampled(g.observed_nodes, noisy)
     assert t1.edges == t2.edges
@@ -297,14 +297,14 @@ def test_rg_sampled_recovers_under_small_noise():
     for _ in range(10):
         g = random_radial_grid(int(rng.integers(10, 30)), seed=int(rng.integers(1 << 31)))
         noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.01, seed=int(rng.integers(1 << 31)))
-        tree = rg_sampled(g.observed_nodes, noisy, RGConfig(eps0=0.05))
-        recovered += match_hidden_and_diff(g, tree) == 0
+        tree = rg_sampled(g.observed_nodes, noisy.d_r, RGConfig(eps0=0.05))
+        recovered += edge_difference(g, tree) == 0
     assert recovered >= 9
 
 
 def test_rg_sampled_fixed_eps_stalls_and_carries_partial():
     g = random_radial_grid(20, seed=6)
-    noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.2, seed=8)
+    noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.2, seed=8).d_r
     cfg = RGConfig(eps0=1e-6, dynamic_eps=False)
     with pytest.raises(GroupingStalledError) as err:
         rg_sampled(g.observed_nodes, noisy, cfg)
@@ -313,10 +313,10 @@ def test_rg_sampled_fixed_eps_stalls_and_carries_partial():
 
 def test_rg_sampled_dynamic_eps_always_finishes():
     g = random_radial_grid(20, seed=6)
-    noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.05, seed=8)
+    noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.05, seed=8).d_r
     tree = rg_sampled(g.observed_nodes, noisy, RGConfig(eps0=1e-6))
     assert tree.diagnostics.eps_escalations > 0
-    assert set(tree.leaves) >= set(g.observed_nodes)
+    assert all(degrees(tree)[n] <= 1 for n in g.observed_nodes)
 
 
 def test_rg_input_validation():
@@ -328,6 +328,15 @@ def test_rg_input_validation():
         rg_sampled(("a", "b"), np.zeros((3, 3)))
     with pytest.raises(ValidationError):
         RGConfig(eps0=-1.0)
+    # A NaN passes no eps test, so no pair would ever classify and the eps
+    # escalation would never end.
+    g = random_radial_grid(20, seed=6)
+    for bad in (np.nan, np.inf):
+        D = np.array(DistanceMatrix.from_grid(g).d_r)
+        D[0, 1] = D[1, 0] = bad
+        for run in (rg_sampled, rg_exact):
+            with pytest.raises(ValidationError, match="non-finite"):
+                run(g.observed_nodes, D)
 
 
 def test_single_and_pair_inputs():

@@ -20,12 +20,12 @@ from gridtopo import (
     learn_from_moments,
     learn_from_samples,
     load_learned,
-    perturbed,
     random_radial_grid,
     rg_exact,
     save_learned,
     simulate,
 )
+from _trees import perturbed
 
 STAR_D = np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]])
 
@@ -128,7 +128,7 @@ def _explicit_pair_fit(tree, d: DistanceMatrix, mode: str) -> np.ndarray:
 def test_assign_reactances_matches_pair_row_lstsq(n):
     g = random_radial_grid(n, seed=n)
     exact = DistanceMatrix.from_grid(g)
-    tree = rg_exact(g.observed_nodes, exact)
+    tree = rg_exact(g.observed_nodes, exact.d_r)
     d = perturbed(exact, noise=0.05, seed=n)
     for mode in ("r", "x"):
         want = _explicit_pair_fit(tree, d, mode)
@@ -157,7 +157,7 @@ def test_assign_reactances_memory_stays_below_pair_matrix():
     # 14 MB, before lstsq copies it.
     g = random_radial_grid(200, seed=0)
     d = DistanceMatrix.from_grid(g)
-    tree = rg_exact(g.observed_nodes, d)
+    tree = rg_exact(g.observed_nodes, d.d_r)
     assert len(g.observed_nodes) >= 128
     tracemalloc.start()
     try:

@@ -1,4 +1,6 @@
 """Streaming moment accumulation and the pairwise distance estimator."""
+import json
+
 import numpy as np
 import pytest
 
@@ -6,21 +8,20 @@ from gridtopo import (
     ConditioningError,
     FormatError,
     InjectionSpec,
+    MeasurementSet,
     MomentAccumulator,
-    MomentSet,
     accumulate,
     analytic_moments,
     default_conditioning_threshold,
     estimate_distances,
     load_moments,
-    merge,
     node_determinants,
     random_radial_grid,
     save_moments,
     simulate,
     true_distance,
-    ValidationError,
 )
+from gridtopo.moments import moments_to_dict
 
 
 def _random_measurements(seed: int, T: int = 300):
@@ -41,7 +42,11 @@ def test_accumulator_matches_direct_means():
 
 def test_accumulator_chunking_is_invisible():
     ms = _random_measurements(1)
-    np.testing.assert_allclose(accumulate(ms, chunk=7).vp, accumulate(ms).vp, atol=1e-12)
+    blocks = (
+        MeasurementSet(ms.nodes, ms.v[s : s + 7], ms.p[s : s + 7], ms.q[s : s + 7])
+        for s in range(0, ms.T, 7)
+    )
+    np.testing.assert_allclose(accumulate(blocks).vp, accumulate(ms).vp, atol=1e-12)
 
 
 def test_streaming_updates_match_batch():
@@ -51,29 +56,6 @@ def test_streaming_updates_match_batch():
         acc.update(ms.v[t : t + 1], ms.p[t : t + 1], ms.q[t : t + 1])
     np.testing.assert_allclose(acc.result().vp, accumulate(ms).vp, atol=1e-10)
     assert acc.result().count == ms.T
-
-
-def test_merge_equals_single_pass():
-    ms = _random_measurements(3)
-    cut = 110
-    a1 = MomentAccumulator(ms.nodes)
-    a1.update(ms.v[:cut], ms.p[:cut], ms.q[:cut])
-    a2 = MomentAccumulator(ms.nodes)
-    a2.update(ms.v[cut:], ms.p[cut:], ms.q[cut:])
-    merged = merge(a1.result(), a2.result())
-    full = accumulate(ms)
-    assert merged.count == full.count
-    np.testing.assert_allclose(merged.vp, full.vp, atol=1e-10)
-    np.testing.assert_allclose(merged.pp, full.pp, atol=1e-10)
-
-
-def test_merge_rejects_mismatched_inputs(star_grid):
-    m1 = MomentSet.empty(("a", "b"))
-    m2 = MomentSet.empty(("a", "c"))
-    with pytest.raises(ValidationError):
-        merge(m1, m2)
-    with pytest.raises(ValidationError):
-        merge(MomentSet.empty(("a",)), analytic_moments(star_grid))
 
 
 def test_estimate_distances_with_correlated_injections(star_grid):
@@ -157,8 +139,16 @@ def test_moments_json_round_trip(tmp_path, cherry_grid):
     np.testing.assert_allclose(back.pq, m.pq, atol=0)
 
 
-def test_moments_file_errors(tmp_path):
+def test_moments_file_errors(tmp_path, star_grid):
     bad = tmp_path / "bad.json"
     bad.write_text('{"nodes": ["a"]}')
     with pytest.raises(FormatError):
         load_moments(bad)
+    # Python's json reads NaN and Infinity; a NaN distance would stall grouping.
+    for block, value in (("vp", "NaN"), ("pp", "NaN"), ("pp", "Infinity")):
+        data = moments_to_dict(analytic_moments(star_grid))
+        data[block][0] = [float(value)] * 3 if block == "vp" else float(value)
+        bad.write_text(json.dumps(data))
+        with pytest.raises(FormatError) as err:
+            load_moments(bad)
+        assert str(err.value) == f"{bad}: moment block {block!r} has non-finite entries"

@@ -1,13 +1,24 @@
 """Package surface: the exported names and the shared JSON file reader."""
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import gridtopo
 import gridtopo.cli
-from gridtopo import FormatError, RGConfig, RGDiagnostics, load_grid, load_learned, load_moments
+from gridtopo import (
+    FormatError,
+    RGConfig,
+    RGDiagnostics,
+    accumulate,
+    load_grid,
+    load_learned,
+    load_moments,
+    rg_exact,
+    rg_sampled,
+)
 
 # Names this package no longer provides.
 REMOVED = {
@@ -15,13 +26,17 @@ REMOVED = {
         "Block", "NoWitnessError", "PairRelation", "classify_pair_exact",
         "classify_pair_sampled", "coarsest_partition", "neighborhood", "phi",
         "conditioning_check", "estimate_h_pair", "ReducedLaplacian", "path_between",
+        "merge", "perturbed", "match_hidden_and_diff", "save_experiment_config",
     ),
     gridtopo.grid: ("ReducedLaplacian", "path_between"),
     gridtopo.Grid: ("path_edges", "root_path_edges"),
     gridtopo.EvalReport: ("runtime",),
     gridtopo.grouping: ("_classify_scalar", "_witness_mask", "anchor_path_incidence"),
-    gridtopo.distances: ("from_grid",),
-    gridtopo.moments: ("conditioning_check", "estimate_h_pair"),
+    gridtopo.LearnedTree: ("adjacency", "degree", "leaves"),
+    gridtopo.distances: ("from_grid", "perturbed"),
+    gridtopo.moments: ("conditioning_check", "estimate_h_pair", "merge"),
+    gridtopo.MomentSet: ("empty",),
+    gridtopo.bench: ("match_hidden_and_diff", "save_experiment_config", "config_to_dict"),
     gridtopo.MeasurementSet: ("grid_name",),
     gridtopo.RGDiagnostics: ("eps0",),
 }
@@ -37,8 +52,13 @@ def test_public_names_resolve():
             assert not hasattr(module, name), name
             assert name not in gridtopo.__all__
     assert not hasattr(gridtopo.cli, "run")
-    assert not hasattr(gridtopo.MomentAccumulator, "merge")  # gridtopo.merge is the one merge
+    assert not hasattr(gridtopo.MomentAccumulator, "merge")
     assert set(RGConfig.__dataclass_fields__) == {"eps0", "dynamic_eps"}
+    # The block size, impedance mode and exact tolerance are constants or the
+    # caller's choice of matrix, not parameters.
+    assert list(inspect.signature(accumulate).parameters) == ["source"]
+    assert list(inspect.signature(rg_exact).parameters) == ["O", "d"]
+    assert list(inspect.signature(rg_sampled).parameters) == ["O", "d", "cfg"]
     # perfbench reads these counters by name.
     counters = {"rounds", "eps_escalations", "tau_escalations", "merged_junctions", "clamped_lengths"}
     assert counters <= set(RGDiagnostics.__dataclass_fields__)
