@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 import warnings
 from collections import Counter
@@ -31,12 +32,22 @@ from .lcpf import InjectionSpec, simulate
 from .moments import accumulate
 
 ROOT_NAME = "t"
-HUB_NAME = "n1"
 
 
 # ---------------------------------------------------------------------------
 # Random radial grids
 # ---------------------------------------------------------------------------
+
+def _check_generator_args(n: int, max_degree: int, r_range, x_range) -> None:
+    """random_radial_grid's argument checks, shared with ExperimentConfig."""
+    if n < 5:
+        raise ValidationError(f"need n >= 5 for a hub plus three terminals, got n={n}")
+    if max_degree < 4:
+        raise ValidationError(f"need max_degree >= 4, got {max_degree}")
+    for lo, hi in (r_range, x_range):
+        if not (math.isfinite(hi) and 0 < lo <= hi):
+            raise ValidationError(f"impedance range ({lo}, {hi}) must be finite with 0 < lo <= hi")
+
 
 def random_radial_grid(
     n: int,
@@ -59,13 +70,7 @@ def random_radial_grid(
     degree >= 3 among the non-root nodes, so the only valid 6-node grid is
     the hub with four terminals, and the hub then has degree 5.
     """
-    if n < 5:
-        raise ValidationError(f"need n >= 5 for a hub plus three terminals, got n={n}")
-    if max_degree < 4:
-        raise ValidationError(f"need max_degree >= 4, got {max_degree}")
-    for lo, hi in (r_range, x_range):
-        if not (0 < lo <= hi):
-            raise ValidationError(f"impedance range ({lo}, {hi}) must satisfy 0 < lo <= hi")
+    _check_generator_args(n, max_degree, r_range, x_range)
 
     rng = np.random.default_rng(seed)
     names = [f"n{i}" for i in range(1, n)]
@@ -293,19 +298,16 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(int(t) for t in self.samples))
         object.__setattr__(self, "eps0", tuple(float(e) for e in self.eps0))
-        if self.n < 5:
-            raise ValidationError(f"n must be >= 5 (hub plus three terminals plus root), got {self.n}")
-        if self.max_degree < 4:
-            raise ValidationError(f"max_degree must be >= 4, got {self.max_degree}")
-        for lo, hi in (self.r_range, self.x_range):
-            if not (0 < lo <= hi):
-                raise ValidationError(f"impedance range ({lo}, {hi}) must satisfy 0 < lo <= hi")
+        _check_generator_args(self.n, self.max_degree, self.r_range, self.x_range)
         if not self.samples or any(t < 2 for t in self.samples):
             raise ValidationError("samples must be a non-empty list of counts >= 2")
-        if not self.eps0 or any(e <= 0 for e in self.eps0):
-            raise ValidationError("eps0 must be a non-empty list of positive tolerances")
+        if not self.eps0:
+            raise ValidationError("eps0 must be a non-empty list of tolerances")
         if self.eps_mode not in ("dynamic", "fixed"):
             raise ValidationError(f"eps_mode must be 'dynamic' or 'fixed', got {self.eps_mode!r}")
+        for eps0 in self.eps0:  # the learner's and the simulator's own checks, before any trial runs
+            self.rg_config(eps0)
+        self.injection_spec()
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:

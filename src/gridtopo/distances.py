@@ -7,7 +7,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import ValidationError
-from .grid import RESISTANCE, Grid, path_incidence, path_lengths
+from .grid import Grid, path_incidence, path_lengths
 
 _SYM_TOL = 1e-9
 
@@ -55,16 +55,6 @@ class DistanceMatrix:
     @cached_property
     def index(self) -> dict[str, int]:
         return {n: i for i, n in enumerate(self.nodes)}
-
-    def mode(self, mode: str = RESISTANCE) -> np.ndarray:
-        if mode == "r":
-            return self.d_r
-        if mode == "x":
-            return self.d_x
-        raise ValidationError(f"unknown impedance mode {mode!r}; expected 'r' or 'x'")
-
-    def value(self, a: str, b: str, mode: str = RESISTANCE) -> float:
-        return float(self.mode(mode)[self.index[a], self.index[b]])
 
     def sub(self, nodes: list[str] | tuple[str, ...]) -> "DistanceMatrix":
         """Restrict to a subset of nodes, in the given order."""

@@ -225,7 +225,9 @@ def validate_grid(g: Grid) -> ValidationReport:
             v.append(f"parallel edge ({e.u},{e.v})")
         seen_pairs.add(e.key)
         for name, val in (("r", e.r), ("x", e.x)):
-            if not np.isfinite(val) or val <= 0:
+            if not np.isfinite(val):
+                v.append(f"edge ({e.u},{e.v}) has non-finite {name}={val}")
+            elif val <= 0:
                 v.append(f"edge ({e.u},{e.v}) has non-positive {name}={val}")
 
     structurally_sound = not v

@@ -20,6 +20,7 @@ junction that lands on an earlier round's junction is merged into it.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -66,8 +67,8 @@ class RGConfig:
     dynamic_eps: bool = True
 
     def __post_init__(self):
-        if self.eps0 <= 0:
-            raise ValidationError(f"eps0 must be > 0, got {self.eps0}")
+        if not math.isfinite(self.eps0) or self.eps0 <= 0:
+            raise ValidationError(f"eps0 must be finite and > 0, got {self.eps0}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ Every simulation runs in SIM_CHUNK-row windows, with H_r^-1 and H_x^-1
 formed once per run: simulate_blocks yields the windows, and simulate writes
 them in place into its (T, k) outputs, so its memory is the output plus about
 one full-width window. save_measurements writes windows as they come, and
-read_measurement_blocks parses a CSV in ACCUMULATOR_CHUNK-row blocks. Draws
+read_measurement_blocks parses a CSV in SIM_CHUNK-row blocks. Draws
 and solves run on _ROW_BLOCK-row sub-blocks aligned to multiples of
 _ROW_BLOCK, so the bits do not depend on the window a row falls in.
 """
@@ -24,52 +24,46 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .exceptions import FormatError, ValidationError
 from .grid import Grid, ensure_valid, reduced_laplacian
-from .moments import ACCUMULATOR_CHUNK, MomentSet
+from .moments import MomentSet
 
 SIM_CHUNK = 4096  # frozen: part of the reproducibility contract
 _ROW_BLOCK = 512  # rows per draw and per solve; divides SIM_CHUNK
 _WRITE_CHUNK = 256  # measurement rows per save_measurements batch
-assert SIM_CHUNK % _ROW_BLOCK == 0 and SIM_CHUNK == ACCUMULATOR_CHUNK
+assert SIM_CHUNK % _ROW_BLOCK == 0
 
 _FAMILIES = ("gaussian", "uniform")
 
 
 @dataclass(frozen=True)
 class InjectionSpec:
-    """Per-node injection second moments and the sampling family.
+    """Injection second moments, the same at every node, and the sampling family.
 
     sigma_pp, sigma_qq are the active/reactive power variances, sigma_pq the
-    covariance. per_node overrides the triple for individual nodes. The
-    "uniform" family draws from a uniform distribution with the same matched
-    second moments (a distribution-robustness option).
+    covariance; all three must be finite and the 2x2 matrix they form
+    positive definite. The "uniform" family draws from a uniform
+    distribution with the same matched second moments (a
+    distribution-robustness option).
     """
 
     sigma_pp: float = 1.0
     sigma_qq: float = 1.0
     sigma_pq: float = 0.0
     family: str = "gaussian"
-    per_node: Mapping[str, tuple[float, float, float]] | None = None
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValidationError(f"unknown injection family {self.family!r}")
-
-    def moments_for(self, node: str) -> tuple[float, float, float]:
-        if self.per_node and node in self.per_node:
-            spp, sqq, spq = self.per_node[node]
-        else:
-            spp, sqq, spq = self.sigma_pp, self.sigma_qq, self.sigma_pq
+        spp, sqq, spq = self.sigma_pp, self.sigma_qq, self.sigma_pq
+        if not all(map(math.isfinite, (spp, sqq, spq))):
+            raise ValidationError(f"injection moments ({spp}, {sqq}, {spq}) must be finite")
         if spp <= 0 or sqq <= 0 or spp * sqq - spq * spq <= 0:
-            raise ValidationError(
-                f"node {node!r}: injection moments ({spp}, {sqq}, {spq}) are not positive definite"
-            )
-        return float(spp), float(sqq), float(spq)
+            raise ValidationError(f"injection moments ({spp}, {sqq}, {spq}) are not positive definite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,12 +99,13 @@ class MeasurementSet:
         return MeasurementSet(self.nodes, self.v[:t], self.p[:t], self.q[:t], seed=self.seed)
 
 
-def _cholesky_coeffs(g: Grid, spec: InjectionSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node (a, b, c) with p = a z1, q = b z1 + c z2 matching the moments."""
-    spp, sqq, spq = np.array([spec.moments_for(n) for n in g.reduced_nodes]).reshape(-1, 3).T
-    a = np.sqrt(spp)
-    b = spq / a
-    return a, b, np.sqrt(sqq - b * b)
+def _cholesky_coeffs(spec: InjectionSpec) -> tuple[float, float, float]:
+    """(a, b, c) with p = a z1, q = b z1 + c z2 matching the moments."""
+    a = math.sqrt(spec.sigma_pp)
+    b = spec.sigma_pq / a
+    # Near-singular moments that pass the positive-definite check can still
+    # round sigma_qq - b^2 a hair below zero.
+    return a, b, math.sqrt(max(spec.sigma_qq - b * b, 0.0))
 
 
 def sample_injections(
@@ -131,7 +126,7 @@ def sample_injections(
         raise ValidationError(
             f"row window start must be a multiple of {SIM_CHUNK} below {T}, got {start}"
         )
-    a, b, c = _cholesky_coeffs(g, spec)
+    a, b, c = _cholesky_coeffs(spec)
     m = len(g.reduced_nodes)
     p = np.empty((T - start, m))
     q = np.empty((T - start, m))
@@ -197,7 +192,7 @@ def simulate(g: Grid, spec: InjectionSpec, T: int, seed: int) -> MeasurementSet:
     in Fortran order, like each window's: memory is the output plus about one
     full-width window, and H_r^-1, H_x^-1 are formed once.
     """
-    model = _run_model(g, spec, T)
+    model = _run_model(g, T)
     v, p, q = (np.empty((T, len(g.observed_nodes)), order="F") for _ in "vpq")
     for start in range(0, T, SIM_CHUNK):
         rows = slice(start, min(start + SIM_CHUNK, T))
@@ -209,20 +204,20 @@ def simulate_blocks(g: Grid, spec: InjectionSpec, T: int, seed: int) -> Iterator
     """simulate() as SIM_CHUNK-row windows, drawn and solved one at a time.
 
     Each window holds the same bits as the same rows of simulate(), and only
-    the window being consumed is alive. The grid, spec and T are checked, and
-    H_r^-1, H_x^-1 formed, here, before any window is drawn.
+    the window being consumed is alive. The grid and T are checked (the spec
+    checks itself when built), and H_r^-1, H_x^-1 formed, here, before any
+    window is drawn.
     """
-    model = _run_model(g, spec, T)
+    model = _run_model(g, T)
     return (_window(g, spec, seed, slice(start, min(start + SIM_CHUNK, T)), model)
             for start in range(0, T, SIM_CHUNK))
 
 
-def _run_model(g: Grid, spec: InjectionSpec, T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check a simulation's grid, spec and T; form its forward model once."""
+def _run_model(g: Grid, T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a simulation's grid and T; form its forward model once."""
     ensure_valid(g)
     if not g.observed_nodes:
         raise ValidationError("grid has no observed nodes to measure")
-    _cholesky_coeffs(g, spec)
     if T < 1:
         raise ValidationError(f"sample count must be >= 1, got {T}")
     return _forward_model(g)
@@ -256,14 +251,12 @@ def analytic_moments(g: Grid, spec: InjectionSpec = InjectionSpec()) -> MomentSe
     independent across nodes, so only node b's own moments survive.
     """
     h_r, h_x, cols = _forward_model(g)
-    spp, sqq, spq = np.empty(len(cols)), np.empty(len(cols)), np.empty(len(cols))
-    for i, n in enumerate(g.observed_nodes):
-        spp[i], sqq[i], spq[i] = spec.moments_for(n)
+    spp, sqq, spq = spec.sigma_pp, spec.sigma_qq, spec.sigma_pq
     h_r_oo = h_r[np.ix_(cols, cols)]
     h_x_oo = h_x[np.ix_(cols, cols)]
     vp = h_r_oo * spp + h_x_oo * spq
     vq = h_r_oo * spq + h_x_oo * sqq
-    return MomentSet(g.observed_nodes, None, vp, vq, spp, sqq, spq)
+    return MomentSet(g.observed_nodes, None, vp, vq, *(np.full(len(cols), s) for s in (spp, sqq, spq)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +301,7 @@ def load_measurements(path: str | Path) -> MeasurementSet:
 
 
 def read_measurement_blocks(path: str | Path) -> Iterator[MeasurementSet]:
-    """Yield a measurements CSV as consecutive ACCUMULATOR_CHUNK-row sets.
+    """Yield a measurements CSV as consecutive SIM_CHUNK-row sets.
 
     Leading '#' lines are comments; a 'seed=<n>' token in one sets the seed.
     The header is 't' and a v, p and q column per node. Each later line holds
@@ -365,7 +358,7 @@ def read_measurement_blocks(path: str | Path) -> Iterator[MeasurementSet]:
         if first is None:
             raise FormatError(f"{path}: no measurement rows")
         while first is not None:
-            lines = itertools.chain([first], itertools.islice(rows, ACCUMULATOR_CHUNK - 1))
+            lines = itertools.chain([first], itertools.islice(rows, SIM_CHUNK - 1))
             yield _parse_block(path, header_line, header, lines, tuple(nodes), cols, seed)
             first = next(rows, None)
 

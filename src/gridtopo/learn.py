@@ -57,21 +57,21 @@ class LearnedGrid:
         return frozenset(self.nodes) - self.observed
 
 
-def assign_reactances(tree: LearnedTree, d: DistanceMatrix, mode: str = "x") -> tuple[np.ndarray, int]:
-    """Least-squares impedance per tree edge from observed pair distances.
+def assign_reactances(tree: LearnedTree, d: DistanceMatrix) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Least-squares resistance and reactance per tree edge from pair distances.
 
-    Every observed pair contributes one equation: the edge values along its
-    tree path must add up to the pair's distance estimate in `mode` ("x" for
-    reactance, "r" for resistance). The pair rows are never built: with B
-    the anchor-path incidence of the k observed nodes and C = B^T B, n =
+    Every observed pair contributes one equation per metric: the edge values
+    along its tree path must add up to the pair's d_r (resistance) or d_x
+    (reactance) estimate. The pair rows are never built: with B the
+    anchor-path incidence of the k observed nodes and C = B^T B, n =
     diag(C), the normal matrix is k C + n n^T - 2 C o (n_e + n_f) + 2 C o C
     (o elementwise; exact integers) and the right-hand side is the column
     sum of B o (U (1 - B)), U the upper triangle of the pair distances,
-    mirrored. lstsq on this E x E system keeps the pair rows' rank and
-    minimum-norm solution. Returns the per-edge values (clamped at zero)
-    and the clamp count.
+    mirrored. B and the normal matrix serve both metrics; lstsq on this
+    E x E system, once per metric, keeps the pair rows' rank and
+    minimum-norm solution. Returns r and x per edge (clamped at zero) and
+    their clamp counts.
     """
-    dm = d.mode(mode)
     in_tree = set(tree.nodes)
     nodes = tuple(n for n in d.nodes if n in in_tree)
     if len(nodes) < 2:
@@ -81,43 +81,38 @@ def assign_reactances(tree: LearnedTree, d: DistanceMatrix, mode: str = "x") -> 
     n = np.diag(C)
     gram = len(nodes) * C + np.outer(n, n) - 2.0 * C * (n[:, None] + n[None, :]) + 2.0 * C * C
     ix = [d.index[nm] for nm in nodes]
-    U = np.triu(dm[np.ix_(ix, ix)], 1)
-    rhs = (B * ((U + U.T) @ (1.0 - B))).sum(axis=0)
-    sol, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
+    sols = []
+    for dm in (d.d_r, d.d_x):
+        U = np.triu(dm[np.ix_(ix, ix)], 1)
+        rhs = (B * ((U + U.T) @ (1.0 - B))).sum(axis=0)
+        sol, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
+        sols.append(sol)
     if rank < len(tree.edges):
         warnings.warn(
-            f"{mode} fit is rank-deficient ({rank} < {len(tree.edges)}); "
-            f"some line {mode} values are not identified",
+            f"impedance fit is rank-deficient ({rank} < {len(tree.edges)}); "
+            "some line r and x values are not identified",
             stacklevel=2,
         )
-    clamped = int((sol < 0).sum())
-    return np.maximum(sol, 0.0), clamped
+    r, x = sols
+    return np.maximum(r, 0.0), np.maximum(x, 0.0), int((r < 0).sum()), int((x < 0).sum())
 
 
-def learn_from_moments(
-    m: MomentSet,
-    cfg: RGConfig | None = None,
-    nodes: tuple[str, ...] | None = None,
-) -> LearnedGrid:
+def learn_from_moments(m: MomentSet, cfg: RGConfig | None = None) -> LearnedGrid:
     """Reconstruct topology and impedances from terminal-node second moments.
 
-    Every terminal must pass the conditioning check at
-    default_conditioning_threshold(m). Grouping runs on the mean metric
-    (d_r + d_x) / 2, so cfg's eps0 is in ohms of that mean. Both line values
-    then come from the least-squares path-sum fit over the learned tree.
-    `nodes` restricts learning to a subset of the moment set's terminals
-    (default: all). Provenance `clamped_lengths` counts every negative
-    estimate clamped to zero: grouping's lengths plus the fitted r and x.
+    Learning uses every terminal of the moment set, and every terminal must
+    pass estimate_distances' conditioning check. Grouping runs on the mean
+    metric (d_r + d_x) / 2, so cfg's eps0 is in ohms of that mean. Both line
+    values then come from the least-squares path-sum fit over the learned
+    tree. Provenance `clamped_lengths` counts every negative estimate
+    clamped to zero: grouping's lengths plus the fitted r and x.
     """
-    if nodes is None:
-        nodes = m.nodes
-    if len(nodes) < 2:
+    if len(m.nodes) < 2:
         raise ValidationError("learning needs at least two observed terminals")
     cfg = cfg or RGConfig()
-    d = estimate_distances(m, nodes=tuple(nodes))
-    tree = rg_sampled(tuple(nodes), (d.d_r + d.d_x) / 2.0, cfg)
-    rs, r_clamped = assign_reactances(tree, d, mode="r")
-    xs, x_clamped = assign_reactances(tree, d, mode="x")
+    d = estimate_distances(m)
+    tree = rg_sampled(m.nodes, (d.d_r + d.d_x) / 2.0, cfg)
+    rs, xs, r_clamped, x_clamped = assign_reactances(tree, d)
     if r_clamped or x_clamped:
         warnings.warn(
             f"negative line estimates clamped to zero: {r_clamped} resistance, "
@@ -137,7 +132,7 @@ def learn_from_moments(
         "eps_escalations": diag.eps_escalations,
         "clamped_lengths": diag.clamped_lengths + r_clamped + x_clamped,
     }
-    return LearnedGrid(tree.nodes, edges, frozenset(nodes), provenance)
+    return LearnedGrid(tree.nodes, edges, frozenset(m.nodes), provenance)
 
 
 def learn_from_samples(

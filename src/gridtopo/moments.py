@@ -28,8 +28,6 @@ from .grid import read_json
 if TYPE_CHECKING:  # pragma: no cover
     from .lcpf import MeasurementSet
 
-ACCUMULATOR_CHUNK = 4096
-
 
 @dataclass(frozen=True, eq=False)
 class MomentSet:
@@ -61,12 +59,6 @@ class MomentSet:
             object.__setattr__(self, name, arr)
         if self.count is not None and self.count < 0:
             raise ValidationError(f"sample count must be >= 0, got {self.count}")
-
-    def index(self, node: str) -> int:
-        try:
-            return self.nodes.index(node)
-        except ValueError:
-            raise ValidationError(f"moment set has no node {node!r}") from None
 
 
 class MomentAccumulator:
@@ -115,10 +107,10 @@ def accumulate(source: "MeasurementSet | Iterable[MeasurementSet]") -> MomentSet
     """Second moments of a measurement set, or of its consecutive row blocks.
 
     Blocks (simulate_blocks, read_measurement_blocks) are folded as they
-    arrive and dropped, each in ACCUMULATOR_CHUNK-row pieces; blocks of
-    ACCUMULATOR_CHUNK rows give the same bits as the set they were cut from.
+    arrive and dropped, each in SIM_CHUNK-row pieces; blocks of SIM_CHUNK
+    rows give the same bits as the set they were cut from.
     """
-    from .lcpf import MeasurementSet  # lcpf imports this module
+    from .lcpf import SIM_CHUNK, MeasurementSet  # lcpf imports this module
 
     acc = None
     for ms in [source] if isinstance(source, MeasurementSet) else source:
@@ -126,8 +118,8 @@ def accumulate(source: "MeasurementSet | Iterable[MeasurementSet]") -> MomentSet
             acc = MomentAccumulator(ms.nodes)
         elif ms.nodes != acc.nodes:
             raise ValidationError("measurement blocks cover different node lists")
-        for start in range(0, ms.T, ACCUMULATOR_CHUNK):
-            stop = min(start + ACCUMULATOR_CHUNK, ms.T)
+        for start in range(0, ms.T, SIM_CHUNK):
+            stop = min(start + SIM_CHUNK, ms.T)
             acc.update(ms.v[start:stop], ms.p[start:stop], ms.q[start:stop])
         del ms  # not alive while the next block is read
     if acc is None or acc.count == 0:
@@ -139,46 +131,27 @@ def accumulate(source: "MeasurementSet | Iterable[MeasurementSet]") -> MomentSet
 # Conditioning and the pairwise solve
 # ---------------------------------------------------------------------------
 
-def node_determinants(m: MomentSet) -> np.ndarray:
-    """Determinant of each node's 2x2 injection moment matrix."""
-    return m.pp * m.qq - m.pq * m.pq
-
-
-def default_conditioning_threshold(m: MomentSet) -> float:
-    """0.1 x the median per-node injection covariance determinant."""
-    dets = np.abs(node_determinants(m))
-    return 0.1 * float(np.median(dets)) if dets.size else 0.0
-
-
-def estimate_distances(
-    m: MomentSet,
-    nodes: tuple[str, ...] | None = None,
-) -> DistanceMatrix:
-    """Pairwise d_r and d_x estimates over the given nodes (default: all).
+def estimate_distances(m: MomentSet) -> DistanceMatrix:
+    """Pairwise d_r and d_x estimates over every node of the moment set.
 
     Runs the pairwise 2x2 solves for every ordered pair, symmetrizes the two
     inverse-Laplacian estimates by averaging, and converts to distances. The
-    diagonal is exactly zero by construction. Every node must pass the
-    conditioning check at default_conditioning_threshold(m).
+    diagonal is exactly zero by construction. Conditioning check: each
+    node's injection moment determinant pp qq - pq^2 must reach 0.1 x the
+    median |determinant| over the nodes, or ConditioningError names the
+    nodes that fall short.
     """
-    lam = default_conditioning_threshold(m)
-    if nodes is None:
-        nodes = m.nodes
-    ix = np.array([m.index(n) for n in nodes])
-
-    det = node_determinants(m)[ix]
-    bad = [nodes[i] for i in range(len(nodes)) if abs(det[i]) < lam]
+    det = m.pp * m.qq - m.pq * m.pq
+    lam = 0.1 * float(np.median(np.abs(det))) if det.size else 0.0
+    bad = [n for n, dt in zip(m.nodes, det) if abs(dt) < lam]
     if bad:
         raise ConditioningError(
             f"nodes {bad} fail the conditioning check (threshold {lam:.3e})",
             nodes=tuple(bad),
         )
 
-    vp = m.vp[np.ix_(ix, ix)]
-    vq = m.vq[np.ix_(ix, ix)]
-    pp, qq, pq = m.pp[ix], m.qq[ix], m.pq[ix]
-    h_r = (qq * vp - pq * vq) / det
-    h_x = (pp * vq - pq * vp) / det
+    h_r = (m.qq * m.vp - m.pq * m.vq) / det
+    h_x = (m.pp * m.vq - m.pq * m.vp) / det
     h_r = (h_r + h_r.T) / 2.0
     h_x = (h_x + h_x.T) / 2.0
 
@@ -188,7 +161,7 @@ def estimate_distances(
         d = diag[:, None] + diag[None, :] - 2.0 * h
         np.fill_diagonal(d, 0.0)
         out.append(d)
-    return DistanceMatrix(tuple(nodes), out[0], out[1])
+    return DistanceMatrix(m.nodes, out[0], out[1])
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def _line(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def _learned_from_exact(g, d, tree) -> LearnedGrid:
-    xs, _clamped = assign_reactances(tree, d)
+    _rs, xs, _r_clamped, _x_clamped = assign_reactances(tree, d)
     edges = tuple(Edge(e.u, e.v, e.length, float(x)) for e, x in zip(tree.edges, xs))
     return LearnedGrid(tree.nodes, edges, frozenset(g.observed_nodes))
 

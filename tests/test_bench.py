@@ -82,6 +82,9 @@ def test_generator_argument_validation():
         random_radial_grid(10, seed=0, max_degree=3)
     with pytest.raises(ValidationError):
         random_radial_grid(10, seed=0, r_range=(0.0, 0.1))
+    for bad in ((0.1, np.inf), (np.nan, 0.2), (0.1, np.nan)):
+        with pytest.raises(ValidationError, match="must be finite"):
+            random_radial_grid(10, seed=0, x_range=bad)
     # The only valid 6-node grid is the hub with four terminals: degree 5.
     for seed in range(5):
         with pytest.raises(ValidationError, match="max_degree=4"):
@@ -228,7 +231,7 @@ def test_distance_rmse_zero_and_shift(star_grid):
     d = DistanceMatrix.from_grid(star_grid)
     assert distance_rmse(d, d) == 0.0
     shifted = DistanceMatrix(
-        d.nodes, d.mode("r") + 0.1 - 0.1 * np.eye(3), d.mode("x") + 0.1 - 0.1 * np.eye(3)
+        d.nodes, d.d_r + 0.1 - 0.1 * np.eye(3), d.d_x + 0.1 - 0.1 * np.eye(3)
     )
     assert distance_rmse(shifted, d) == pytest.approx(0.1)
 
@@ -397,6 +400,24 @@ def test_experiment_config_file_errors(tmp_path):
     with pytest.raises(FormatError) as err:
         load_experiment_config(missing)
     assert str(err.value) == f"{missing}: file not found"
+
+
+# Values that would hang the sweep (a NaN eps0), spoil every moment (a NaN
+# variance) or fail partway through on a random grid's node (a singular
+# injection matrix) are refused when the file is read, naming the file.
+@pytest.mark.parametrize("line, message", [
+    ("eps0 = 0.07, nan", "eps0 must be finite and > 0, got nan"),
+    ("eps0 = inf", "eps0 must be finite and > 0, got inf"),
+    ("sigma_pp = nan", "injection moments (nan, 1.0, 0.0) must be finite"),
+    ("sigma_pq = 1.0", "injection moments (1.0, 1.0, 1.0) are not positive definite"),
+    ("r_lo = 0.1\nr_hi = inf", "impedance range (0.1, inf) must be finite with 0 < lo <= hi"),
+], ids=["eps0-nan", "eps0-inf", "sigma_pp-nan", "sigma_pq-singular", "r_hi-inf"])
+def test_experiment_config_rejects_bad_values_naming_the_file(tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"n = 20\ntrials = 2\nsamples = 1000\n{line}\n")
+    with pytest.raises(FormatError) as err:
+        load_experiment_config(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_experiment_config_validation():

@@ -186,6 +186,31 @@ def test_invalid_generator_arguments_exit_one(tmp_path, capsys):
     assert not (tmp_path / "g6.json").exists()
 
 
+# Each of these once hung (a NaN tolerance classifies no pair), exited 0 with
+# a junction-free tree or a CSV of nan and inf, or exited 2 on a raw numpy error.
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--moments", "{m}", "--eps", "nan", "-o", "{out}"], "eps0 must be finite and > 0, got nan"),
+    (["estimate", "--moments", "{m}", "--eps", "inf", "-o", "{out}"], "eps0 must be finite and > 0, got inf"),
+    (["pipeline", "--grid", "{grid}", "--samples", "100", "--eps", "nan"], "eps0 must be finite and > 0, got nan"),
+    (["simulate", "--grid", "{grid}", "--samples", "100", "--sigma-qq", "inf", "-o", "{out}"],
+     "injection moments (1.0, inf, 0.0) must be finite"),
+    (["generate-grid", "--nodes", "20", "--r-range", "0.1,inf", "-o", "{out}"],
+     "impedance range (0.1, inf) must be finite with 0 < lo <= hi"),
+    (["sweep", "--config", "{cfg}", "--out-dir", "{out}"], "{cfg}: eps0 must be finite and > 0, got nan"),
+], ids=["estimate-eps-nan", "estimate-eps-inf", "pipeline-eps-nan", "simulate-sigma-qq-inf",
+        "generate-grid-r-range-inf", "sweep-eps0-nan"])
+def test_non_finite_arguments_exit_one(tmp_path, capsys, argv, message):
+    paths = {k: str(tmp_path / f) for k, f in (
+        ("grid", "grid.json"), ("m", "m.json"), ("cfg", "bad.cfg"), ("out", "out"))}
+    main(["generate-grid", "--nodes", "12", "-o", paths["grid"]])
+    main(["simulate", "--grid", paths["grid"], "--samples", "200", "--moments", paths["m"]])
+    (tmp_path / "bad.cfg").write_text("n = 12\ntrials = 2\nsamples = 100\neps0 = nan\n")
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate-grid", "-o", str(tmp_path / "g.json")])  # missing --nodes

@@ -71,6 +71,12 @@ def test_validation_catches_bad_impedance_and_cycles():
         [("t", "h", 0.1, 0.1), ("h", "a", -1.0, 0.2), ("h", "b", 0.3, 0.3), ("h", "c", 0.3, 0.3)],
     )
     assert any("non-positive" in m for m in validate_grid(bad_r).violations)
+    for bad in (np.inf, np.nan):
+        odd_x = Grid.create(
+            {"t": "root", "h": "hidden", "a": "observed", "b": "observed", "c": "observed"},
+            [("t", "h", 0.1, 0.1), ("h", "a", 0.2, bad), ("h", "b", 0.3, 0.3), ("h", "c", 0.3, 0.3)],
+        )
+        assert validate_grid(odd_x).violations == (f"edge (h,a) has non-finite x={bad}",)
 
     cyclic = Grid.create(
         {"t": "root", "h": "hidden", "a": "observed", "b": "observed", "c": "observed"},
@@ -159,7 +165,7 @@ def test_from_grid_matches_pairwise_true_distance(split_grid):
             for i, u in enumerate(nodes):
                 for j in range(i + 1, len(nodes)):
                     ref[i, j] = ref[j, i] = true_distance(g, u, nodes[j], mode)
-            np.testing.assert_allclose(d.mode(mode), ref, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(getattr(d, f"d_{mode}"), ref, rtol=1e-12, atol=1e-12)
     with pytest.raises(ValidationError, match="'t' is the root"):
         DistanceMatrix.from_grid(split_grid, ("a", "t"))
     with pytest.raises(ValidationError, match="unknown node 'z'"):

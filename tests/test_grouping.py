@@ -248,7 +248,7 @@ def test_rg_exact_star_recovers_hub():
 def test_rg_exact_cherry_topology(cherry_grid):
     d = DistanceMatrix.from_grid(cherry_grid)
     for mode in ("r", "x"):
-        tree = rg_exact(cherry_grid.observed_nodes, d.mode(mode))
+        tree = rg_exact(cherry_grid.observed_nodes, getattr(d, f"d_{mode}"))
         assert edge_difference(cherry_grid, tree) == 0
         assert len(tree.hidden) == 3
 
@@ -262,7 +262,7 @@ def test_rg_exact_random_grids_roundtrip():
         tree = rg_exact(g.observed_nodes, d.d_r)
         assert edge_difference(g, tree) == 0, f"n={n}"
         rebuilt = tree_path_lengths(tree, g.observed_nodes)
-        assert np.allclose(rebuilt, d.mode("r"), atol=1e-9)
+        assert np.allclose(rebuilt, d.d_r, atol=1e-9)
 
 
 def test_rg_exact_rejects_non_additive_metric():
@@ -328,6 +328,11 @@ def test_rg_input_validation():
         rg_sampled(("a", "b"), np.zeros((3, 3)))
     with pytest.raises(ValidationError):
         RGConfig(eps0=-1.0)
+    # A NaN tolerance classifies no pair, so grouping would never end; an
+    # infinite one lumps every terminal onto one junction.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="eps0 must be finite"):
+            RGConfig(eps0=bad)
     # A NaN passes no eps test, so no pair would ever classify and the eps
     # escalation would never end.
     g = random_radial_grid(20, seed=6)

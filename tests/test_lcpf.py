@@ -28,7 +28,6 @@ from gridtopo import (
 from gridtopo import grid as grid_module
 from gridtopo import lcpf
 from gridtopo.lcpf import SIM_CHUNK
-from gridtopo.moments import ACCUMULATOR_CHUNK
 
 
 def _inverses(g):
@@ -252,16 +251,24 @@ def test_uniform_family_matches_same_moments(star_grid):
 def test_injection_spec_validation():
     with pytest.raises(ValidationError):
         InjectionSpec(family="cauchy")
-    spec = InjectionSpec(sigma_pp=1.0, sigma_qq=1.0, sigma_pq=1.0)  # singular
-    with pytest.raises(ValidationError):
-        spec.moments_for("a")
+    with pytest.raises(ValidationError, match="not positive definite"):
+        InjectionSpec(sigma_pp=1.0, sigma_qq=1.0, sigma_pq=1.0)  # singular
+    with pytest.raises(ValidationError, match="not positive definite"):
+        InjectionSpec(sigma_pp=-1.0)
+    # An infinite variance would fill the measurements with nan and inf.
+    for bad in ({"sigma_qq": np.inf}, {"sigma_pp": np.nan}, {"sigma_pq": -np.inf}):
+        with pytest.raises(ValidationError, match="must be finite"):
+            InjectionSpec(**bad)
+    # Positive definite, but sigma_qq - (sigma_pq / sqrt(sigma_pp))^2 rounds to -4.4e-16.
+    spec = InjectionSpec(sigma_pp=5.6377159503513825, sigma_qq=2.4509751110807376, sigma_pq=3.717243801212684)
+    assert np.isfinite(sample_injections(random_radial_grid(10, seed=0), spec, T=50, seed=1)).all()
 
 
 def test_analytic_moments_star_hand_values(star_grid):
     m = analytic_moments(star_grid, InjectionSpec())
     assert m.count is None
     assert m.nodes == ("a", "b", "c")
-    ia, ib = m.index("a"), m.index("b")
+    ia, ib = m.nodes.index("a"), m.nodes.index("b")
     # E[v_a p_b] = h_r(a, b) * sigma_pp with independent unit injections.
     assert m.vp[ia, ib] == pytest.approx(0.5)
     assert m.vp[ia, ia] == pytest.approx(1.5)
@@ -272,7 +279,7 @@ def test_analytic_moments_star_hand_values(star_grid):
 def test_analytic_moments_with_correlated_injections(star_grid):
     spec = InjectionSpec(sigma_pp=2.0, sigma_qq=1.0, sigma_pq=0.5)
     m = analytic_moments(star_grid, spec)
-    ia, ib = m.index("a"), m.index("b")
+    ia, ib = m.nodes.index("a"), m.nodes.index("b")
     h_r = h_inverse_entry(star_grid, "a", "b", "r")
     h_x = h_inverse_entry(star_grid, "a", "b", "x")
     assert m.vp[ia, ib] == pytest.approx(h_r * 2.0 + h_x * 0.5)
@@ -392,7 +399,7 @@ def test_measurements_csv_rejects_bad_files(tmp_path):
 
 
 def test_measurements_csv_streams_in_accumulator_blocks(tmp_path, star_grid):
-    ms = simulate(star_grid, InjectionSpec(), T=2 * ACCUMULATOR_CHUNK + 3, seed=5)
+    ms = simulate(star_grid, InjectionSpec(), T=2 * SIM_CHUNK + 3, seed=5)
     path = tmp_path / "meas.csv"
     save_measurements(ms, path)
     # Empty lines do not count towards a block's rows.
@@ -400,7 +407,7 @@ def test_measurements_csv_streams_in_accumulator_blocks(tmp_path, star_grid):
     rows[10:10] = ["\n", "\r\n"]
     path.write_text("".join([comment, header] + rows))
     blocks = list(read_measurement_blocks(path))
-    assert [b.T for b in blocks] == [ACCUMULATOR_CHUNK, ACCUMULATOR_CHUNK, 3]
+    assert [b.T for b in blocks] == [SIM_CHUNK, SIM_CHUNK, 3]
     assert all(b.nodes == ms.nodes and b.seed == 5 for b in blocks)
     # Same values and the same column layout: the moments match bit for bit.
     want = accumulate(ms)
@@ -411,14 +418,14 @@ def test_measurements_csv_streams_in_accumulator_blocks(tmp_path, star_grid):
 
 def test_measurements_csv_reports_bad_rows_in_later_blocks(tmp_path):
     path = tmp_path / "bad.csv"
-    good = [f"{t},1.0,2.0,3.0\n" for t in range(ACCUMULATOR_CHUNK + 10)]
-    bad_at = ACCUMULATOR_CHUNK + 3  # a row of the second block
+    good = [f"{t},1.0,2.0,3.0\n" for t in range(SIM_CHUNK + 10)]
+    bad_at = SIM_CHUNK + 3  # a row of the second block
     line = bad_at + 3  # after the comment and the header, counted from 1
     cases = [
         ({bad_at: f"{bad_at},1.0,oops,3.0\n"}, f"line {line}: .*'oops'"),
         ({bad_at: f"{bad_at},1.0,2.0\n"}, f"line {line} has 3 fields, expected 4"),
-        ({t: f"{t},1.0,2.0\n" for t in range(ACCUMULATOR_CHUNK, len(good))},
-         f"line {ACCUMULATOR_CHUNK + 3} has 3 fields, expected 4"),
+        ({t: f"{t},1.0,2.0\n" for t in range(SIM_CHUNK, len(good))},
+         f"line {SIM_CHUNK + 3} has 3 fields, expected 4"),
     ]
     for changed, detail in cases:
         body = [changed.get(t, row) for t, row in enumerate(good)]

@@ -1,4 +1,5 @@
 """Streaming moment accumulation and the pairwise distance estimator."""
+import dataclasses
 import json
 
 import numpy as np
@@ -12,10 +13,8 @@ from gridtopo import (
     MomentAccumulator,
     accumulate,
     analytic_moments,
-    default_conditioning_threshold,
     estimate_distances,
     load_moments,
-    node_determinants,
     random_radial_grid,
     save_moments,
     simulate,
@@ -63,7 +62,7 @@ def test_estimate_distances_with_correlated_injections(star_grid):
     d = estimate_distances(m)
     for mode in ("r", "x"):
         for u, v in (("a", "b"), ("a", "c"), ("b", "c")):
-            assert d.value(u, v, mode) == pytest.approx(
+            assert getattr(d, f"d_{mode}")[d.index[u], d.index[v]] == pytest.approx(
                 true_distance(star_grid, u, v, mode), abs=1e-12
             )
 
@@ -73,7 +72,7 @@ def test_estimate_distances_exact_on_analytic_moments(cherry_grid):
     d = estimate_distances(m)
     assert d.nodes == cherry_grid.observed_nodes
     for mode in ("r", "x"):
-        mat = d.mode(mode)
+        mat = getattr(d, f"d_{mode}")
         assert np.allclose(mat, mat.T)
         assert np.all(np.diagonal(mat) == 0.0)
         for i, u in enumerate(d.nodes):
@@ -90,7 +89,7 @@ def test_estimate_distances_random_grids_match_truth():
         g = random_radial_grid(int(rng.integers(6, 25)), seed=int(rng.integers(1 << 31)))
         d = estimate_distances(analytic_moments(g))
         for mode in ("r", "x"):
-            mat = d.mode(mode)
+            mat = getattr(d, f"d_{mode}")
             for i, u in enumerate(d.nodes):
                 for j, v in enumerate(d.nodes):
                     if i < j:
@@ -99,32 +98,23 @@ def test_estimate_distances_random_grids_match_truth():
                         )
 
 
-def test_estimate_distances_node_subset(star_grid):
-    m = analytic_moments(star_grid)
-    d = estimate_distances(m, nodes=("a", "c"))
-    assert d.nodes == ("a", "c")
-    assert d.value("a", "c") == pytest.approx(4.0)
-
-
 def test_conditioning_guard_trips_on_near_singular_injections(star_grid):
-    # sigma_pp * sigma_qq - sigma_pq^2 ~ 0 makes node b's 2x2 solve singular.
-    spec = InjectionSpec(per_node={"b": (1.0, 1.0, 1.0 - 1e-13)})
-    m = analytic_moments(star_grid, spec)
-    passes = np.abs(node_determinants(m)) >= default_conditioning_threshold(m)
-    assert passes.tolist() == [True, False, True]
+    # pp * qq - pq^2 ~ 0 at node b makes its 2x2 solve singular: its
+    # determinant is far below 0.1 x the median, while a and c keep 1.0.
+    m = analytic_moments(star_grid)
+    m = dataclasses.replace(m, pq=np.array([0.0, 1.0 - 1e-13, 0.0]))
     with pytest.raises(ConditioningError) as err:
         estimate_distances(m)
     assert err.value.nodes == ("b",)
-    # The check covers only the nodes asked for.
-    d = estimate_distances(m, nodes=("a", "c"))
-    assert d.value("a", "c") == pytest.approx(true_distance(star_grid, "a", "c"), abs=1e-9)
+    # The threshold is 0.1 x the median |determinant|, here 0.1.
+    with pytest.raises(ConditioningError):
+        estimate_distances(dataclasses.replace(m, pq=np.array([0.0, np.sqrt(0.92), 0.0])))
+    estimate_distances(dataclasses.replace(m, pq=np.array([0.0, np.sqrt(0.88), 0.0])))
 
 
 def test_conditioning_check_passes_healthy_moments(star_grid):
     m = analytic_moments(star_grid)
-    dets = node_determinants(m)
-    assert np.all(np.abs(dets) >= default_conditioning_threshold(m))
-    np.testing.assert_allclose(dets, 1.0)
+    np.testing.assert_allclose(m.pp * m.qq - m.pq * m.pq, 1.0)
     estimate_distances(m)
 
 

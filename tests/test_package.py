@@ -10,9 +10,13 @@ import gridtopo
 import gridtopo.cli
 from gridtopo import (
     FormatError,
+    InjectionSpec,
     RGConfig,
     RGDiagnostics,
     accumulate,
+    assign_reactances,
+    estimate_distances,
+    learn_from_moments,
     load_grid,
     load_learned,
     load_moments,
@@ -27,6 +31,7 @@ REMOVED = {
         "classify_pair_sampled", "coarsest_partition", "neighborhood", "phi",
         "conditioning_check", "estimate_h_pair", "ReducedLaplacian", "path_between",
         "merge", "perturbed", "match_hidden_and_diff", "save_experiment_config",
+        "node_determinants", "default_conditioning_threshold",
     ),
     gridtopo.grid: ("ReducedLaplacian", "path_between"),
     gridtopo.Grid: ("path_edges", "root_path_edges"),
@@ -34,9 +39,14 @@ REMOVED = {
     gridtopo.grouping: ("_classify_scalar", "_witness_mask", "anchor_path_incidence"),
     gridtopo.LearnedTree: ("adjacency", "degree", "leaves"),
     gridtopo.distances: ("from_grid", "perturbed"),
-    gridtopo.moments: ("conditioning_check", "estimate_h_pair", "merge"),
-    gridtopo.MomentSet: ("empty",),
-    gridtopo.bench: ("match_hidden_and_diff", "save_experiment_config", "config_to_dict"),
+    gridtopo.moments: (
+        "conditioning_check", "estimate_h_pair", "merge", "node_determinants",
+        "default_conditioning_threshold", "ACCUMULATOR_CHUNK",
+    ),
+    gridtopo.MomentSet: ("empty", "index"),
+    gridtopo.InjectionSpec: ("moments_for", "per_node"),
+    gridtopo.DistanceMatrix: ("mode", "value"),
+    gridtopo.bench: ("match_hidden_and_diff", "save_experiment_config", "config_to_dict", "HUB_NAME"),
     gridtopo.MeasurementSet: ("grid_name",),
     gridtopo.RGDiagnostics: ("eps0",),
 }
@@ -59,6 +69,12 @@ def test_public_names_resolve():
     assert list(inspect.signature(accumulate).parameters) == ["source"]
     assert list(inspect.signature(rg_exact).parameters) == ["O", "d"]
     assert list(inspect.signature(rg_sampled).parameters) == ["O", "d", "cfg"]
+    # The learner takes a whole moment set, one injection triple holds for
+    # every node, and one call fits both r and x.
+    assert list(inspect.signature(learn_from_moments).parameters) == ["m", "cfg"]
+    assert list(inspect.signature(estimate_distances).parameters) == ["m"]
+    assert list(inspect.signature(assign_reactances).parameters) == ["tree", "d"]
+    assert set(InjectionSpec.__dataclass_fields__) == {"sigma_pp", "sigma_qq", "sigma_pq", "family"}
     # perfbench reads these counters by name.
     counters = {"rounds", "eps_escalations", "tau_escalations", "merged_junctions", "clamped_lengths"}
     assert counters <= set(RGDiagnostics.__dataclass_fields__)
