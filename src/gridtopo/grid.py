@@ -338,12 +338,15 @@ def true_distance(g: Grid, a: str, b: str, mode: str = RESISTANCE) -> float:
 # ---------------------------------------------------------------------------
 
 def grid_to_dict(g: Grid) -> dict:
+    return nodes_and_edges_to_dict(g.nodes, g.edges, g.roots, g.observed)
+
+
+def nodes_and_edges_to_dict(nodes: Sequence[str], edges: Sequence[Edge],
+                            roots: frozenset[str], observed: frozenset[str]) -> dict:
+    """Write the node/edge schema that parse_nodes_and_edges reads; a learned grid has no roots."""
     return {
-        "nodes": [
-            {"id": n, "root": n in g.roots, "observed": n in g.observed}
-            for n in g.nodes
-        ],
-        "edges": [{"u": e.u, "v": e.v, "r": e.r, "x": e.x} for e in g.edges],
+        "nodes": [{"id": n, "root": n in roots, "observed": n in observed} for n in nodes],
+        "edges": [{"u": e.u, "v": e.v, "r": e.r, "x": e.x} for e in edges],
     }
 
 
@@ -373,10 +376,11 @@ def parse_nodes_and_edges(
         if not isinstance(nid, str):
             raise fail(f"nodes[{i}]: 'id' must be a string")
         nodes.append(nid)
-        if nd.get("root", False):
-            roots.add(nid)
-        if nd.get("observed", False):
-            observed.add(nid)
+        for flag, flagged in (("root", roots), ("observed", observed)):
+            if not isinstance(nd.get(flag, False), bool):
+                raise fail(f"nodes[{i}]: {flag!r} must be true or false")
+            if nd.get(flag, False):
+                flagged.add(nid)
     edges = []
     for i, ed in enumerate(data["edges"]):
         if not isinstance(ed, dict):

@@ -112,14 +112,12 @@ class LearnedTree:
         return path_incidence(paths, nodes, len(self.edges))
 
 
-def tree_path_lengths(tree: LearnedTree, nodes: tuple[str, ...] | None = None) -> np.ndarray:
-    """Pairwise path-length matrix over `nodes` (default: all tree nodes).
+def tree_path_lengths(tree: LearnedTree, nodes: tuple[str, ...]) -> np.ndarray:
+    """Pairwise path-length matrix over `nodes`.
 
     The sums come from grid.path_lengths over the tree's anchor-path
     incidence (LearnedTree.path_incidence).
     """
-    if nodes is None:
-        nodes = tree.nodes
     return path_lengths(tree.path_incidence(nodes), np.array([e.length for e in tree.edges]))
 
 

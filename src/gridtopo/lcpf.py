@@ -30,7 +30,6 @@ import numpy as np
 
 from .exceptions import FormatError, ValidationError
 from .grid import Grid, ensure_valid, reduced_laplacian
-from .moments import MomentSet
 
 SIM_CHUNK = 4096  # frozen: part of the reproducibility contract
 _ROW_BLOCK = 512  # rows per draw and per solve; divides SIM_CHUNK
@@ -241,22 +240,6 @@ def _fill_window(g: Grid, spec: InjectionSpec, seed: int, rows: slice,
     for out, full in ((v, v_full), (p, p_full), (q, q_full)):
         for j, col in enumerate(cols):  # column by column: each is contiguous in out
             out[:, j] = full[:, col]
-
-
-def analytic_moments(g: Grid, spec: InjectionSpec = InjectionSpec()) -> MomentSet:
-    """Exact model moments over the observed nodes (count=None).
-
-    E[v_a p_b] = H_r^-1(a,b) E[p_b^2] + H_x^-1(a,b) E[p_b q_b], and
-    E[v_a q_b] = H_r^-1(a,b) E[p_b q_b] + H_x^-1(a,b) E[q_b^2]; injections are
-    independent across nodes, so only node b's own moments survive.
-    """
-    h_r, h_x, cols = _forward_model(g)
-    spp, sqq, spq = spec.sigma_pp, spec.sigma_qq, spec.sigma_pq
-    h_r_oo = h_r[np.ix_(cols, cols)]
-    h_x_oo = h_x[np.ix_(cols, cols)]
-    vp = h_r_oo * spp + h_x_oo * spq
-    vq = h_r_oo * spq + h_x_oo * sqq
-    return MomentSet(g.observed_nodes, None, vp, vq, *(np.full(len(cols), s) for s in (spp, sqq, spq)))
 
 
 # ---------------------------------------------------------------------------

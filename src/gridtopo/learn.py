@@ -23,7 +23,7 @@ import numpy as np
 
 from .distances import DistanceMatrix
 from .exceptions import FormatError, NegativeLengthWarning, ValidationError
-from .grid import Edge, parse_nodes_and_edges, read_json
+from .grid import Edge, nodes_and_edges_to_dict, parse_nodes_and_edges, read_json
 from .grouping import LearnedTree, RGConfig, rg_sampled
 from .lcpf import MeasurementSet
 from .moments import MomentSet, accumulate, estimate_distances
@@ -60,30 +60,27 @@ class LearnedGrid:
 def assign_reactances(tree: LearnedTree, d: DistanceMatrix) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Least-squares resistance and reactance per tree edge from pair distances.
 
-    Every observed pair contributes one equation per metric: the edge values
-    along its tree path must add up to the pair's d_r (resistance) or d_x
-    (reactance) estimate. The pair rows are never built: with B the
-    anchor-path incidence of the k observed nodes and C = B^T B, n =
-    diag(C), the normal matrix is k C + n n^T - 2 C o (n_e + n_f) + 2 C o C
-    (o elementwise; exact integers) and the right-hand side is the column
-    sum of B o (U (1 - B)), U the upper triangle of the pair distances,
-    mirrored. B and the normal matrix serve both metrics; lstsq on this
-    E x E system, once per metric, keeps the pair rows' rank and
-    minimum-norm solution. Returns r and x per edge (clamped at zero) and
-    their clamp counts.
+    Each pair of d's nodes (all must be tree nodes) gives one equation per
+    metric: the edge values along its tree path must add up to the pair's
+    d_r (resistance) or d_x (reactance) estimate. The pair rows are never
+    built: with B the anchor-path incidence of the k observed nodes and
+    C = B^T B, n = diag(C), the normal matrix is
+    k C + n n^T - 2 C o (n_e + n_f) + 2 C o C (o elementwise; exact
+    integers) and the right-hand side is the column sum of B o (U (1 - B)),
+    U the upper triangle of the pair distances, mirrored. B and the normal
+    matrix serve both metrics; lstsq on this E x E system, once per metric,
+    keeps the pair rows' rank and minimum-norm solution. Returns r and x
+    per edge (clamped at zero) and their clamp counts.
     """
-    in_tree = set(tree.nodes)
-    nodes = tuple(n for n in d.nodes if n in in_tree)
-    if len(nodes) < 2:
+    if len(d.nodes) < 2:
         raise ValidationError("impedance fit needs at least two observed nodes")
-    B = tree.path_incidence(nodes)
+    B = tree.path_incidence(d.nodes)
     C = B.T @ B
     n = np.diag(C)
-    gram = len(nodes) * C + np.outer(n, n) - 2.0 * C * (n[:, None] + n[None, :]) + 2.0 * C * C
-    ix = [d.index[nm] for nm in nodes]
+    gram = len(d.nodes) * C + np.outer(n, n) - 2.0 * C * (n[:, None] + n[None, :]) + 2.0 * C * C
     sols = []
     for dm in (d.d_r, d.d_x):
-        U = np.triu(dm[np.ix_(ix, ix)], 1)
+        U = np.triu(dm, 1)
         rhs = (B * ((U + U.T) @ (1.0 - B))).sum(axis=0)
         sol, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
         sols.append(sol)
@@ -101,14 +98,18 @@ def learn_from_moments(m: MomentSet, cfg: RGConfig | None = None) -> LearnedGrid
     """Reconstruct topology and impedances from terminal-node second moments.
 
     Learning uses every terminal of the moment set, and every terminal must
-    pass estimate_distances' conditioning check. Grouping runs on the mean
-    metric (d_r + d_x) / 2, so cfg's eps0 is in ohms of that mean. Both line
-    values then come from the least-squares path-sum fit over the learned
-    tree. Provenance `clamped_lengths` counts every negative estimate
-    clamped to zero: grouping's lengths plus the fitted r and x.
+    pass estimate_distances' conditioning check. Sample moments must average
+    at least 2 samples: one sample's injection determinants are rounding
+    noise. Grouping runs on the mean metric (d_r + d_x) / 2, so cfg's eps0
+    is in ohms of that mean. Both line values then come from the
+    least-squares path-sum fit over the learned tree. Provenance
+    `clamped_lengths` counts every negative estimate clamped to zero:
+    grouping's lengths plus the fitted r and x.
     """
     if len(m.nodes) < 2:
         raise ValidationError("learning needs at least two observed terminals")
+    if m.count is not None and m.count < 2:
+        raise ValidationError(f"need at least 2 samples to form moments, got {m.count}")
     cfg = cfg or RGConfig()
     d = estimate_distances(m)
     tree = rg_sampled(m.nodes, (d.d_r + d.d_x) / 2.0, cfg)
@@ -140,8 +141,6 @@ def learn_from_samples(
     cfg: RGConfig | None = None,
 ) -> LearnedGrid:
     """Reconstruct a grid straight from raw (v, p, q) samples."""
-    if meas.T < 2:
-        raise ValidationError(f"need at least 2 samples to form moments, got {meas.T}")
     return learn_from_moments(accumulate(meas), cfg=cfg)
 
 
@@ -150,14 +149,8 @@ def learn_from_samples(
 # ---------------------------------------------------------------------------
 
 def learned_to_dict(g: LearnedGrid) -> dict:
-    return {
-        "nodes": [
-            {"id": n, "root": False, "observed": n in g.observed}
-            for n in g.nodes
-        ],
-        "edges": [{"u": e.u, "v": e.v, "r": e.r, "x": e.x} for e in g.edges],
-        "provenance": dict(g.provenance),
-    }
+    return {**nodes_and_edges_to_dict(g.nodes, g.edges, frozenset(), g.observed),
+            "provenance": dict(g.provenance)}
 
 
 def learned_from_dict(data: dict, source: str = "<learned>") -> LearnedGrid:

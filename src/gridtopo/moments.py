@@ -11,22 +11,26 @@ For each ordered pair (a, b), the two unknown inverse-Laplacian entries solve
     [E[p_b q_b] E[q_b^2]  ] [h_x] = [E[v_a q_b]]
 
 and the additive distances follow as d(a,b) = h(a,a) + h(b,b) - 2 h(a,b).
+analytic_moments gives the same blocks exactly, from a known grid.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .distances import DistanceMatrix
 from .exceptions import ConditioningError, FormatError, ValidationError
-from .grid import read_json
+from .grid import Grid, read_json
+from .lcpf import SIM_CHUNK, InjectionSpec, MeasurementSet, _forward_model
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .lcpf import MeasurementSet
+# The moment blocks, in field and file order, with their number of node
+# axes. Each name is the pair of series whose product the block averages:
+# vp[a, b] = E[v_a p_b], and pp[b] = E[p_b p_b] for each node alone.
+BLOCKS = {"vp": 2, "vq": 2, "pp": 1, "qq": 1, "pq": 1}
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,9 +53,9 @@ class MomentSet:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         m = len(self.nodes)
-        for name in ("vp", "vq", "pp", "qq", "pq"):
+        for name, axes in BLOCKS.items():
             arr = np.asarray(getattr(self, name), dtype=float)
-            shape = (m, m) if name in ("vp", "vq") else (m,)
+            shape = (m,) * axes
             if arr.shape != shape:
                 raise ValidationError(f"moment block {name!r}: expected shape {shape}, got {arr.shape}")
             if not np.isfinite(arr).all():
@@ -72,11 +76,7 @@ class MomentAccumulator:
         self.nodes = tuple(nodes)
         m = len(self.nodes)
         self.count = 0
-        self._vp = np.zeros((m, m))
-        self._vq = np.zeros((m, m))
-        self._pp = np.zeros(m)
-        self._qq = np.zeros(m)
-        self._pq = np.zeros(m)
+        self._means = {name: np.zeros((m,) * axes) for name, axes in BLOCKS.items()}
 
     def update(self, v: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
         """Fold in a block of rows (shape (t, m) each)."""
@@ -87,31 +87,24 @@ class MomentAccumulator:
         if v.shape != p.shape or v.shape != q.shape or v.shape[1] != len(self.nodes):
             raise ValidationError("measurement block shapes do not match the node list")
         w = t / (self.count + t)
+        series = {"v": v, "p": p, "q": q}
         with np.errstate(over="ignore", invalid="ignore"):  # result() rejects non-finite moments
-            self._vp += w * (v.T @ p / t - self._vp)
-            self._vq += w * (v.T @ q / t - self._vq)
-            self._pp += w * ((p * p).mean(axis=0) - self._pp)
-            self._qq += w * ((q * q).mean(axis=0) - self._qq)
-            self._pq += w * ((p * q).mean(axis=0) - self._pq)
+            for name, mean in self._means.items():
+                a, b = series[name[0]], series[name[1]]
+                mean += w * ((a.T @ b / t if BLOCKS[name] == 2 else (a * b).mean(axis=0)) - mean)
         self.count += t
 
     def result(self) -> MomentSet:
-        return MomentSet(
-            self.nodes, self.count,
-            self._vp.copy(), self._vq.copy(),
-            self._pp.copy(), self._qq.copy(), self._pq.copy(),
-        )
+        return MomentSet(self.nodes, self.count, **{name: mean.copy() for name, mean in self._means.items()})
 
 
-def accumulate(source: "MeasurementSet | Iterable[MeasurementSet]") -> MomentSet:
+def accumulate(source: MeasurementSet | Iterable[MeasurementSet]) -> MomentSet:
     """Second moments of a measurement set, or of its consecutive row blocks.
 
     Blocks (simulate_blocks, read_measurement_blocks) are folded as they
     arrive and dropped, each in SIM_CHUNK-row pieces; blocks of SIM_CHUNK
     rows give the same bits as the set they were cut from.
     """
-    from .lcpf import SIM_CHUNK, MeasurementSet  # lcpf imports this module
-
     acc = None
     for ms in [source] if isinstance(source, MeasurementSet) else source:
         if acc is None:
@@ -127,6 +120,22 @@ def accumulate(source: "MeasurementSet | Iterable[MeasurementSet]") -> MomentSet
     return acc.result()
 
 
+def analytic_moments(g: Grid, spec: InjectionSpec = InjectionSpec()) -> MomentSet:
+    """Exact model moments over the observed nodes (count=None).
+
+    E[v_a p_b] = H_r^-1(a,b) E[p_b^2] + H_x^-1(a,b) E[p_b q_b], and
+    E[v_a q_b] = H_r^-1(a,b) E[p_b q_b] + H_x^-1(a,b) E[q_b^2]; injections are
+    independent across nodes, so only node b's own moments survive.
+    """
+    h_r, h_x, cols = _forward_model(g)
+    spp, sqq, spq = spec.sigma_pp, spec.sigma_qq, spec.sigma_pq
+    h_r_oo = h_r[np.ix_(cols, cols)]
+    h_x_oo = h_x[np.ix_(cols, cols)]
+    vp = h_r_oo * spp + h_x_oo * spq
+    vq = h_r_oo * spq + h_x_oo * sqq
+    return MomentSet(g.observed_nodes, None, vp, vq, *(np.full(len(cols), s) for s in (spp, sqq, spq)))
+
+
 # ---------------------------------------------------------------------------
 # Conditioning and the pairwise solve
 # ---------------------------------------------------------------------------
@@ -137,13 +146,14 @@ def estimate_distances(m: MomentSet) -> DistanceMatrix:
     Runs the pairwise 2x2 solves for every ordered pair, symmetrizes the two
     inverse-Laplacian estimates by averaging, and converts to distances. The
     diagonal is exactly zero by construction. Conditioning check: each
-    node's injection moment determinant pp qq - pq^2 must reach 0.1 x the
-    median |determinant| over the nodes, or ConditioningError names the
-    nodes that fall short.
+    node's injection moment determinant pp qq - pq^2 must be > 0 and reach
+    0.1 x the median |determinant| over the nodes, or ConditioningError
+    names the nodes that fall short. Valid injection moments always have a
+    positive determinant; when every node's is 0, so is the threshold.
     """
     det = m.pp * m.qq - m.pq * m.pq
     lam = 0.1 * float(np.median(np.abs(det))) if det.size else 0.0
-    bad = [n for n, dt in zip(m.nodes, det) if abs(dt) < lam]
+    bad = [n for n, dt in zip(m.nodes, det) if not dt > 0 or dt < lam]
     if bad:
         raise ConditioningError(
             f"nodes {bad} fail the conditioning check (threshold {lam:.3e})",
@@ -169,34 +179,24 @@ def estimate_distances(m: MomentSet) -> DistanceMatrix:
 # ---------------------------------------------------------------------------
 
 def moments_to_dict(m: MomentSet) -> dict:
-    return {
-        "nodes": list(m.nodes),
-        "count": m.count,
-        "vp": m.vp.tolist(),
-        "vq": m.vq.tolist(),
-        "pp": m.pp.tolist(),
-        "qq": m.qq.tolist(),
-        "pq": m.pq.tolist(),
-    }
+    return {"nodes": list(m.nodes), "count": m.count, **{name: getattr(m, name).tolist() for name in BLOCKS}}
 
 
 def moments_from_dict(data: dict, source: str = "<moments>") -> MomentSet:
     if not isinstance(data, dict):
         raise FormatError(f"{source}: expected a JSON object")
-    for key in ("nodes", "count", "vp", "vq", "pp", "qq", "pq"):
+    for key in ("nodes", "count", *BLOCKS):
         if key not in data:
             raise FormatError(f"{source}: missing field {key!r}")
-    count = data["count"]
-    if count is not None and not isinstance(count, int):
+    nodes, count = data["nodes"], data["count"]
+    if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+        raise FormatError(f"{source}: field 'nodes' must be a list of strings")
+    if count is not None and type(count) is not int:  # a bool is not a count
         raise FormatError(f"{source}: field 'count' must be an integer or null")
     try:
-        return MomentSet(
-            tuple(data["nodes"]), count,
-            np.asarray(data["vp"], dtype=float), np.asarray(data["vq"], dtype=float),
-            np.asarray(data["pp"], dtype=float), np.asarray(data["qq"], dtype=float),
-            np.asarray(data["pq"], dtype=float),
-        )
-    except (ValidationError, ValueError) as exc:
+        return MomentSet(tuple(nodes), count,
+                         **{name: np.asarray(data[name], dtype=float) for name in BLOCKS})
+    except (ValidationError, ValueError, TypeError) as exc:  # TypeError: a block of non-numbers
         raise FormatError(f"{source}: {exc}") from None
 
 

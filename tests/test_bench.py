@@ -400,6 +400,17 @@ def test_experiment_config_file_errors(tmp_path):
     with pytest.raises(FormatError) as err:
         load_experiment_config(missing)
     assert str(err.value) == f"{missing}: file not found"
+    faults = [
+        ("n 12\n", ":1: expected 'key = value', got 'n 12'"),
+        ("n = 12\nn = 13\n", ":2: duplicate key 'n'"),
+        ("samples = ,\n", ":1: key 'samples': expected a comma-separated list"),
+        ("r_lo = 0.1\n", ": r_lo and r_hi must be given together"),
+    ]
+    for text, message in faults:
+        bad.write_text(text)
+        with pytest.raises(FormatError) as err:
+            load_experiment_config(bad)
+        assert str(err.value) == f"{bad}{message}"
 
 
 # Values that would hang the sweep (a NaN eps0), spoil every moment (a NaN

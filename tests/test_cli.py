@@ -174,6 +174,38 @@ def test_non_finite_moments_from_a_csv_exit_one(tmp_path, capsys, value, block):
     assert err == f"error: {csv}: moment block {block!r} has non-finite entries\n"
 
 
+def test_singular_injection_moments_exit_one(tmp_path, capsys):
+    # Every determinant, and with them the threshold, is 0: the check must
+    # still refuse, not divide by zero and report non-finite distances.
+    grid, moments = tmp_path / "grid.json", tmp_path / "m.json"
+    main(["generate-grid", "--nodes", "12", "-o", str(grid)])
+    main(["simulate", "--grid", str(grid), "--samples", "200", "--moments", str(moments)])
+    data = json.loads(moments.read_text())
+    data.update({block: [1.0] * len(data["nodes"]) for block in ("pp", "qq", "pq")})
+    moments.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["estimate", "--moments", str(moments), "-o", str(tmp_path / "l.json")]) == 1
+    terminals = load_grid(grid).observed_nodes
+    assert capsys.readouterr().err == (
+        f"error: nodes {list(terminals)} fail the conditioning check (threshold 0.000e+00)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--moments", "{m}", "-o", "{out}"],
+    ["estimate", "--measurements", "{csv}", "-o", "{out}"],
+    ["pipeline", "--grid", "{grid}", "--samples", "1", "--learned-out", "{out}"],
+], ids=["moments", "measurements", "pipeline"])
+def test_one_sample_exits_one(tmp_path, capsys, argv):
+    paths = {k: str(tmp_path / f) for k, f in (
+        ("grid", "grid.json"), ("m", "m.json"), ("csv", "meas.csv"), ("out", "out"))}
+    main(["generate-grid", "--nodes", "12", "-o", paths["grid"]])
+    main(["simulate", "--grid", paths["grid"], "--samples", "1", "-o", paths["csv"], "--moments", paths["m"]])
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert capsys.readouterr().err == "error: need at least 2 samples to form moments, got 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_generator_arguments_exit_one(tmp_path, capsys):
     rc = main(["generate-grid", "--nodes", "4", "-o", str(tmp_path / "g.json")])
     assert rc == 1
@@ -232,6 +264,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--moments", "m.json", flag, value, "-o", str(tmp_path / "l.json")])
         assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["generate-grid", "--nodes", "20", "--r-range", "1", "-o", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert "argument --r-range: expected 'lo,hi', got '1'" in capsys.readouterr().err
 
 
 def test_estimate_rejects_ambiguous_sources(tmp_path):

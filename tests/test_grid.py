@@ -1,5 +1,6 @@
 """Grid structure, validation, path algebra, and the Laplacian identities."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def test_validation_passes_on_fixtures(star_grid, cherry_grid):
         assert ensure_valid(g) is g
 
 
-def test_validation_catches_structural_faults():
+def test_validation_catches_structural_faults(star_grid):
     # Hidden node of reduced degree 2 (a pass-through junction).
     g = Grid.create(
         {"t": "root", "h": "hidden", "a": "observed", "b": "observed"},
@@ -63,6 +64,26 @@ def test_validation_catches_structural_faults():
     assert any("degree" in msg for msg in report.violations)
     with pytest.raises(ValidationError):
         ensure_valid(g)
+    # One fault at a time, each in the valid star t - h - {a, b, c}.
+    star, lines = star_grid, star_grid.edges
+    root_with_two_lines = Grid.create(
+        {"t": "root", "h": "hidden", "a": "observed", "b": "observed", "c": "observed", "d": "observed"},
+        [("t", "a", 0.1, 0.1), ("t", "h", 0.1, 0.1), ("h", "b", 0.2, 0.2), ("h", "c", 0.3, 0.3),
+         ("h", "d", 0.4, 0.4)],
+    )
+    faults = [
+        (replace(star, nodes=star.nodes + ("a",)), "duplicate node ids"),
+        (replace(star, edges=lines + (Edge("h", "z", 0.1, 0.1),)), "edge (h,z) references an unknown node"),
+        (replace(star, roots=frozenset()), "expected exactly one root, found 0"),
+        (replace(star, roots=frozenset({"t", "h"})), "expected exactly one root, found 2"),
+        (replace(star, edges=lines + (Edge("a", "h", 0.1, 0.1),)), "parallel edge (a,h)"),
+        (root_with_two_lines, "root 't' has 2 lines; exactly one is required "
+                              "so the grid minus the root stays a single tree"),
+        (replace(star, observed=star.observed | {"t"}), "root 't' must not be observed"),
+        (replace(star, observed=star.observed | {"h"}), "observed node 'h' is not a leaf (degree 4)"),
+    ]
+    for bad, message in faults:
+        assert validate_grid(bad).violations == (message,)
 
 
 def test_validation_catches_bad_impedance_and_cycles():
@@ -197,6 +218,9 @@ def test_grid_from_dict_field_checks():
         ({"nodes": {}, "edges": []}, "field 'nodes' must be a list"),
         ({"nodes": [{"root": True}], "edges": []}, "nodes[0]: missing field 'id'"),
         ({"nodes": [{"id": 7}], "edges": []}, "nodes[0]: 'id' must be a string"),
+        ({"nodes": [{"id": "t", "root": "no"}], "edges": []}, "nodes[0]: 'root' must be true or false"),
+        ({"nodes": [*root, {"id": "a", "observed": 1}], "edges": []},
+         "nodes[1]: 'observed' must be true or false"),
         ({"nodes": root, "edges": ["t-a"]}, "edges[0]: expected an object"),
         ({"nodes": root, "edges": [line]}, "edges[0]: missing field 'x'"),
         ({"nodes": root, "edges": [{**line, "x": "fast"}]},

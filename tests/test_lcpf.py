@@ -393,6 +393,21 @@ def test_measurements_csv_rejects_bad_files(tmp_path):
         path.write_text("# seed=3\nt,v:a,p:a,q:a\n" + body)
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {detail}"):
             load_measurements(path)
+    # A missing or faulty header is refused before any row is read.
+    heads = [
+        ("", "empty file"),
+        ("# seed=3\n", "empty file"),
+        ("x,v:a,p:a,q:a\n", "first header column must be 't'"),
+        ("t,va,p:a,q:a\n", "header column 'va' is not of the form kind:node"),
+        ("t,w:a,p:a,q:a\n", "header column 'w:a' has unknown kind 'w'"),
+        ("t,v:a,v:a,p:a,q:a\n", "duplicate column 'v:a'"),
+        ("t,v:a,p:a\n", "missing column 'q:a'"),
+    ]
+    for head, message in heads:
+        path.write_text(head)
+        with pytest.raises(FormatError) as err:
+            load_measurements(path)
+        assert str(err.value) == f"{path}: {message}"
     missing = tmp_path / "absent.csv"
     with pytest.raises(FormatError, match=f"^{re.escape(str(missing))}: file not found"):
         load_measurements(missing)

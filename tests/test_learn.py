@@ -1,5 +1,7 @@
 """End-to-end learner: moments (or samples) in, grid with impedances out."""
+import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +11,13 @@ from gridtopo import (
     FormatError,
     InjectionSpec,
     LearnedTree,
+    MeasurementSet,
     MomentSet,
     NegativeLengthWarning,
     RGConfig,
     TreeEdge,
     ValidationError,
+    accumulate,
     analytic_moments,
     assign_reactances,
     evaluate,
@@ -68,9 +72,19 @@ def test_learner_input_validation(star_grid):
     one = MomentSet(("a",), None, np.ones((1, 1)), np.ones((1, 1)), np.ones(1), np.ones(1), np.zeros(1))
     with pytest.raises(ValidationError, match="at least two observed terminals"):
         learn_from_moments(one)
+    # The two-sample rule is on the moment set, whatever formed it: one
+    # sample's injection determinants are rounding noise.
     meas = simulate(star_grid, InjectionSpec(), T=1, seed=0)
-    with pytest.raises(ValidationError):
-        learn_from_samples(meas)
+    exact = analytic_moments(star_grid)
+    for learn, arg in ((learn_from_samples, meas), (learn_from_moments, accumulate(meas)),
+                       (learn_from_moments, replace(exact, count=1))):
+        with pytest.raises(ValidationError) as err:
+            learn(arg)
+        assert str(err.value) == "need at least 2 samples to form moments, got 1"
+    assert learn_from_moments(replace(exact, count=2)) == learn_from_moments(exact)
+    empty = MeasurementSet(star_grid.observed_nodes, *(np.zeros((0, 3)) for _ in "vpq"))
+    with pytest.raises(ValidationError, match="^cannot accumulate an empty measurement set$"):
+        learn_from_samples(empty)
 
 
 def test_assign_reactances_exact(star_grid):
@@ -227,6 +241,17 @@ def test_learned_file_errors(tmp_path):
     bad.write_text('{"nodes": ["a"], "edges": [{"u": "a"}]}')
     with pytest.raises(FormatError):
         load_learned(bad)
+    node = {"id": "a", "observed": True}
+    faults = [
+        ({"nodes": [node], "edges": [], "provenance": []}, "field 'provenance' must be an object"),
+        ({"nodes": [node], "edges": [{"u": "a", "v": "z", "r": 1.0, "x": 1.0}]},
+         "edge ('a', 'z') references an unknown node"),
+    ]
+    for data, message in faults:
+        bad.write_text(json.dumps(data))
+        with pytest.raises(FormatError) as err:
+            load_learned(bad)
+        assert str(err.value) == f"{bad}: {message}"
 
 
 def test_learn_sampled_cfg_is_honored(star_grid):

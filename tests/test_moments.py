@@ -1,6 +1,7 @@
 """Streaming moment accumulation and the pairwise distance estimator."""
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,22 @@ def test_conditioning_guard_trips_on_near_singular_injections(star_grid):
     estimate_distances(dataclasses.replace(m, pq=np.array([0.0, np.sqrt(0.88), 0.0])))
 
 
+def test_conditioning_check_refuses_non_positive_determinants(star_grid):
+    # pp = qq = pq = 1 everywhere: every determinant is 0, and so is 0.1 x
+    # their median, so the threshold alone would pass every node.
+    m = analytic_moments(star_grid)
+    ones = np.ones(3)
+    with pytest.raises(ConditioningError) as err:
+        estimate_distances(dataclasses.replace(m, pp=ones, qq=ones, pq=ones))
+    assert err.value.nodes == ("a", "b", "c")
+    assert str(err.value) == "nodes ['a', 'b', 'c'] fail the conditioning check (threshold 0.000e+00)"
+    # A negative determinant fails even where its size clears the threshold:
+    # b's is -3, the threshold 0.1.
+    with pytest.raises(ConditioningError) as err:
+        estimate_distances(dataclasses.replace(m, pq=np.array([0.0, 2.0, 0.0])))
+    assert err.value.nodes == ("b",)
+
+
 def test_conditioning_check_passes_healthy_moments(star_grid):
     m = analytic_moments(star_grid)
     np.testing.assert_allclose(m.pp * m.qq - m.pq * m.pq, 1.0)
@@ -142,3 +159,20 @@ def test_moments_file_errors(tmp_path, star_grid):
         with pytest.raises(FormatError) as err:
             load_moments(bad)
         assert str(err.value) == f"{bad}: moment block {block!r} has non-finite entries"
+    good = moments_to_dict(analytic_moments(star_grid))
+    faults = [
+        ([good], "expected a JSON object"),
+        ({**good, "count": 1.5}, "field 'count' must be an integer or null"),
+        ({**good, "count": True}, "field 'count' must be an integer or null"),
+        ({**good, "nodes": 3}, "field 'nodes' must be a list of strings"),
+        ({**good, "nodes": ["a", 2, "c"]}, "field 'nodes' must be a list of strings"),
+    ]
+    for data, message in faults:
+        bad.write_text(json.dumps(data))
+        with pytest.raises(FormatError) as err:
+            load_moments(bad)
+        assert str(err.value) == f"{bad}: {message}"
+    # A block of non-numbers is numpy's error, named after the file.
+    bad.write_text(json.dumps({**good, "pp": {}}))
+    with pytest.raises(FormatError, match="^" + re.escape(f"{bad}: float() argument")):
+        load_moments(bad)
