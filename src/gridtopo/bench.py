@@ -12,7 +12,6 @@ config: rows are canonically ordered and contain no timestamps.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import time
 import warnings
@@ -25,7 +24,7 @@ import numpy as np
 
 from .distances import DistanceMatrix
 from .exceptions import Error, FormatError, MetricUndefinedError, ValidationError
-from .grid import Grid, ensure_valid, tree_paths
+from .grid import Grid, ensure_valid, tree_paths, write_json
 from .grouping import RGConfig
 from .learn import LearnedGrid, learn_from_moments
 from .lcpf import InjectionSpec, simulate
@@ -399,14 +398,18 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialResult]:
     return rows
 
 
+def rows_by_cell(rows: list[TrialResult]) -> dict[tuple[int, float], list[TrialResult]]:
+    """Rows keyed by (samples, eps0) cell: cells in sorted order, each cell's rows by trial."""
+    cells: dict[tuple[int, float], list[TrialResult]] = {}
+    for row in sorted(rows, key=lambda r: (r.samples, r.eps0, r.trial)):
+        cells.setdefault((row.samples, row.eps0), []).append(row)
+    return cells
+
+
 def summarize(cfg: ExperimentConfig, rows: list[TrialResult]) -> dict:
     """Aggregate per (samples, eps0) cell; key order is canonical."""
-    cells: dict[tuple[int, float], list[TrialResult]] = {}
-    for row in rows:
-        cells.setdefault((row.samples, row.eps0), []).append(row)
     out = []
-    for (t, eps0) in sorted(cells):
-        batch = cells[(t, eps0)]
+    for (t, eps0), batch in rows_by_cell(rows).items():
         recovered = [r for r in batch if r.recovered]
         diffs = [r.edge_difference for r in batch if r.edge_difference is not None]
         imps = [r.impedance_error for r in recovered if r.impedance_error is not None]
@@ -428,13 +431,10 @@ def summarize(cfg: ExperimentConfig, rows: list[TrialResult]) -> dict:
 
 def tradeoff_report(rows: list[TrialResult]) -> dict[float, dict[int, float]]:
     """Recovery rate by eps0 then samples: the tolerance trade-off at a glance."""
-    table: dict[float, dict[int, list[bool]]] = {}
-    for row in rows:
-        table.setdefault(row.eps0, {}).setdefault(row.samples, []).append(row.recovered)
-    return {
-        eps0: {t: sum(flags) / len(flags) for t, flags in sorted(by_t.items())}
-        for eps0, by_t in sorted(table.items())
-    }
+    table: dict[float, dict[int, float]] = {}
+    for (t, eps0), batch in rows_by_cell(rows).items():  # samples ascend within each eps0
+        table.setdefault(eps0, {})[t] = sum(r.recovered for r in batch) / len(batch)
+    return dict(sorted(table.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +461,7 @@ def write_results_csv(rows: list[TrialResult], path: str | Path) -> None:
 
 
 def write_summary_json(cfg: ExperimentConfig, rows: list[TrialResult], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(summarize(cfg, rows), indent=2) + "\n")
+    write_json(summarize(cfg, rows), path)
 
 
 # Config file keys. Impedance bounds are flattened (r_lo/r_hi, x_lo/x_hi).

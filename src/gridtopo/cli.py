@@ -9,7 +9,6 @@ line to stderr, never a stack trace.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -19,13 +18,14 @@ from .bench import (
     evaluate,
     load_experiment_config,
     random_radial_grid,
+    rows_by_cell,
     run_experiment,
     summarize,
     write_results_csv,
     write_summary_json,
 )
 from .exceptions import Error, FormatError, ValidationError
-from .grid import Grid, ensure_valid, load_grid, save_grid
+from .grid import Grid, ensure_valid, load_grid, save_grid, write_json
 from .grouping import RGConfig
 from .learn import LearnedGrid, learn_from_moments, load_learned, save_learned
 from .lcpf import InjectionSpec, read_measurement_blocks, save_measurements, simulate_blocks
@@ -88,20 +88,14 @@ def _grid_summary(g: Grid) -> str:
 
 
 def _learned_summary(lg: LearnedGrid) -> str:
-    rounds = lg.provenance.get("rounds")
-    tail = f", {rounds} grouping rounds" if rounds is not None else ""
     return (f"{len(lg.nodes)} nodes ({len(lg.hidden)} junctions synthesized), "
-            f"{len(lg.edges)} lines{tail}")
+            f"{len(lg.edges)} lines, {lg.provenance['rounds']} grouping rounds")
 
 
 def _report_line(report) -> str:
     imp = "n/a" if report.avg_impedance_error is None else f"{report.avg_impedance_error:.6f}"
     rec = "yes" if report.exact_recovery else "no"
     return f"exact_recovery={rec} edge_difference={report.edge_difference} avg_impedance_error={imp}"
-
-
-def _write_report_json(report, path: str) -> None:
-    Path(path).write_text(json.dumps(asdict(report), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +117,7 @@ def _cmd_simulate(args) -> int:
     k = len(g.observed_nodes)
     if args.out and args.moments:  # one draw for both: each block is folded as it is written
         acc = MomentAccumulator(g.observed_nodes)
-        blocks = _folded(blocks, acc)
+        blocks = map(acc.add, blocks)
     if args.out:
         save_measurements(blocks, args.out)
         print(f"wrote {args.out}: {args.samples} samples x {k} terminals (seed {args.seed})")
@@ -131,14 +125,6 @@ def _cmd_simulate(args) -> int:
         save_moments(acc.result() if args.out else accumulate(blocks), args.moments)
         print(f"wrote {args.moments}: moments over {k} terminals from {args.samples} samples")
     return 0
-
-
-def _folded(blocks, acc: MomentAccumulator):
-    """Pass SIM_CHUNK-row blocks through, folding each into acc, as accumulate would."""
-    for ms in blocks:
-        acc.update(ms.v, ms.p, ms.q)
-        yield ms
-        del ms  # not alive while the next block is drawn
 
 
 def _cmd_estimate(args) -> int:
@@ -162,7 +148,7 @@ def _cmd_evaluate(args) -> int:
     report = evaluate(g, learned)
     print(_report_line(report))
     if args.out:
-        _write_report_json(report, args.out)
+        write_json(asdict(report), args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -180,7 +166,7 @@ def _cmd_pipeline(args) -> int:
         save_learned(learned, args.learned_out)
         print(f"wrote {args.learned_out}")
     if args.report:
-        _write_report_json(report, args.report)
+        write_json(asdict(report), args.report)
         print(f"wrote {args.report}")
     return 0
 
@@ -196,11 +182,9 @@ def _cmd_sweep(args) -> int:
     summary_path = out_dir / "summary.json"
     write_results_csv(rows, results_path)
     write_summary_json(cfg, rows, summary_path)
-    by_cell: dict[tuple[int, float], list[float]] = {}
-    for row in rows:
-        by_cell.setdefault((row.samples, row.eps0), []).append(row.runtime)
+    by_cell = rows_by_cell(rows)
     for cell in summarize(cfg, rows)["cells"]:
-        times = by_cell[(cell["samples"], cell["eps0"])]
+        times = [row.runtime for row in by_cell[(cell["samples"], cell["eps0"])]]
         print(
             f"samples={cell['samples']} eps0={cell['eps0']:g}: "
             f"recovery {cell['recovery_rate']:.0%} over {cell['trials']} trials, "

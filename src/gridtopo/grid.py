@@ -18,9 +18,7 @@ import numpy as np
 
 from .exceptions import FormatError, ValidationError
 
-RESISTANCE = "r"
-REACTANCE = "x"
-_MODES = (RESISTANCE, REACTANCE)
+_MODES = ("r", "x")
 
 
 def _check_mode(mode: str) -> str:
@@ -43,7 +41,7 @@ class Edge:
         object.__setattr__(self, "x", float(self.x))
 
     def weight(self, mode: str) -> float:
-        return self.r if mode == RESISTANCE else self.x
+        return self.r if mode == "r" else self.x
 
     @property
     def key(self) -> frozenset[str]:
@@ -78,10 +76,6 @@ class Grid:
         )
 
     @cached_property
-    def index(self) -> dict[str, int]:
-        return {n: i for i, n in enumerate(self.nodes)}
-
-    @cached_property
     def adjacency(self) -> dict[str, dict[str, Edge]]:
         adj: dict[str, dict[str, Edge]] = {n: {} for n in self.nodes}
         for e in self.edges:
@@ -91,7 +85,7 @@ class Grid:
         return adj
 
     @cached_property
-    def _validation(self) -> "ValidationReport":
+    def _validation(self) -> tuple[str, ...]:
         """validate_grid(self), computed on first use and kept: the grid is immutable."""
         return validate_grid(self)
 
@@ -130,7 +124,7 @@ class Grid:
         return max(map(len, self._root_paths.values()), default=0)
 
     def _require_reachable(self, node: str) -> None:
-        if node not in self.index:
+        if node not in self.adjacency:
             raise ValidationError(f"unknown node {node!r}")
         if node not in self._root_paths:
             raise ValidationError(f"node {node!r} is not connected to the root")
@@ -187,20 +181,10 @@ def path_lengths(B: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 # Validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
+def validate_grid(g: Grid) -> tuple[str, ...]:
+    """Check every structural invariant; return each violation found.
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        return "valid grid" if self.ok else "; ".join(self.violations)
-
-
-def validate_grid(g: Grid) -> ValidationReport:
-    """Check every structural invariant and report each violation found.
+    The tuple holds one message per violation and is empty for a valid grid.
 
     Checked: node/edge referential integrity, single root, tree-ness
     (connected, |E| = |V| - 1, no loops or parallel lines), root has exactly
@@ -260,13 +244,12 @@ def validate_grid(g: Grid) -> ValidationReport:
                     f"hidden node {n!r} has degree {reduced_deg} in the reduced tree; "
                     "3 or more is required for reconstructability"
                 )
-    return ValidationReport(tuple(v))
+    return tuple(v)
 
 
 def ensure_valid(g: Grid) -> Grid:
-    report = g._validation
-    if not report.ok:
-        raise ValidationError(f"invalid grid: {report}")
+    if g._validation:
+        raise ValidationError(f"invalid grid: {'; '.join(g._validation)}")
     return g
 
 
@@ -274,7 +257,7 @@ def ensure_valid(g: Grid) -> Grid:
 # Reduced Laplacian and path identities
 # ---------------------------------------------------------------------------
 
-def reduced_laplacian(g: Grid, mode: str = RESISTANCE) -> np.ndarray:
+def reduced_laplacian(g: Grid, mode: str = "r") -> np.ndarray:
     """Weighted Laplacian with the root row and column removed.
 
     Rows follow g.reduced_nodes; edge weights are 1/r (mode 'r') or 1/x
@@ -313,7 +296,7 @@ def _split_root_paths(g: Grid, a: str, b: str, what: str) -> tuple[list[int], li
     return pa[:k], pa[k:], pb[k:]
 
 
-def h_inverse_entry(g: Grid, a: str, b: str, mode: str = RESISTANCE) -> float:
+def h_inverse_entry(g: Grid, a: str, b: str, mode: str = "r") -> float:
     """Entry (a, b) of the inverse reduced Laplacian, by the path identity.
 
     For a tree, the (a, b) entry equals the sum of edge impedances shared by
@@ -326,7 +309,7 @@ def h_inverse_entry(g: Grid, a: str, b: str, mode: str = RESISTANCE) -> float:
     return float(sum(g.edges[i].weight(mode) for i in shared))
 
 
-def true_distance(g: Grid, a: str, b: str, mode: str = RESISTANCE) -> float:
+def true_distance(g: Grid, a: str, b: str, mode: str = "r") -> float:
     """Sum of edge r (or x) along the unique tree path between a and b."""
     _check_mode(mode)
     _, up, down = _split_root_paths(g, a, b, "distance")
@@ -402,7 +385,12 @@ def grid_from_dict(data: dict, source: str = "<grid>") -> Grid:
 
 
 def save_grid(g: Grid, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(grid_to_dict(g), indent=2) + "\n")
+    write_json(grid_to_dict(g), path)
+
+
+def write_json(data: object, path: str | Path) -> None:
+    """Write data as indented JSON with a final newline: every JSON file this package writes."""
+    Path(path).write_text(json.dumps(data, indent=2) + "\n")
 
 
 def read_json(path: str | Path) -> object:

@@ -92,7 +92,7 @@ class MeasurementSet:
         return self.v.shape[0]
 
     def head(self, t: int) -> "MeasurementSet":
-        """First t samples. Equals a fresh simulation of length t (same seed)."""
+        """First t samples: p and q as a fresh run of length t (same seed), v to rounding."""
         if not 0 < t <= self.T:
             raise ValidationError(f"cannot take {t} of {self.T} samples")
         return MeasurementSet(self.nodes, self.v[:t], self.p[:t], self.q[:t], seed=self.seed)

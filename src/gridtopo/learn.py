@@ -14,7 +14,6 @@ length clamp inside grouping.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 
 from .distances import DistanceMatrix
 from .exceptions import FormatError, NegativeLengthWarning, ValidationError
-from .grid import Edge, nodes_and_edges_to_dict, parse_nodes_and_edges, read_json
+from .grid import Edge, nodes_and_edges_to_dict, parse_nodes_and_edges, read_json, write_json
 from .grouping import LearnedTree, RGConfig, rg_sampled
 from .lcpf import MeasurementSet
 from .moments import MomentSet, accumulate, estimate_distances
@@ -165,7 +164,7 @@ def learned_from_dict(data: dict, source: str = "<learned>") -> LearnedGrid:
 
 
 def save_learned(g: LearnedGrid, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(learned_to_dict(g), indent=2) + "\n")
+    write_json(learned_to_dict(g), path)
 
 
 def load_learned(path: str | Path) -> LearnedGrid:

@@ -15,7 +15,6 @@ analytic_moments gives the same blocks exactly, from a known grid.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -24,7 +23,7 @@ import numpy as np
 
 from .distances import DistanceMatrix
 from .exceptions import ConditioningError, FormatError, ValidationError
-from .grid import Grid, read_json
+from .grid import Grid, read_json, write_json
 from .lcpf import SIM_CHUNK, InjectionSpec, MeasurementSet, _forward_model
 
 # The moment blocks, in field and file order, with their number of node
@@ -94,6 +93,17 @@ class MomentAccumulator:
                 mean += w * ((a.T @ b / t if BLOCKS[name] == 2 else (a * b).mean(axis=0)) - mean)
         self.count += t
 
+    def add(self, ms: MeasurementSet) -> MeasurementSet:
+        """Fold in a set over this node list in SIM_CHUNK-row pieces; return it.
+
+        SIM_CHUNK-row blocks fold to the same bits as the set they were cut from.
+        """
+        if ms.nodes != self.nodes:
+            raise ValidationError("measurement blocks cover different node lists")
+        for start in range(0, ms.T, SIM_CHUNK):
+            self.update(*(a[start:start + SIM_CHUNK] for a in (ms.v, ms.p, ms.q)))
+        return ms
+
     def result(self) -> MomentSet:
         return MomentSet(self.nodes, self.count, **{name: mean.copy() for name, mean in self._means.items()})
 
@@ -102,18 +112,13 @@ def accumulate(source: MeasurementSet | Iterable[MeasurementSet]) -> MomentSet:
     """Second moments of a measurement set, or of its consecutive row blocks.
 
     Blocks (simulate_blocks, read_measurement_blocks) are folded as they
-    arrive and dropped, each in SIM_CHUNK-row pieces; blocks of SIM_CHUNK
-    rows give the same bits as the set they were cut from.
+    arrive, through MomentAccumulator.add, and dropped.
     """
     acc = None
     for ms in [source] if isinstance(source, MeasurementSet) else source:
         if acc is None:
             acc = MomentAccumulator(ms.nodes)
-        elif ms.nodes != acc.nodes:
-            raise ValidationError("measurement blocks cover different node lists")
-        for start in range(0, ms.T, SIM_CHUNK):
-            stop = min(start + SIM_CHUNK, ms.T)
-            acc.update(ms.v[start:stop], ms.p[start:stop], ms.q[start:stop])
+        acc.add(ms)
         del ms  # not alive while the next block is read
     if acc is None or acc.count == 0:
         raise ValidationError("cannot accumulate an empty measurement set")
@@ -150,8 +155,17 @@ def estimate_distances(m: MomentSet) -> DistanceMatrix:
     0.1 x the median |determinant| over the nodes, or ConditioningError
     names the nodes that fall short. Valid injection moments always have a
     positive determinant; when every node's is 0, so is the threshold.
+    Moments too large for float64 are refused: an overflowing determinant
+    raises ConditioningError, an overflowing solve ValidationError.
     """
-    det = m.pp * m.qq - m.pq * m.pq
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        det = m.pp * m.qq - m.pq * m.pq
+    overflowed = [n for n, finite in zip(m.nodes, np.isfinite(det)) if not finite]
+    if overflowed:
+        raise ConditioningError(
+            f"nodes {overflowed}: injection moments overflow the determinant pp qq - pq^2",
+            nodes=tuple(overflowed),
+        )
     lam = 0.1 * float(np.median(np.abs(det))) if det.size else 0.0
     bad = [n for n, dt in zip(m.nodes, det) if not dt > 0 or dt < lam]
     if bad:
@@ -160,17 +174,20 @@ def estimate_distances(m: MomentSet) -> DistanceMatrix:
             nodes=tuple(bad),
         )
 
-    h_r = (m.qq * m.vp - m.pq * m.vq) / det
-    h_x = (m.pp * m.vq - m.pq * m.vp) / det
-    h_r = (h_r + h_r.T) / 2.0
-    h_x = (h_x + h_x.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        h_r = (m.qq * m.vp - m.pq * m.vq) / det
+        h_x = (m.pp * m.vq - m.pq * m.vp) / det
+        h_r = (h_r + h_r.T) / 2.0
+        h_x = (h_x + h_x.T) / 2.0
 
-    out = []
-    for h in (h_r, h_x):
-        diag = np.diagonal(h)
-        d = diag[:, None] + diag[None, :] - 2.0 * h
-        np.fill_diagonal(d, 0.0)
-        out.append(d)
+        out = []
+        for h in (h_r, h_x):
+            diag = np.diagonal(h)
+            d = diag[:, None] + diag[None, :] - 2.0 * h
+            np.fill_diagonal(d, 0.0)
+            out.append(d)
+    if not all(np.isfinite(d).all() for d in out):
+        raise ValidationError("moments overflow the pairwise solve: vp and vq are too large for pp, qq and pq")
     return DistanceMatrix(m.nodes, out[0], out[1])
 
 
@@ -201,7 +218,7 @@ def moments_from_dict(data: dict, source: str = "<moments>") -> MomentSet:
 
 
 def save_moments(m: MomentSet, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(moments_to_dict(m), indent=2) + "\n")
+    write_json(moments_to_dict(m), path)
 
 
 def load_moments(path: str | Path) -> MomentSet:

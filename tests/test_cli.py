@@ -2,6 +2,7 @@
 import json
 import os
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -32,7 +33,7 @@ def test_generate_grid_writes_valid_file(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
     g = load_grid(out)
     assert len(g.nodes) == 15
-    assert validate_grid(g).ok
+    assert validate_grid(g) == ()
 
 
 def test_generate_grid_is_deterministic(tmp_path):
@@ -188,6 +189,29 @@ def test_singular_injection_moments_exit_one(tmp_path, capsys):
     terminals = load_grid(grid).observed_nodes
     assert capsys.readouterr().err == (
         f"error: nodes {list(terminals)} fail the conditioning check (threshold 0.000e+00)\n")
+
+
+@pytest.mark.parametrize("probe", ["det", "solve"])
+def test_overflowing_moments_exit_one(tmp_path, capsys, probe):
+    # Finite moments whose products overflow float64 are refused in one
+    # line, with no RuntimeWarning on the way.
+    grid, moments = tmp_path / "grid.json", tmp_path / "m.json"
+    main(["generate-grid", "--nodes", "12", "--seed", "2", "-o", str(grid)])
+    main(["simulate", "--grid", str(grid), "--samples", "5000", "--moments", str(moments)])
+    data = json.loads(moments.read_text())
+    k = len(data["nodes"])
+    if probe == "det":  # pp = qq = 1e200 at every terminal
+        data.update(pp=[1e200] * k, qq=[1e200] * k)
+        expected = f"nodes {data['nodes']}: injection moments overflow the determinant pp qq - pq^2"
+    else:  # vp scaled by 1e300, qq = 1e10
+        data.update(vp=[[1e300 * x for x in row] for row in data["vp"]], qq=[1e10] * k)
+        expected = "moments overflow the pairwise solve: vp and vq are too large for pp, qq and pq"
+    moments.write_text(json.dumps(data))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["estimate", "--moments", str(moments), "-o", str(tmp_path / "l.json")]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -112,6 +112,20 @@ def test_measurement_head_is_a_prefix(star_grid):
 
 
 @pytest.mark.parametrize("family", ["gaussian", "uniform"])
+@pytest.mark.parametrize("n", [30, 200])
+def test_measurement_head_matches_a_shorter_simulation(n, family):
+    # p and q of a shorter run are exact prefixes; v agrees to rounding only,
+    # since the run's last _ROW_BLOCK product has fewer rows.
+    g = random_radial_grid(n, 1)
+    spec = InjectionSpec(sigma_pq=0.3, family=family)
+    full = simulate(g, spec, T=10_000, seed=3)
+    for t in (1, 7, 513, 1000, 4097, 5000):
+        head, fresh = full.head(t), simulate(g, spec, T=t, seed=3)
+        assert np.array_equal(fresh.p, head.p) and np.array_equal(fresh.q, head.q)
+        np.testing.assert_allclose(fresh.v, head.v, rtol=0, atol=1e-13 * np.abs(head.v).max())
+
+
+@pytest.mark.parametrize("family", ["gaussian", "uniform"])
 def test_injections_are_a_prefix_across_chunks(star_grid, family):
     spec = InjectionSpec(sigma_pq=0.3, family=family)
     p, q = sample_injections(star_grid, spec, 3 * SIM_CHUNK, seed=8)

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from gridtopo import (
     InjectionSpec,
     MeasurementSet,
     MomentAccumulator,
+    ValidationError,
     accumulate,
     analytic_moments,
     estimate_distances,
     load_moments,
     random_radial_grid,
+    save_measurements,
     save_moments,
     simulate,
     true_distance,
@@ -56,6 +59,18 @@ def test_streaming_updates_match_batch():
         acc.update(ms.v[t : t + 1], ms.p[t : t + 1], ms.q[t : t + 1])
     np.testing.assert_allclose(acc.result().vp, accumulate(ms).vp, atol=1e-10)
     assert acc.result().count == ms.T
+
+
+def test_blocks_over_different_node_lists_are_refused(tmp_path):
+    a = _random_measurements(0, T=10)
+    b = dataclasses.replace(a, nodes=tuple(f"{n}'" for n in a.nodes))
+    message = "^measurement blocks cover different node lists$"
+    with pytest.raises(ValidationError, match=message):
+        accumulate([a, b])
+    with pytest.raises(ValidationError, match=message):
+        MomentAccumulator(a.nodes).add(b)
+    with pytest.raises(ValidationError, match=message):
+        save_measurements([a, b], tmp_path / "m.csv")
 
 
 def test_estimate_distances_with_correlated_injections(star_grid):
@@ -127,6 +142,26 @@ def test_conditioning_check_refuses_non_positive_determinants(star_grid):
     with pytest.raises(ConditioningError) as err:
         estimate_distances(dataclasses.replace(m, pq=np.array([0.0, 2.0, 0.0])))
     assert err.value.nodes == ("b",)
+
+
+def test_overflowing_moments_are_refused_without_warnings(star_grid):
+    # Finite moments whose products overflow float64: the determinant of
+    # every node (then of b alone, under a finite median threshold), and
+    # then the pairwise solve.
+    m = analytic_moments(star_grid)
+    big = np.full(3, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError) as err:
+            estimate_distances(dataclasses.replace(m, pp=big, qq=big))
+        assert err.value.nodes == ("a", "b", "c")
+        assert str(err.value) == (
+            "nodes ['a', 'b', 'c']: injection moments overflow the determinant pp qq - pq^2")
+        with pytest.raises(ConditioningError) as err:
+            estimate_distances(dataclasses.replace(m, pp=np.array([1.0, 1e200, 1.0]), qq=big))
+        assert err.value.nodes == ("b",)
+        with pytest.raises(ValidationError, match="^moments overflow the pairwise solve: "):
+            estimate_distances(dataclasses.replace(m, vp=m.vp * 1e300, qq=np.full(3, 1e10)))
 
 
 def test_conditioning_check_passes_healthy_moments(star_grid):

@@ -32,10 +32,11 @@ REMOVED = {
         "conditioning_check", "estimate_h_pair", "ReducedLaplacian", "path_between",
         "merge", "perturbed", "match_hidden_and_diff", "save_experiment_config",
         "node_determinants", "default_conditioning_threshold",
+        "RESISTANCE", "REACTANCE", "ValidationReport",
     ),
-    gridtopo.grid: ("ReducedLaplacian", "path_between"),
+    gridtopo.grid: ("ReducedLaplacian", "path_between", "RESISTANCE", "REACTANCE", "ValidationReport"),
     gridtopo.lcpf: ("analytic_moments",),
-    gridtopo.Grid: ("path_edges", "root_path_edges"),
+    gridtopo.Grid: ("path_edges", "root_path_edges", "index"),
     gridtopo.EvalReport: ("runtime",),
     gridtopo.grouping: ("_classify_scalar", "_witness_mask", "anchor_path_incidence"),
     gridtopo.LearnedTree: ("adjacency", "degree", "leaves"),
@@ -50,6 +51,7 @@ REMOVED = {
     gridtopo.bench: ("match_hidden_and_diff", "save_experiment_config", "config_to_dict", "HUB_NAME"),
     gridtopo.MeasurementSet: ("grid_name",),
     gridtopo.RGDiagnostics: ("eps0",),
+    gridtopo.cli: ("_folded", "_write_report_json"),
 }
 # Names REMOVED from one module that the package still exports from another.
 MOVED = {"analytic_moments": gridtopo.moments}
@@ -97,6 +99,12 @@ def test_benchmark_hook_points_resolve():
     assert sites
     for module, attr, _span in sites:
         assert callable(getattr(importlib.import_module(f"gridtopo.{module}"), attr)), (module, attr)
+
+
+def test_write_json_is_the_one_json_writer():
+    src = Path(gridtopo.__file__).parent
+    writers = {p.name: p.read_text().count("json.dumps") for p in src.glob("*.py")}
+    assert {name: n for name, n in writers.items() if n} == {"grid.py": 1}
 
 
 @pytest.mark.parametrize("load", [load_grid, load_moments, load_learned], ids=lambda f: f.__name__)
