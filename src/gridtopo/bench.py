@@ -298,10 +298,13 @@ class ExperimentConfig:
         object.__setattr__(self, "samples", tuple(int(t) for t in self.samples))
         object.__setattr__(self, "eps0", tuple(float(e) for e in self.eps0))
         _check_generator_args(self.n, self.max_degree, self.r_range, self.x_range)
-        if not self.samples or any(t < 2 for t in self.samples):
-            raise ValidationError("samples must be a non-empty list of counts >= 2")
-        if not self.eps0:
-            raise ValidationError("eps0 must be a non-empty list of tolerances")
+        # A repeated count or tolerance would learn every grid twice and
+        # write rows with duplicate (samples, eps0, trial) keys.
+        samples, tols = list(self.samples), list(self.eps0)
+        if not samples or min(samples) < 2 or len(set(samples)) < len(samples):
+            raise ValidationError(f"samples must be a non-empty list of distinct counts >= 2, got {samples}")
+        if not tols or len(set(tols)) < len(tols):
+            raise ValidationError(f"eps0 must be a non-empty list of distinct tolerances, got {tols}")
         if self.eps_mode not in ("dynamic", "fixed"):
             raise ValidationError(f"eps_mode must be 'dynamic' or 'fixed', got {self.eps_mode!r}")
         for eps0 in self.eps0:  # the learner's and the simulator's own checks, before any trial runs

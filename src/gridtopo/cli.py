@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .bench import (
@@ -173,8 +173,6 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_experiment_config(args.config)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
     rows = run_experiment(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -264,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "cell per trial) and summary.json in --out-dir.")
     p.add_argument("--config", required=True, help="experiment config path")
     p.add_argument("--out-dir", required=True, help="directory for results.csv and summary.json")
-    p.add_argument("--threads", type=int, default=None, help="override the config's thread count")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -25,17 +25,9 @@ class ConditioningError(Error):
 class NotAdditiveError(Error):
     """A distance matrix is not an additive tree metric."""
 
-    def __init__(self, message: str, max_violation: float | None = None):
-        super().__init__(message)
-        self.max_violation = max_violation
-
 
 class GroupingStalledError(Error):
-    """Tree grouping stopped making progress; carries the working state."""
-
-    def __init__(self, message: str, partial: object | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """Tree grouping stopped making progress."""
 
 
 class MetricUndefinedError(Error):

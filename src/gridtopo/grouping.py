@@ -130,71 +130,58 @@ def _greedy_partition(
     parent_cands: list[tuple],
     sibling_cands: list[tuple[float, int, int]],
     sib_ok: np.ndarray,
-) -> list[dict]:
+) -> tuple[dict[int, list[int]], list[list[int]]]:
     """Deterministic block formation.
 
     Parent relations are accepted first (ascending pair distance, then
     residual), then sibling pairs grow blocks (ascending spread). A node
-    joins a sibling block, and two parentless blocks merge, when at least
-    half of the cross pairs are sibling pairs; on noiseless relations this
-    is the same as requiring a full clique, while on noisy relations it
-    stops one failed pair test from splitting a large sibling class into two
-    stacked blocks. Ties break on node order. Conflicting relations are
-    skipped, never fatal.
+    joins a sibling block, and two sibling blocks merge, when at least half
+    of the cross pairs are sibling pairs; on noiseless relations this is the
+    same as requiring a full clique, while on noisy relations it stops one
+    failed pair test from splitting a large sibling class into two stacked
+    blocks. Ties break on node order. Conflicting relations are skipped,
+    never fatal. Returns each parent's sorted children, in the order its
+    block formed, and each sibling block's sorted members; a node in
+    neither is left unplaced.
     """
 
     def _quorum(hits: int, total: int) -> bool:
         return 2 * hits >= total
 
-    blocks: list[dict] = []
-    assigned: dict[int, int] = {}
-
+    parents: dict[int, list[int]] = {}
+    placed: set[int] = set()  # every node of a parent block
     for *_, p, c in sorted(parent_cands):
-        if c in assigned:
+        if c in placed or (p in placed and p not in parents):
             continue
-        if p in assigned:
-            blk = blocks[assigned[p]]
-            if blk["parent"] != p:
-                continue
-            blk["members"].append(c)
-            assigned[c] = assigned[p]
-        else:
-            blocks.append({"parent": p, "members": [p, c]})
-            assigned[p] = assigned[c] = len(blocks) - 1
+        parents.setdefault(p, []).append(c)
+        placed.update((p, c))
 
+    blocks: list[list[int]] = []
+    where: dict[int, int] = {}  # node -> index of its sibling block
     for _, a, b in sorted(sibling_cands):
-        a_in, b_in = a in assigned, b in assigned
-        if a_in and b_in:
-            ia, ib = assigned[a], assigned[b]
+        if a in placed or b in placed:
+            continue
+        if a in where and b in where:
+            ia, ib = where[a], where[b]
             if ia == ib:
                 continue
-            b1, b2 = blocks[ia], blocks[ib]
-            if b1["parent"] is not None or b2["parent"] is not None:
-                continue
-            hits = sum(sib_ok[x, y] for x in b1["members"] for y in b2["members"])
-            if _quorum(hits, len(b1["members"]) * len(b2["members"])):
-                for y in b2["members"]:
-                    assigned[y] = ia
-                b1["members"].extend(b2["members"])
-                b2["members"] = []
-        elif a_in or b_in:
-            placed, other = (a, b) if a_in else (b, a)
-            blk = blocks[assigned[placed]]
-            if blk["parent"] is not None:
-                continue
-            hits = sum(sib_ok[other, x] for x in blk["members"])
-            if _quorum(hits, len(blk["members"])):
-                blk["members"].append(other)
-                assigned[other] = assigned[placed]
+            hits = sum(sib_ok[x, y] for x in blocks[ia] for y in blocks[ib])
+            if _quorum(hits, len(blocks[ia]) * len(blocks[ib])):
+                for y in blocks[ib]:
+                    where[y] = ia
+                blocks[ia] += blocks[ib]
+                blocks[ib] = []
+        elif a in where or b in where:
+            inside, other = (a, b) if a in where else (b, a)
+            blk = blocks[where[inside]]
+            if _quorum(sum(sib_ok[other, x] for x in blk), len(blk)):
+                blk.append(other)
+                where[other] = where[inside]
         else:
-            blocks.append({"parent": None, "members": [a, b]})
-            assigned[a] = assigned[b] = len(blocks) - 1
+            where[a] = where[b] = len(blocks)
+            blocks.append([a, b])
 
-    blocks = [b for b in blocks if b["members"]]
-    for n in range(k):
-        if n not in assigned:
-            blocks.append({"parent": None, "members": [n]})
-    return blocks
+    return {p: sorted(cs) for p, cs in parents.items()}, [sorted(b) for b in blocks if b]
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +272,6 @@ def _rg_core(
     eps0 = cfg.eps0
     max_rounds = 4 * len(names)
     diag = RGDiagnostics()
-    all_names = list(names)
     hidden: list[str] = []
     edges: list[TreeEdge] = []
     taken = set(names)
@@ -304,9 +290,6 @@ def _rg_core(
             diag.clamped_lengths += 1
             length = 0.0
         edges.append(TreeEdge(u, v, float(length)))
-
-    def partial_tree() -> LearnedTree:
-        return LearnedTree(tuple(all_names), tuple(edges), frozenset(hidden), diag)
 
     # Bookkeeping for every active node: a 0/1 row over the input nodes that
     # marks the ones below it in the part of the tree built so far, and the
@@ -334,8 +317,7 @@ def _rg_core(
         if diag.rounds >= max_rounds:
             raise GroupingStalledError(
                 f"grouping exceeded its budget of {max_rounds} rounds "
-                f"with {len(active)} nodes left",
-                partial=partial_tree(),
+                f"with {len(active)} nodes left"
             )
         diag.rounds += 1
         k = len(active)
@@ -349,34 +331,18 @@ def _rg_core(
         # Classify; escalate eps until some block of size >= 2 forms.
         eps = eps0
         while True:
-            cands = _relations_from_stats(k, eps, *stats)
-            blocks = _greedy_partition(k, *cands)
-            if any(len(b["members"]) > 1 for b in blocks):
+            parents, siblings = _greedy_partition(k, *_relations_from_stats(k, eps, *stats))
+            if parents or siblings:
                 break
             if not cfg.dynamic_eps:
-                raise GroupingStalledError(
-                    f"no pair classified at eps={eps:g} and eps is fixed",
-                    partial=partial_tree(),
-                )
+                raise GroupingStalledError(f"no pair classified at eps={eps:g} and eps is fixed")
             eps *= EPS_GROWTH
             diag.eps_escalations += 1
 
         # Apply blocks: parents keep their node, sibling blocks get a new
         # hidden junction; edge lengths and the shrunk distance matrix come
         # from witness-averaged updates.
-        keep: list[int] = []
-        hidden_children: list[list[int]] = []
-        parent_blocks: list[tuple[int, list[int]]] = []
-        for blk in blocks:
-            members = sorted(blk["members"])
-            if len(members) == 1:
-                keep.append(members[0])
-            elif blk["parent"] is not None:
-                p = blk["parent"]
-                keep.append(p)
-                parent_blocks.append((p, [c for c in members if c != p]))
-            else:
-                hidden_children.append(members)
+        keep = sorted(set(range(k)).difference(*parents.values(), *siblings))
 
         # A freshly inferred junction that lands within merge_tol of an already
         # known junction is the same junction seen twice (a sibling class that
@@ -385,7 +351,7 @@ def _rg_core(
         merge_tol = 0.75 * eps0
         hidden_set = set(hidden)
         fresh: list[tuple[list[int], np.ndarray]] = []
-        for children in hidden_children:
+        for children in siblings:
             # Distances from every active node to the block's new junction.
             col = np.zeros(k)
             for a in children:
@@ -399,23 +365,17 @@ def _rg_core(
                 col[outside] = (
                     D[outside][:, children] - col[children][None, :]
                 ).mean(axis=1)
-            cands: list[tuple[float, int, str, int]] = []
-            for a in children:
-                if active[a] in hidden_set and col[a] < merge_tol:
-                    cands.append((float(col[a]), 0, "child", a))
-            for y in keep:
-                if active[y] in hidden_set and col[y] < merge_tol:
-                    cands.append((float(col[y]), 1, "kept", y))
+            cands = [a for a in children + keep if active[a] in hidden_set and col[a] < merge_tol]
             if not cands:
                 fresh.append((children, col))
                 continue
             diag.merged_junctions += 1
-            _, _, kind, tgt = min(cands)
-            if kind == "child":
+            tgt = min(cands, key=lambda a: (col[a], a not in children, a))
+            if tgt in children:
                 # The new junction coincides with one of its own hidden
                 # children: that child is the true parent of the block.
                 keep.append(tgt)
-                parent_blocks.append((tgt, [c for c in children if c != tgt]))
+                parents[tgt] = [c for c in children if c != tgt]
             else:
                 # Coincides with a junction kept from an earlier round: the
                 # block members are that junction's missing children.
@@ -423,7 +383,7 @@ def _rg_core(
                     adopt(active[tgt], active[a], D[tgt, a])
 
         keep.sort()
-        for p, children in parent_blocks:
+        for p, children in parents.items():
             for c in children:
                 adopt(active[p], active[c], D[p, c])
 
@@ -431,7 +391,6 @@ def _rg_core(
         for children, col in fresh:
             h = fresh_hidden()
             hidden_names.append(h)
-            all_names.append(h)
             hidden.append(h)
             below[h] = np.zeros(len(names))
             path_sum[h] = 0.0
@@ -445,9 +404,9 @@ def _rg_core(
         D = refresh()
         emit(active[0], active[1], D[0, 1])
 
-    tree = LearnedTree(tuple(all_names), tuple(edges), frozenset(hidden), diag)
+    tree = LearnedTree((*names, *hidden), tuple(edges), frozenset(hidden), diag)
     if len(tree.edges) != len(tree.nodes) - 1:
-        raise GroupingStalledError("internal error: grouping output is not a tree", partial=tree)
+        raise GroupingStalledError("internal error: grouping output is not a tree")
     return tree
 
 
@@ -474,9 +433,8 @@ def rg_sampled(
     keeps its WITNESS_CAP closest witnesses, and a round that had to
     escalate eps commits every block that formed. Warns with
     NegativeLengthWarning when negative edge lengths were clamped to zero.
-    Raises GroupingStalledError (carrying the partial tree) when the round
-    budget of 4 rounds per input node runs out or a fixed eps makes no
-    progress.
+    Raises GroupingStalledError when the round budget of 4 rounds per input
+    node runs out or a fixed eps makes no progress.
     """
     O, D = _grouping_input(O, d)
     tree = _rg_core(list(O), D, cfg or RGConfig(), WITNESS_CAP)
@@ -514,7 +472,6 @@ def rg_exact(O: tuple[str, ...] | list[str], d: np.ndarray) -> LearnedTree:
     if violation > allow:
         raise NotAdditiveError(
             f"input distances are not an additive tree metric "
-            f"(max path-sum violation {violation:.3e})",
-            max_violation=violation,
+            f"(max path-sum violation {violation:.3e})"
         )
     return tree

@@ -420,6 +420,8 @@ def test_experiment_config_file_errors(tmp_path):
         ("n = 12\nn = 13\n", ":2: duplicate key 'n'"),
         ("samples = ,\n", ":1: key 'samples': expected a comma-separated list"),
         ("r_lo = 0.1\n", ": r_lo and r_hi must be given together"),
+        # A repeated count would learn every grid twice under one row key.
+        ("samples = 400, 400\n", ": samples must be a non-empty list of distinct counts >= 2, got [400, 400]"),
     ]
     for text, message in faults:
         bad.write_text(text)
@@ -455,3 +457,8 @@ def test_experiment_config_validation():
         ExperimentConfig(samples=())
     with pytest.raises(ValidationError):
         ExperimentConfig(trials=0)
+    # One cell per (samples, eps0): repeats would write duplicate row keys.
+    with pytest.raises(ValidationError, match="distinct tolerances, got \\[0.07, 0.07\\]"):
+        ExperimentConfig(n=12, trials=2, samples=(400, 800), eps0=(0.07, 0.07))
+    with pytest.raises(ValidationError, match="distinct counts"):
+        ExperimentConfig(n=12, trials=2, samples=(400, 400), eps0=(0.07,))

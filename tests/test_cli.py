@@ -137,14 +137,13 @@ def test_pipeline_command_single_shot(tmp_path, capsys):
 
 
 def test_sweep_outputs_are_thread_invariant(tmp_path):
-    cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text("name = tiny\nn = 9\ntrials = 2\nsamples = 400, 1500\neps0 = 0.1\nseed = 11\n")
-
+    # The config's threads key is the one way to set the thread count.
     out1, out4 = tmp_path / "run1", tmp_path / "run4"
-    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out1),
-                 "--threads", "1"]) == 0
-    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out4),
-                 "--threads", "4"]) == 0
+    for threads, out in ((1, out1), (4, out4)):
+        cfg_path = tmp_path / f"exp{threads}.cfg"
+        cfg_path.write_text("name = tiny\nn = 9\ntrials = 2\nsamples = 400, 1500\neps0 = 0.1\n"
+                            f"seed = 11\nthreads = {threads}\n")
+        assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
     assert (out1 / "results.csv").read_bytes() == (out4 / "results.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out4 / "summary.json").read_bytes()
 
@@ -288,6 +287,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--moments", "m.json", flag, value, "-o", str(tmp_path / "l.json")])
         assert exc.value.code == 2
+    # The thread count is set in the sweep config only.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", "c.cfg", "--out-dir", str(tmp_path / "s"), "--threads", "2"])
+    assert exc.value.code == 2
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["generate-grid", "--nodes", "20", "--r-range", "1", "-o", str(tmp_path / "r.json")])

@@ -222,16 +222,9 @@ def test_coarsest_partition_hand_relations():
     siblings = [(0.0, 1, 2)]
     sib_ok = np.zeros((5, 5), dtype=bool)
     sib_ok[1, 2] = sib_ok[2, 1] = True
-    blocks = _greedy_partition(len(nodes), parents, siblings, sib_ok)
-    as_sets = {
-        frozenset(nodes[i] for i in b["members"]):
-            None if b["parent"] is None else nodes[b["parent"]]
-        for b in blocks
-    }
-    assert as_sets[frozenset(("p", "u", "v"))] == "p"
-    assert as_sets[frozenset(("w",))] is None
-    assert as_sets[frozenset(("z",))] is None
-    assert len(blocks) == 3
+    # p's block holds u and v; the sibling pair u, v is already placed, and
+    # w and z stay unplaced.
+    assert _greedy_partition(len(nodes), parents, siblings, sib_ok) == ({0: [1, 2]}, [])
 
 
 def test_rg_exact_star_recovers_hub():
@@ -302,13 +295,12 @@ def test_rg_sampled_recovers_under_small_noise():
     assert recovered >= 9
 
 
-def test_rg_sampled_fixed_eps_stalls_and_carries_partial():
+def test_rg_sampled_fixed_eps_stalls():
     g = random_radial_grid(20, seed=6)
     noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.2, seed=8).d_r
     cfg = RGConfig(eps0=1e-6, dynamic_eps=False)
-    with pytest.raises(GroupingStalledError) as err:
+    with pytest.raises(GroupingStalledError):
         rg_sampled(g.observed_nodes, noisy, cfg)
-    assert err.value.partial is not None
 
 
 def test_rg_sampled_dynamic_eps_always_finishes():

@@ -4,13 +4,16 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gridtopo
 import gridtopo.cli
 from gridtopo import (
     FormatError,
+    GroupingStalledError,
     InjectionSpec,
+    NotAdditiveError,
     RGConfig,
     RGDiagnostics,
     accumulate,
@@ -86,6 +89,20 @@ def test_public_names_resolve():
     # perfbench reads these counters by name.
     counters = {"rounds", "eps_escalations", "tau_escalations", "merged_junctions", "clamped_lengths"}
     assert counters <= set(RGDiagnostics.__dataclass_fields__)
+
+
+def test_grouping_errors_carry_only_their_message():
+    # Four corners of a unit square are no additive tree metric.
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    with pytest.raises(NotAdditiveError) as err:
+        rg_exact(("a", "b", "c", "d"), d)
+    assert not hasattr(err.value, "max_violation")
+    # On generic distances no pair passes a test at a fixed tiny eps.
+    d = np.triu(np.random.default_rng(0).uniform(1.0, 2.0, size=(6, 6)), 1)
+    with pytest.raises(GroupingStalledError) as err:
+        rg_sampled(tuple("abcdef"), d + d.T, RGConfig(eps0=1e-6, dynamic_eps=False))
+    assert not hasattr(err.value, "partial")
 
 
 def test_benchmark_hook_points_resolve():
