@@ -17,7 +17,7 @@ import time
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,9 @@ from .lcpf import InjectionSpec, simulate
 from .moments import accumulate
 
 ROOT_NAME = "t"
+# The generator's defaults, which sweep configs and the CLI share.
+MAX_DEGREE = 4
+IMPEDANCE_RANGE = (0.05, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +54,9 @@ def _check_generator_args(n: int, max_degree: int, r_range, x_range) -> None:
 def random_radial_grid(
     n: int,
     seed: int,
-    max_degree: int = 4,
-    r_range: tuple[float, float] = (0.05, 0.5),
-    x_range: tuple[float, float] = (0.05, 0.5),
+    max_degree: int = MAX_DEGREE,
+    r_range: tuple[float, float] = IMPEDANCE_RANGE,
+    x_range: tuple[float, float] = IMPEDANCE_RANGE,
 ) -> Grid:
     """Random radial grid with n nodes (root included) and i.i.d. impedances.
 
@@ -282,16 +285,16 @@ class ExperimentConfig:
     n: int = 100
     trials: int = 25
     samples: tuple[int, ...] = (1_000, 10_000, 100_000)
-    eps0: tuple[float, ...] = (0.07,)
+    eps0: tuple[float, ...] = (RGConfig.eps0,)
     eps_mode: str = "dynamic"  # "dynamic" grows eps on stall; "fixed" fails instead
     seed: int = 0
-    max_degree: int = 4
-    r_range: tuple[float, float] = (0.05, 0.5)
-    x_range: tuple[float, float] = (0.05, 0.5)
-    sigma_pp: float = 1.0
-    sigma_qq: float = 1.0
-    sigma_pq: float = 0.0
-    injection_family: str = "gaussian"
+    max_degree: int = MAX_DEGREE
+    r_range: tuple[float, float] = IMPEDANCE_RANGE
+    x_range: tuple[float, float] = IMPEDANCE_RANGE
+    sigma_pp: float = InjectionSpec.sigma_pp
+    sigma_qq: float = InjectionSpec.sigma_qq
+    sigma_pq: float = InjectionSpec.sigma_pq
+    injection_family: str = InjectionSpec.family
     threads: int = 1
 
     def __post_init__(self):
@@ -444,36 +447,27 @@ def tradeoff_report(rows: list[TrialResult]) -> dict[float, dict[int, float]]:
 # Artifacts and config files
 # ---------------------------------------------------------------------------
 
-RESULT_COLUMNS = ("samples", "eps0", "trial", "recovered", "edge_difference", "impedance_error", "error")
+RESULT_COLUMNS = tuple(f.name for f in fields(TrialResult) if f.name != "runtime")
 
 
 def write_results_csv(rows: list[TrialResult], path: str | Path) -> None:
+    """One row per cell per trial; csv writes None as an empty field and a float as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for r in rows:
-            writer.writerow([
-                r.samples,
-                repr(r.eps0),
-                r.trial,
-                int(r.recovered),
-                "" if r.edge_difference is None else r.edge_difference,
-                "" if r.impedance_error is None else repr(r.impedance_error),
-                r.error,
-            ])
+            writer.writerow([int(r.recovered) if c == "recovered" else getattr(r, c) for c in RESULT_COLUMNS])
 
 
 def write_summary_json(cfg: ExperimentConfig, rows: list[TrialResult], path: str | Path) -> None:
     write_json(summarize(cfg, rows), path)
 
 
-# Config file keys. Impedance bounds are flattened (r_lo/r_hi, x_lo/x_hi).
-_INT_KEYS = {"n", "trials", "seed", "max_degree", "threads"}
-_FLOAT_KEYS = {"sigma_pp", "sigma_qq", "sigma_pq"}
-_STR_KEYS = {"name", "eps_mode", "injection_family"}
-_BOUND_KEYS = {"r_lo", "r_hi", "x_lo", "x_hi"}
-_LIST_KEYS = {"samples", "eps0"}
-CONFIG_KEYS = sorted(_INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOUND_KEYS | _LIST_KEYS)
+# Config file keys are ExperimentConfig's fields, each read as its default's
+# type; the impedance ranges are flattened to their bounds (r_lo/r_hi, x_lo/x_hi).
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_BOUNDS = {"r_range": ("r_lo", "r_hi"), "x_range": ("x_lo", "x_hi")}
+CONFIG_KEYS = sorted(key for name in _DEFAULTS for key in _BOUNDS.get(name, (name,)))
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -488,7 +482,6 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     except FileNotFoundError:
         raise FormatError(f"{path}: file not found") from None
     values: dict = {}
-    bounds: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -499,29 +492,24 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key not in CONFIG_KEYS:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(CONFIG_KEYS)})")
-        if key in values or key in bounds:
+        if key in values:
             raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
+        default = _DEFAULTS.get(key, 0.0)  # r_lo, r_hi, x_lo and x_hi are floats
         try:
-            if key in _LIST_KEYS:
+            if isinstance(default, tuple):
                 parts = [p.strip() for p in val.split(",") if p.strip()]
                 if not parts:
                     raise ValueError("expected a comma-separated list")
-                values[key] = tuple(int(p) for p in parts) if key == "samples" else tuple(float(p) for p in parts)
-            elif key in _BOUND_KEYS:
-                bounds[key] = float(val)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
+                values[key] = tuple(map(type(default[0]), parts))
             else:
-                values[key] = val
+                values[key] = type(default)(val)
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: key {key!r}: {exc}") from None
-    for pair, (lo_key, hi_key) in (("r_range", ("r_lo", "r_hi")), ("x_range", ("x_lo", "x_hi"))):
-        if lo_key in bounds or hi_key in bounds:
-            if not (lo_key in bounds and hi_key in bounds):
+    for pair, (lo_key, hi_key) in _BOUNDS.items():
+        if lo_key in values or hi_key in values:
+            if not (lo_key in values and hi_key in values):
                 raise FormatError(f"{path}: {lo_key} and {hi_key} must be given together")
-            values[pair] = (bounds[lo_key], bounds[hi_key])
+            values[pair] = (values.pop(lo_key), values.pop(hi_key))
     try:
         return ExperimentConfig(**values)
     except ValidationError as exc:

@@ -15,6 +15,8 @@ from pathlib import Path
 
 from .bench import (
     CONFIG_KEYS,
+    IMPEDANCE_RANGE,
+    MAX_DEGREE,
     evaluate,
     load_experiment_config,
     random_radial_grid,
@@ -28,7 +30,7 @@ from .exceptions import Error, FormatError, ValidationError
 from .grid import Grid, ensure_valid, load_grid, save_grid, write_json
 from .grouping import RGConfig
 from .learn import LearnedGrid, learn_from_moments, load_learned, save_learned
-from .lcpf import InjectionSpec, read_measurement_blocks, save_measurements, simulate_blocks
+from .lcpf import FAMILIES, InjectionSpec, read_measurement_blocks, save_measurements, simulate_blocks
 from .lcpf import load_measurements, simulate  # noqa: F401  (perfbench/tracer.py wraps them here)
 from .moments import MomentAccumulator, accumulate, load_moments, save_moments
 
@@ -56,19 +58,25 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _add_injection_flags(sub: argparse.ArgumentParser) -> None:
+def _add_sampling_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--samples", type=int, required=True,
+                     help="number of measurement rows T (memory does not grow with T)")
+    sub.add_argument("--seed", type=int, default=0, help="sampling seed (default %(default)s)")
     grp = sub.add_argument_group("injection model")
-    grp.add_argument("--sigma-pp", type=float, default=1.0, help="active power variance (default 1.0)")
-    grp.add_argument("--sigma-qq", type=float, default=1.0, help="reactive power variance (default 1.0)")
-    grp.add_argument("--sigma-pq", type=float, default=0.0, help="active/reactive covariance (default 0.0)")
-    grp.add_argument("--family", choices=("gaussian", "uniform"), default="gaussian",
-                     help="injection sampling family (default gaussian)")
+    grp.add_argument("--sigma-pp", type=float, default=InjectionSpec.sigma_pp,
+                     help="active power variance (default %(default)s)")
+    grp.add_argument("--sigma-qq", type=float, default=InjectionSpec.sigma_qq,
+                     help="reactive power variance (default %(default)s)")
+    grp.add_argument("--sigma-pq", type=float, default=InjectionSpec.sigma_pq,
+                     help="active/reactive covariance (default %(default)s)")
+    grp.add_argument("--family", choices=FAMILIES, default=InjectionSpec.family,
+                     help="injection sampling family (default %(default)s)")
 
 
 def _add_learner_flags(sub: argparse.ArgumentParser) -> None:
     grp = sub.add_argument_group("learner")
-    grp.add_argument("--eps", type=float, default=0.07,
-                     help="grouping tolerance eps0, in ohms of (r+x)/2 (default 0.07)")
+    grp.add_argument("--eps", type=float, default=RGConfig.eps0,
+                     help="grouping tolerance eps0, in ohms of (r+x)/2 (default %(default)s)")
     grp.add_argument("--fixed-eps", action="store_true",
                      help="fail on a stalled round instead of growing eps")
 
@@ -207,22 +215,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate-grid", help="draw a random radial test grid",
                        epilog=f"Output format -- {GRID_FORMAT}")
     p.add_argument("--nodes", type=int, required=True, help="total node count, root included (>= 5)")
-    p.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    p.add_argument("--max-degree", type=int, default=4, help="degree cap, >= 4 (default 4)")
-    p.add_argument("--r-range", type=_parse_range, default=(0.05, 0.5), metavar="LO,HI",
-                   help="uniform resistance bounds in ohms (default 0.05,0.5)")
-    p.add_argument("--x-range", type=_parse_range, default=(0.05, 0.5), metavar="LO,HI",
-                   help="uniform reactance bounds in ohms (default 0.05,0.5)")
+    p.add_argument("--seed", type=int, default=0, help="generator seed (default %(default)s)")
+    p.add_argument("--max-degree", type=int, default=MAX_DEGREE, help="degree cap, >= 4 (default %(default)s)")
+    lo, hi = IMPEDANCE_RANGE
+    p.add_argument("--r-range", type=_parse_range, default=IMPEDANCE_RANGE, metavar="LO,HI",
+                   help=f"uniform resistance bounds in ohms (default {lo},{hi})")
+    p.add_argument("--x-range", type=_parse_range, default=IMPEDANCE_RANGE, metavar="LO,HI",
+                   help=f"uniform reactance bounds in ohms (default {lo},{hi})")
     p.add_argument("-o", "--out", required=True, help="grid JSON output path")
     p.set_defaults(func=_cmd_generate_grid)
 
     p = sub.add_parser("simulate", help="draw measurement samples at the terminals of a grid",
                        epilog=f"Input -- {GRID_FORMAT}. Output -- {MEAS_FORMAT}; {MOMENTS_FORMAT}.")
     p.add_argument("--grid", required=True, help="grid JSON path")
-    p.add_argument("--samples", type=int, required=True,
-                   help="number of measurement rows T (memory does not grow with T)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    _add_injection_flags(p)
+    _add_sampling_flags(p)
     p.add_argument("-o", "--out", help="measurements CSV output path")
     p.add_argument("--moments", help="also write accumulated moments JSON here")
     p.set_defaults(func=_cmd_simulate)
@@ -248,10 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="simulate, learn, and score against a grid file in one run",
                        epilog=f"Input -- {GRID_FORMAT}. Outputs -- {LEARNED_FORMAT}; report JSON.")
     p.add_argument("--grid", required=True, help="true grid JSON path")
-    p.add_argument("--samples", type=int, required=True,
-                   help="number of measurement rows T (memory does not grow with T)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    _add_injection_flags(p)
+    _add_sampling_flags(p)
     _add_learner_flags(p)
     p.add_argument("--learned-out", help="optional learned grid JSON output path")
     p.add_argument("--report", help="optional report JSON output path")
@@ -274,16 +277,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("simulate: give -o/--out, --moments or both")
     try:
         return args.func(args)
-    except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - safety net
         print(f"unexpected error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
 
 
 if __name__ == "__main__":

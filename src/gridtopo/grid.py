@@ -333,6 +333,11 @@ def nodes_and_edges_to_dict(nodes: Sequence[str], edges: Sequence[Edge],
     }
 
 
+def is_number(value: object) -> bool:
+    """Whether a parsed JSON value is a number; true and false are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_nodes_and_edges(
     data: object, source: str
 ) -> tuple[tuple[str, ...], frozenset[str], frozenset[str], tuple[Edge, ...]]:
@@ -371,11 +376,11 @@ def parse_nodes_and_edges(
         for key in ("u", "v", "r", "x"):
             if key not in ed:
                 raise fail(f"edges[{i}]: missing field {key!r}")
-        try:
-            r, x = float(ed["r"]), float(ed["x"])
-        except (TypeError, ValueError):
-            raise fail(f"edges[{i}]: 'r' and 'x' must be numbers") from None
-        edges.append(Edge(str(ed["u"]), str(ed["v"]), r, x))
+        if not all(isinstance(ed[key], str) for key in ("u", "v")):
+            raise fail(f"edges[{i}]: 'u' and 'v' must be strings")
+        if not all(map(is_number, (ed["r"], ed["x"]))):
+            raise fail(f"edges[{i}]: 'r' and 'x' must be numbers")
+        edges.append(Edge(ed["u"], ed["v"], float(ed["r"]), float(ed["x"])))
     return tuple(nodes), frozenset(roots), frozenset(observed), tuple(edges)
 
 

@@ -36,7 +36,7 @@ _ROW_BLOCK = 512  # rows per draw and per solve; divides SIM_CHUNK
 _WRITE_CHUNK = 256  # measurement rows per save_measurements batch
 assert SIM_CHUNK % _ROW_BLOCK == 0
 
-_FAMILIES = ("gaussian", "uniform")
+FAMILIES = ("gaussian", "uniform")
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class InjectionSpec:
     family: str = "gaussian"
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValidationError(f"unknown injection family {self.family!r}")
         spp, sqq, spq = self.sigma_pp, self.sigma_qq, self.sigma_pq
         if not all(map(math.isfinite, (spp, sqq, spq))):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .distances import DistanceMatrix
 from .exceptions import ConditioningError, FormatError, ValidationError
-from .grid import Grid, read_json, write_json
+from .grid import Grid, is_number, read_json, write_json
 from .lcpf import SIM_CHUNK, InjectionSpec, MeasurementSet, _forward_model
 
 # The moment blocks, in field and file order, with their number of node
@@ -211,8 +211,11 @@ def moments_from_dict(data: dict, source: str = "<moments>") -> MomentSet:
     if count is not None and type(count) is not int:  # a bool is not a count
         raise FormatError(f"{source}: field 'count' must be an integer or null")
     try:
-        return MomentSet(tuple(nodes), count,
-                         **{name: np.asarray(data[name], dtype=float) for name in BLOCKS})
+        blocks = {name: np.asarray(data[name], dtype=float) for name in BLOCKS}
+        for name in BLOCKS:  # float() also reads "1.5" and true
+            if not all(map(is_number, np.asarray(data[name], dtype=object).flat)):
+                raise ValueError(f"moment block {name!r} must hold only numbers")
+        return MomentSet(tuple(nodes), count, **blocks)
     except (ValidationError, ValueError, TypeError) as exc:  # TypeError: a block of non-numbers
         raise FormatError(f"{source}: {exc}") from None
 

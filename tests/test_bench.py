@@ -1,4 +1,5 @@
 """Benchmark harness: generator, scoring metrics, sweeps, and artifacts."""
+import dataclasses
 import itertools
 import json
 import sys
@@ -18,6 +19,7 @@ from gridtopo import (
     LearnedGrid,
     MetricUndefinedError,
     NegativeLengthWarning,
+    TrialResult,
     ValidationError,
     distance_rmse,
     edge_difference,
@@ -30,12 +32,15 @@ from gridtopo import (
     load_experiment_config,
     random_radial_grid,
     run_experiment,
+    save_grid,
+    save_learned,
     summarize,
     tradeoff_report,
     validate_grid,
     write_results_csv,
     write_summary_json,
 )
+from gridtopo.cli import main
 from _trees import (
     as_learned_grid,
     brute_isomorphic,
@@ -122,6 +127,27 @@ def test_edge_splits_reject_non_trees(split_grid):
             edge_splits(tree)
     with pytest.raises(MetricUndefinedError, match="cycle"):
         edge_splits(_learned(star + [("a", "b")], "abc"))
+
+
+# The true grid is star_grid (terminals a, b, c); evaluate names the guard
+# only when the two terminal sets agree.
+@pytest.mark.parametrize("lines, observed, message, cli_message", [
+    ([("j", "a"), ("j", "b"), ("j", "c")], "", "tree has no observed terminals",
+     "terminal sets differ: ['a', 'b', 'c'] not shared"),
+    ([("j", "b"), ("j", "c"), ("j", "d")], "abc", "anchor terminal 'a' is not in the tree", None),
+    ([("j", "a"), ("j", "b"), ("j", "d")], "abc", "terminals ['c'] are not in the tree", None),
+], ids=["no-terminals", "anchor-missing", "terminal-missing"])
+def test_edge_splits_guards(tmp_path, capsys, star_grid, lines, observed, message, cli_message):
+    nodes = tuple(sorted({n for line in lines for n in line} | set(observed)))
+    learned = LearnedGrid(nodes, tuple(Edge(u, v, 1.0, 1.0) for u, v in lines), frozenset(observed))
+    with pytest.raises(MetricUndefinedError) as err:
+        edge_splits(learned)
+    assert str(err.value) == message
+    true, path = tmp_path / "true.json", tmp_path / "learned.json"
+    save_grid(star_grid, true)
+    save_learned(learned, path)
+    assert main(["evaluate", "--true", str(true), "--learned", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {cli_message or message}\n"
 
 
 def test_edge_difference_zero_for_relabeled_copy(cherry_grid):
@@ -342,6 +368,31 @@ def test_artifacts_are_byte_deterministic(tmp_path):
     write_summary_json(SMALL, rows, a_json)
     write_summary_json(SMALL, rows, b_json)
     assert a_json.read_bytes() == b_json.read_bytes()
+
+
+def test_results_csv_bytes_are_pinned(tmp_path):
+    # csv writes None as an empty field and a float as its repr; runtime stays out.
+    rows = [
+        TrialResult(samples=1000, eps0=0.07, trial=0, recovered=True, edge_difference=0,
+                    impedance_error=0.1 + 0.2, runtime=1.5),
+        TrialResult(samples=1000, eps0=0.07, trial=1, recovered=False, edge_difference=None,
+                    impedance_error=None, error="GroupingStalledError: stalled", runtime=2.5),
+    ]
+    path = tmp_path / "results.csv"
+    write_results_csv(rows, path)
+    assert path.read_bytes() == (
+        b"samples,eps0,trial,recovered,edge_difference,impedance_error,error\r\n"
+        b"1000,0.07,0,1,0,0.30000000000000004,\r\n"
+        b"1000,0.07,1,0,,,GroupingStalledError: stalled\r\n"
+    )
+
+
+def test_config_keys_are_the_experiment_fields():
+    # The impedance ranges are the one flattened pair of keys.
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    expected = names - {"r_range", "x_range"} | {"r_lo", "r_hi", "x_lo", "x_hi"}
+    assert bench.CONFIG_KEYS == sorted(expected)
+    assert len(bench.CONFIG_KEYS) == 17
 
 
 TRADEOFF = ExperimentConfig(

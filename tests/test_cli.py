@@ -136,6 +136,19 @@ def test_pipeline_command_single_shot(tmp_path, capsys):
     assert json.loads(report.read_text())["exact_recovery"] is True
 
 
+def test_pipeline_learned_out_matches_estimate_from_moments(tmp_path):
+    # pipeline learns from the moments that simulate --moments writes at the
+    # same seed and sample count, so both learned files match byte for byte.
+    grid, moments, estimated, piped = (
+        tmp_path / f for f in ("grid.json", "m.json", "estimated.json", "piped.json"))
+    main(["generate-grid", "--nodes", "14", "--seed", "3", "-o", str(grid)])
+    sampling = ["--samples", "6000", "--seed", "8", "--sigma-pq", "0.2"]
+    assert main(["simulate", "--grid", str(grid), *sampling, "--moments", str(moments)]) == 0
+    assert main(["estimate", "--moments", str(moments), "-o", str(estimated)]) == 0
+    assert main(["pipeline", "--grid", str(grid), *sampling, "--learned-out", str(piped)]) == 0
+    assert piped.read_bytes() == estimated.read_bytes()
+
+
 def test_sweep_outputs_are_thread_invariant(tmp_path):
     # The config's threads key is the one way to set the thread count.
     out1, out4 = tmp_path / "run1", tmp_path / "run4"
@@ -296,6 +309,14 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         main(["generate-grid", "--nodes", "20", "--r-range", "1", "-o", str(tmp_path / "r.json")])
     assert exc.value.code == 2
     assert "argument --r-range: expected 'lo,hi', got '1'" in capsys.readouterr().err
+
+
+def test_range_bounds_must_be_numbers(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate-grid", "--nodes", "20", "--r-range", "1,x", "-o", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert "argument --r-range: expected two numbers, got '1,x'" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_estimate_rejects_ambiguous_sources(tmp_path):

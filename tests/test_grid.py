@@ -22,7 +22,7 @@ from gridtopo import (
     true_distance,
     validate_grid,
 )
-from gridtopo.learn import learned_from_dict
+from gridtopo.learn import learned_from_dict, load_learned
 
 
 def test_star_structure(star_grid):
@@ -232,6 +232,24 @@ def test_grid_from_dict_field_checks():
             with pytest.raises(FormatError) as err:
                 parse(data, source="f.json")
             assert str(err.value) == f"f.json: {message}", parse.__name__
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("r", True, "'r' and 'x' must be numbers"),
+    ("x", "0.2", "'r' and 'x' must be numbers"),
+    ("u", None, "'u' and 'v' must be strings"),
+    ("v", 3, "'u' and 'v' must be strings"),
+], ids=["r-true", "x-string", "u-null", "v-number"])
+def test_grid_and_learned_files_hold_json_numbers_and_strings(tmp_path, star_grid, key, value, message):
+    # float() would read true as 1.0 and "0.2" as 0.2, and str() null as a node "None".
+    learned = {**grid_to_dict(star_grid), "provenance": {}}
+    for data, load in ((grid_to_dict(star_grid), load_grid), (learned, load_learned)):
+        data["edges"][1][key] = value
+        path = tmp_path / f"{load.__name__}.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: edges[1]: {message}"
 
 
 def test_create_rejects_unknown_kind():

@@ -211,3 +211,15 @@ def test_moments_file_errors(tmp_path, star_grid):
     bad.write_text(json.dumps({**good, "pp": {}}))
     with pytest.raises(FormatError, match="^" + re.escape(f"{bad}: float() argument")):
         load_moments(bad)
+
+
+@pytest.mark.parametrize("block, value", [("pp", "1.5"), ("vq", True)], ids=["string", "true"])
+def test_moment_blocks_hold_only_json_numbers(tmp_path, star_grid, block, value):
+    # float() would read "1.5" as 1.5 and true as 1.0.
+    data = moments_to_dict(analytic_moments(star_grid))
+    data[block][1] = [value] * 3 if block == "vq" else value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(FormatError) as err:
+        load_moments(bad)
+    assert str(err.value) == f"{bad}: moment block {block!r} must hold only numbers"
