@@ -25,7 +25,7 @@ import numpy as np
 from .distances import DistanceMatrix
 from .exceptions import Error, FormatError, MetricUndefinedError, ValidationError
 from .grid import Grid, ensure_valid, tree_paths, write_json
-from .grouping import RGConfig
+from .grouping import LearnedTree, RGConfig
 from .learn import LearnedGrid, learn_from_moments
 from .lcpf import InjectionSpec, simulate
 from .moments import accumulate
@@ -144,8 +144,7 @@ def _tree_view(obj) -> tuple[list[tuple[str, str, float, float]], frozenset[str]
         return ([(e.u, e.v, e.r, e.x) for e in obj.edges], obj.observed, {root})
     if isinstance(obj, LearnedGrid):
         return ([(e.u, e.v, e.r, e.x) for e in obj.edges], obj.observed, set())
-    # grouping.LearnedTree quacks like this
-    if hasattr(obj, "edges") and hasattr(obj, "hidden"):
+    if isinstance(obj, LearnedTree):
         observed = frozenset(obj.nodes) - obj.hidden
         return ([(e.u, e.v, e.length, float("nan")) for e in obj.edges], observed, set())
     raise ValidationError(f"cannot extract a tree from {type(obj).__name__}")
@@ -355,25 +354,17 @@ def _run_trial(cfg: ExperimentConfig, trial: int, grid_seed: int, meas_seed: int
     for t in sorted(cfg.samples):
         m = accumulate(meas.head(t))
         for eps0 in cfg.eps0:
+            report, error = None, ""
             start = time.perf_counter()
             try:
                 learned = learn_from_moments(m, cfg=cfg.rg_config(eps0))
                 runtime = time.perf_counter() - start  # read before evaluate: a cell times the learn only
                 report = evaluate(g, learned)
-                rows.append(TrialResult(
-                    samples=t, eps0=eps0, trial=trial,
-                    recovered=report.exact_recovery,
-                    edge_difference=report.edge_difference,
-                    impedance_error=report.avg_impedance_error,
-                    runtime=runtime,
-                ))
             except Error as exc:
-                rows.append(TrialResult(
-                    samples=t, eps0=eps0, trial=trial,
-                    recovered=False, edge_difference=None, impedance_error=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                    runtime=time.perf_counter() - start,
-                ))
+                runtime, error = time.perf_counter() - start, f"{type(exc).__name__}: {exc}"
+            scores = (False, None, None) if report is None else (
+                report.exact_recovery, report.edge_difference, report.avg_impedance_error)
+            rows.append(TrialResult(t, eps0, trial, *scores, error=error, runtime=runtime))
     return rows
 
 

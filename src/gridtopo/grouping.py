@@ -126,7 +126,6 @@ def tree_path_lengths(tree: LearnedTree, nodes: tuple[str, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _greedy_partition(
-    k: int,
     parent_cands: list[tuple],
     sibling_cands: list[tuple[float, int, int]],
     sib_ok: np.ndarray,
@@ -331,7 +330,7 @@ def _rg_core(
         # Classify; escalate eps until some block of size >= 2 forms.
         eps = eps0
         while True:
-            parents, siblings = _greedy_partition(k, *_relations_from_stats(k, eps, *stats))
+            parents, siblings = _greedy_partition(*_relations_from_stats(k, eps, *stats))
             if parents or siblings:
                 break
             if not cfg.dynamic_eps:

@@ -67,8 +67,8 @@ class MomentSet:
 class MomentAccumulator:
     """Streaming accumulator for the five moment blocks.
 
-    Data is folded in blocks; each block contributes its own mean, merged
-    with a count-weighted update.
+    add folds in measurement sets only, in SIM_CHUNK-row slices; each slice
+    contributes its own mean, merged with a count-weighted update.
     """
 
     def __init__(self, nodes: tuple[str, ...]):
@@ -77,31 +77,22 @@ class MomentAccumulator:
         self.count = 0
         self._means = {name: np.zeros((m,) * axes) for name, axes in BLOCKS.items()}
 
-    def update(self, v: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
-        """Fold in a block of rows (shape (t, m) each)."""
-        v, p, q = (np.asarray(a, dtype=float) for a in (v, p, q))
-        t = v.shape[0]
-        if t == 0:
-            return
-        if v.shape != p.shape or v.shape != q.shape or v.shape[1] != len(self.nodes):
-            raise ValidationError("measurement block shapes do not match the node list")
-        w = t / (self.count + t)
-        series = {"v": v, "p": p, "q": q}
-        with np.errstate(over="ignore", invalid="ignore"):  # result() rejects non-finite moments
-            for name, mean in self._means.items():
-                a, b = series[name[0]], series[name[1]]
-                mean += w * ((a.T @ b / t if BLOCKS[name] == 2 else (a * b).mean(axis=0)) - mean)
-        self.count += t
-
     def add(self, ms: MeasurementSet) -> MeasurementSet:
-        """Fold in a set over this node list in SIM_CHUNK-row pieces; return it.
+        """Fold in a measurement set over this node list, the only input taken; return it.
 
         SIM_CHUNK-row blocks fold to the same bits as the set they were cut from.
         """
         if ms.nodes != self.nodes:
             raise ValidationError("measurement blocks cover different node lists")
-        for start in range(0, ms.T, SIM_CHUNK):
-            self.update(*(a[start:start + SIM_CHUNK] for a in (ms.v, ms.p, ms.q)))
+        with np.errstate(over="ignore", invalid="ignore"):  # result() rejects non-finite moments
+            for start in range(0, ms.T, SIM_CHUNK):
+                rows = {s: getattr(ms, s)[start:start + SIM_CHUNK] for s in "vpq"}
+                t = len(rows["v"])
+                w = t / (self.count + t)
+                for name, mean in self._means.items():
+                    a, b = rows[name[0]], rows[name[1]]
+                    mean += w * ((a.T @ b / t if BLOCKS[name] == 2 else (a * b).mean(axis=0)) - mean)
+                self.count += t
         return ms
 
     def result(self) -> MomentSet:
@@ -155,17 +146,23 @@ def estimate_distances(m: MomentSet) -> DistanceMatrix:
     0.1 x the median |determinant| over the nodes, or ConditioningError
     names the nodes that fall short. Valid injection moments always have a
     positive determinant; when every node's is 0, so is the threshold.
-    Moments too large for float64 are refused: an overflowing determinant
-    raises ConditioningError, an overflowing solve ValidationError.
+    Moments out of float64's range are refused: a determinant that
+    overflows, or whose pp qq underflows though pp and qq are positive,
+    raises ConditioningError; an overflowing solve raises ValidationError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range moments are refused below
         det = m.pp * m.qq - m.pq * m.pq
-    overflowed = [n for n, finite in zip(m.nodes, np.isfinite(det)) if not finite]
-    if overflowed:
-        raise ConditioningError(
-            f"nodes {overflowed}: injection moments overflow the determinant pp qq - pq^2",
-            nodes=tuple(overflowed),
-        )
+        out_of_range = {
+            "overflow": ~np.isfinite(det),
+            "underflow": (m.pp > 0) & (m.qq > 0) & (m.pp * m.qq < np.finfo(float).tiny),
+        }
+    for word, hit in out_of_range.items():
+        failing = [n for n, h in zip(m.nodes, hit) if h]
+        if failing:
+            raise ConditioningError(
+                f"nodes {failing}: injection moments {word} the determinant pp qq - pq^2",
+                nodes=tuple(failing),
+            )
     lam = 0.1 * float(np.median(np.abs(det))) if det.size else 0.0
     bad = [n for n, dt in zip(m.nodes, det) if not dt > 0 or dt < lam]
     if bad:

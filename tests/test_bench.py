@@ -129,6 +129,11 @@ def test_edge_splits_reject_non_trees(split_grid):
         edge_splits(_learned(star + [("a", "b")], "abc"))
 
 
+def test_edge_splits_refuse_what_is_not_a_tree():
+    with pytest.raises(ValidationError, match="^cannot extract a tree from int$"):
+        edge_splits(42)
+
+
 # The true grid is star_grid (terminals a, b, c); evaluate names the guard
 # only when the two terminal sets agree.
 @pytest.mark.parametrize("lines, observed, message, cli_message", [

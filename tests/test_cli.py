@@ -226,6 +226,23 @@ def test_overflowing_moments_exit_one(tmp_path, capsys, probe):
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+def test_underflowing_moments_exit_one(tmp_path, capsys):
+    # Injection moments scaled by 1e-170 underflow pp qq at every terminal:
+    # refused in one line that names the scale, with no RuntimeWarning.
+    grid, moments = tmp_path / "grid.json", tmp_path / "m.json"
+    main(["generate-grid", "--nodes", "12", "--seed", "2", "-o", str(grid)])
+    main(["simulate", "--grid", str(grid), "--samples", "5000", "--moments", str(moments)])
+    data = json.loads(moments.read_text())
+    data.update({b: [1e-170 * x for x in data[b]] for b in ("pp", "qq", "pq")})
+    moments.write_text(json.dumps(data))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["estimate", "--moments", str(moments), "-o", str(tmp_path / "l.json")]) == 1
+    expected = f"nodes {data['nodes']}: injection moments underflow the determinant pp qq - pq^2"
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--moments", "{m}", "-o", "{out}"],
     ["estimate", "--measurements", "{csv}", "-o", "{out}"],

@@ -224,7 +224,7 @@ def test_coarsest_partition_hand_relations():
     sib_ok[1, 2] = sib_ok[2, 1] = True
     # p's block holds u and v; the sibling pair u, v is already placed, and
     # w and z stay unplaced.
-    assert _greedy_partition(len(nodes), parents, siblings, sib_ok) == ({0: [1, 2]}, [])
+    assert _greedy_partition(parents, siblings, sib_ok) == ({0: [1, 2]}, [])
 
 
 def test_rg_exact_star_recovers_hub():
@@ -264,6 +264,18 @@ def test_rg_exact_rejects_non_additive_metric():
     d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     with pytest.raises(NotAdditiveError):
         rg_exact(("a", "b", "c", "d"), d)
+
+
+def test_rg_exact_stalls_on_unstructured_distances():
+    # A random symmetric matrix classifies no pair at the fixed exact
+    # tolerance, so the first round stalls.
+    a = np.random.default_rng(0).uniform(1.0, 2.0, (6, 6))
+    d = a + a.T
+    np.fill_diagonal(d, 0.0)
+    message = (r"^input distances are not an additive tree metric "
+               r"\(no pair classified at eps=1e-09 and eps is fixed\)$")
+    with pytest.raises(NotAdditiveError, match=message):
+        rg_exact(tuple("abcdef"), d)
 
 
 def test_rg_exact_round_count_within_depth():

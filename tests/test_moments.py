@@ -56,7 +56,7 @@ def test_streaming_updates_match_batch():
     ms = _random_measurements(2)
     acc = MomentAccumulator(ms.nodes)
     for t in range(ms.T):
-        acc.update(ms.v[t : t + 1], ms.p[t : t + 1], ms.q[t : t + 1])
+        acc.add(MeasurementSet(ms.nodes, ms.v[t : t + 1], ms.p[t : t + 1], ms.q[t : t + 1]))
     np.testing.assert_allclose(acc.result().vp, accumulate(ms).vp, atol=1e-10)
     assert acc.result().count == ms.T
 
@@ -162,6 +162,33 @@ def test_overflowing_moments_are_refused_without_warnings(star_grid):
         assert err.value.nodes == ("b",)
         with pytest.raises(ValidationError, match="^moments overflow the pairwise solve: "):
             estimate_distances(dataclasses.replace(m, vp=m.vp * 1e300, qq=np.full(3, 1e10)))
+
+
+def test_underflowing_moments_are_refused_without_warnings(star_grid):
+    # Injection moments so small that pp qq underflows float64: the refusal
+    # names the scale, not the conditioning check, for every node and then
+    # for b alone.
+    m = analytic_moments(star_grid)
+    small = np.array([1.0, 1e-200, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError) as err:
+            estimate_distances(dataclasses.replace(m, pp=m.pp * 1e-170, qq=m.qq * 1e-170, pq=m.pq * 1e-170))
+        assert err.value.nodes == ("a", "b", "c")
+        assert str(err.value) == (
+            "nodes ['a', 'b', 'c']: injection moments underflow the determinant pp qq - pq^2")
+        with pytest.raises(ConditioningError) as err:
+            estimate_distances(dataclasses.replace(m, pp=small, qq=small))
+        assert err.value.nodes == ("b",)
+        assert "underflow" in str(err.value)
+
+
+def test_moment_set_refuses_bad_shapes_and_counts(star_grid):
+    m = analytic_moments(star_grid)
+    with pytest.raises(ValidationError, match=r"^moment block 'pp': expected shape \(3,\), got \(2,\)$"):
+        dataclasses.replace(m, pp=np.ones(2))
+    with pytest.raises(ValidationError, match="^sample count must be >= 0, got -1$"):
+        dataclasses.replace(m, count=-1)
 
 
 def test_conditioning_check_passes_healthy_moments(star_grid):

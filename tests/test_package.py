@@ -49,6 +49,7 @@ REMOVED = {
         "default_conditioning_threshold", "ACCUMULATOR_CHUNK",
     ),
     gridtopo.MomentSet: ("empty", "index"),
+    gridtopo.MomentAccumulator: ("update",),
     gridtopo.InjectionSpec: ("moments_for", "per_node"),
     gridtopo.DistanceMatrix: ("mode", "value"),
     gridtopo.bench: ("match_hidden_and_diff", "save_experiment_config", "config_to_dict", "HUB_NAME"),
