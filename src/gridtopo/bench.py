@@ -27,7 +27,7 @@ from .exceptions import Error, FormatError, MetricUndefinedError, ValidationErro
 from .grid import Grid, ensure_valid, tree_paths, write_json
 from .grouping import LearnedTree, RGConfig
 from .learn import LearnedGrid, learn_from_moments
-from .lcpf import InjectionSpec, simulate
+from .lcpf import InjectionSpec, _check_seed, simulate
 from .moments import accumulate
 
 ROOT_NAME = "t"
@@ -40,8 +40,9 @@ IMPEDANCE_RANGE = (0.05, 0.5)
 # Random radial grids
 # ---------------------------------------------------------------------------
 
-def _check_generator_args(n: int, max_degree: int, r_range, x_range) -> None:
+def _check_generator_args(n: int, seed: int, max_degree: int, r_range, x_range) -> None:
     """random_radial_grid's argument checks, shared with ExperimentConfig."""
+    _check_seed(seed)
     if n < 5:
         raise ValidationError(f"need n >= 5 for a hub plus three terminals, got n={n}")
     if max_degree < 4:
@@ -72,7 +73,7 @@ def random_radial_grid(
     degree >= 3 among the non-root nodes, so the only valid 6-node grid is
     the hub with four terminals, and the hub then has degree 5.
     """
-    _check_generator_args(n, max_degree, r_range, x_range)
+    _check_generator_args(n, seed, max_degree, r_range, x_range)
 
     rng = np.random.default_rng(seed)
     names = [f"n{i}" for i in range(1, n)]
@@ -299,7 +300,7 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(int(t) for t in self.samples))
         object.__setattr__(self, "eps0", tuple(float(e) for e in self.eps0))
-        _check_generator_args(self.n, self.max_degree, self.r_range, self.x_range)
+        _check_generator_args(self.n, self.seed, self.max_degree, self.r_range, self.x_range)
         # A repeated count or tolerance would learn every grid twice and
         # write rows with duplicate (samples, eps0, trial) keys.
         samples, tols = list(self.samples), list(self.eps0)

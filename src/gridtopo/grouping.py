@@ -20,6 +20,7 @@ junction that lands on an earlier round's junction is merged into it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ from .exceptions import (
 from .grid import path_incidence, path_lengths, tree_paths
 
 EXACT_TOL = 1e-9
-HIDDEN_PREFIX = "h#"
+HIDDEN_NAME = "h#{}"  # junctions are h#1, h#2, ..., skipping the input names
 # Each pair's witness set keeps only this many closest witnesses (by the
 # larger of the two distances). The spread test is a range statistic, so a
 # single far, noisy witness pins it high; trimming to the nearest witnesses
@@ -268,50 +269,37 @@ def _rg_core(
     cfg: RGConfig,
     witness_cap: int | None,
 ) -> LearnedTree:
-    eps0 = cfg.eps0
     max_rounds = 4 * len(names)
     diag = RGDiagnostics()
     hidden: list[str] = []
     edges: list[TreeEdge] = []
-    taken = set(names)
-    hidden_counter = 1
+    observed = set(names)
+    junction_names = (h for h in map(HIDDEN_NAME.format, itertools.count(1)) if h not in observed)
 
-    def fresh_hidden() -> str:
-        nonlocal hidden_counter
-        while (name := f"{HIDDEN_PREFIX}{hidden_counter}") in taken:
-            hidden_counter += 1
-        taken.add(name)
-        hidden_counter += 1
-        return name
+    # Round state, one row per active node in `active`'s order: S marks (0/1)
+    # the input nodes below the node in the tree built so far, and ps sums the
+    # built path lengths down to them. refresh() re-derives the active
+    # distances from the input matrix (the mean input distance between two
+    # leaf sets, less both mean path lengths), so noise does not compound.
+    active = list(names)
+    S, ps = np.eye(len(names)), np.zeros(len(names))
 
-    def emit(u: str, v: str, length: float) -> None:
-        if length < 0:
-            diag.clamped_lengths += 1
-            length = 0.0
-        edges.append(TreeEdge(u, v, float(length)))
-
-    # Bookkeeping for every active node: a 0/1 row over the input nodes that
-    # marks the ones below it in the part of the tree built so far, and the
-    # summed length of the built paths down to them. Each round re-derives
-    # the distances between active nodes from the input matrix: the mean
-    # input distance between the two nodes' leaf sets, less both mean path
-    # lengths. Estimation noise therefore does not compound across rounds.
-    below = dict(zip(names, np.eye(len(names))))
-    path_sum = dict.fromkeys(names, 0.0)
-
-    def adopt(parent: str, child: str, length: float) -> None:
-        emit(parent, child, length)
-        below[parent] = below[parent] + below[child]
-        path_sum[parent] += path_sum[child] + below[child].sum() * max(float(length), 0.0)
+    def attach(lines) -> None:
+        """Add (parent row, child row, length) lines in order, folding child rows into parents."""
+        for p, c, length in lines:
+            if length < 0:
+                diag.clamped_lengths += 1
+                length = 0.0
+            edges.append(TreeEdge(active[p], active[c], float(length)))
+            S[p] += S[c]
+            ps[p] += ps[c] + S[c].sum() * length
 
     def refresh() -> np.ndarray:
-        S = np.array([below[nm] for nm in active])
         n = S.sum(axis=1)
-        mu = np.array([path_sum[nm] for nm in active]) / n
+        mu = ps / n
         M = np.triu(S @ Draw @ S.T / np.outer(n, n) - mu[:, None] - mu[None, :], 1)
         return M + M.T
 
-    active = list(names)
     while len(active) > 2:
         if diag.rounds >= max_rounds:
             raise GroupingStalledError(
@@ -328,7 +316,7 @@ def _rg_core(
         phi_mean[i, j], phi_mean[j, i] = pair_mean, -pair_mean
 
         # Classify; escalate eps until some block of size >= 2 forms.
-        eps = eps0
+        eps = cfg.eps0
         while True:
             parents, siblings = _greedy_partition(*_relations_from_stats(k, eps, *stats))
             if parents or siblings:
@@ -338,33 +326,27 @@ def _rg_core(
             eps *= EPS_GROWTH
             diag.eps_escalations += 1
 
-        # Apply blocks: parents keep their node, sibling blocks get a new
-        # hidden junction; edge lengths and the shrunk distance matrix come
-        # from witness-averaged updates.
+        # Decide the round's lines: parents keep their node, sibling blocks get
+        # a new hidden junction, lengths come from witness-averaged distances.
         keep = sorted(set(range(k)).difference(*parents.values(), *siblings))
 
         # A freshly inferred junction that lands within merge_tol of an already
         # known junction is the same junction seen twice (a sibling class that
         # partially grouped earlier, or a parent relation that the tolerance
         # test missed). Glue it back instead of stacking a near-zero edge.
-        merge_tol = 0.75 * eps0
-        hidden_set = set(hidden)
+        merge_tol = 0.75 * cfg.eps0
+        merges: list[tuple[int, int, float]] = []
         fresh: list[tuple[list[int], np.ndarray]] = []
         for children in siblings:
             # Distances from every active node to the block's new junction.
             col = np.zeros(k)
             for a in children:
                 others = [b for b in children if b != a]
-                col[a] = float(
-                    (D[a, others] + phi_mean[a, others]).sum() / (2.0 * len(others))
-                )
+                col[a] = (D[a, others] + phi_mean[a, others]).sum() / (2.0 * len(others))
             outside = np.ones(k, dtype=bool)
             outside[children] = False
-            if outside.any():
-                col[outside] = (
-                    D[outside][:, children] - col[children][None, :]
-                ).mean(axis=1)
-            cands = [a for a in children + keep if active[a] in hidden_set and col[a] < merge_tol]
+            col[outside] = (D[outside][:, children] - col[children][None, :]).mean(axis=1)
+            cands = [a for a in children + keep if active[a] not in observed and col[a] < merge_tol]
             if not cands:
                 fresh.append((children, col))
                 continue
@@ -378,30 +360,26 @@ def _rg_core(
             else:
                 # Coincides with a junction kept from an earlier round: the
                 # block members are that junction's missing children.
-                for a in children:
-                    adopt(active[tgt], active[a], D[tgt, a])
+                merges += [(tgt, a, D[tgt, a]) for a in children]
 
-        keep.sort()
-        for p, children in parents.items():
-            for c in children:
-                adopt(active[p], active[c], D[p, c])
-
-        hidden_names = []
-        for children, col in fresh:
-            h = fresh_hidden()
-            hidden_names.append(h)
-            hidden.append(h)
-            below[h] = np.zeros(len(names))
-            path_sum[h] = 0.0
-            for a in children:
-                adopt(h, active[a], col[a])
-
-        active = [active[i] for i in keep] + hidden_names
+        # Commit: new junctions take rows k, k + 1, ... in block order. Attach
+        # order is edge order, which sets the reactance fit's column order:
+        # kept-junction merges in block order, parent blocks as they formed
+        # (own-child merges last), then the new junctions' children.
+        new = [next(junction_names) for _ in fresh]
+        hidden += new
+        active += new
+        S = np.concatenate((S, np.zeros((len(new), len(names)))))
+        ps = np.concatenate((ps, np.zeros(len(new))))
+        attach(merges)
+        attach((p, c, D[p, c]) for p, cs in parents.items() for c in cs)
+        attach((k + b, a, col[a]) for b, (children, col) in enumerate(fresh) for a in children)
+        rows = sorted(keep) + list(range(k, len(active)))
+        S, ps, active = S[rows], ps[rows], [active[r] for r in rows]
 
     if len(active) == 2:
         diag.rounds += 1
-        D = refresh()
-        emit(active[0], active[1], D[0, 1])
+        attach([(0, 1, refresh()[0, 1])])
 
     tree = LearnedTree((*names, *hidden), tuple(edges), frozenset(hidden), diag)
     if len(tree.edges) != len(tree.nodes) - 1:

@@ -107,6 +107,11 @@ def _cholesky_coeffs(spec: InjectionSpec) -> tuple[float, float, float]:
     return a, b, math.sqrt(max(spec.sigma_qq - b * b, 0.0))
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy's seed sequences take non-negative integers only
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 def sample_injections(
     g: Grid, spec: InjectionSpec, T: int, seed: int, start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,6 +126,7 @@ def sample_injections(
     ensure_valid(g)
     if T < 1:
         raise ValidationError(f"sample count must be >= 1, got {T}")
+    _check_seed(seed)
     if start % SIM_CHUNK or not 0 <= start < T:
         raise ValidationError(
             f"row window start must be a multiple of {SIM_CHUNK} below {T}, got {start}"
@@ -191,7 +197,7 @@ def simulate(g: Grid, spec: InjectionSpec, T: int, seed: int) -> MeasurementSet:
     in Fortran order, like each window's: memory is the output plus about one
     full-width window, and H_r^-1, H_x^-1 are formed once.
     """
-    model = _run_model(g, T)
+    model = _run_model(g, T, seed)
     v, p, q = (np.empty((T, len(g.observed_nodes)), order="F") for _ in "vpq")
     for start in range(0, T, SIM_CHUNK):
         rows = slice(start, min(start + SIM_CHUNK, T))
@@ -207,18 +213,19 @@ def simulate_blocks(g: Grid, spec: InjectionSpec, T: int, seed: int) -> Iterator
     checks itself when built), and H_r^-1, H_x^-1 formed, here, before any
     window is drawn.
     """
-    model = _run_model(g, T)
+    model = _run_model(g, T, seed)
     return (_window(g, spec, seed, slice(start, min(start + SIM_CHUNK, T)), model)
             for start in range(0, T, SIM_CHUNK))
 
 
-def _run_model(g: Grid, T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check a simulation's grid and T; form its forward model once."""
+def _run_model(g: Grid, T: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a simulation's grid, T and seed; form its forward model once."""
     ensure_valid(g)
     if not g.observed_nodes:
         raise ValidationError("grid has no observed nodes to measure")
     if T < 1:
         raise ValidationError(f"sample count must be >= 1, got {T}")
+    _check_seed(seed)
     return _forward_model(g)
 
 

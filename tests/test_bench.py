@@ -90,6 +90,9 @@ def test_generator_argument_validation():
     for bad in ((0.1, np.inf), (np.nan, 0.2), (0.1, np.nan)):
         with pytest.raises(ValidationError, match="must be finite"):
             random_radial_grid(10, seed=0, x_range=bad)
+    # numpy's generators take non-negative seeds only.
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        random_radial_grid(10, seed=-1)
     # The only valid 6-node grid is the hub with four terminals: degree 5.
     for seed in range(5):
         with pytest.raises(ValidationError, match="max_degree=4"):
@@ -495,7 +498,8 @@ def test_experiment_config_file_errors(tmp_path):
     ("sigma_pp = nan", "injection moments (nan, 1.0, 0.0) must be finite"),
     ("sigma_pq = 1.0", "injection moments (1.0, 1.0, 1.0) are not positive definite"),
     ("r_lo = 0.1\nr_hi = inf", "impedance range (0.1, inf) must be finite with 0 < lo <= hi"),
-], ids=["eps0-nan", "eps0-inf", "sigma_pp-nan", "sigma_pq-singular", "r_hi-inf"])
+    ("seed = -1", "seed must be >= 0, got -1"),
+], ids=["eps0-nan", "eps0-inf", "sigma_pp-nan", "sigma_pq-singular", "r_hi-inf", "seed-negative"])
 def test_experiment_config_rejects_bad_values_naming_the_file(tmp_path, line, message):
     path = tmp_path / "bad.cfg"
     path.write_text(f"n = 20\ntrials = 2\nsamples = 1000\n{line}\n")
@@ -513,6 +517,8 @@ def test_experiment_config_validation():
         ExperimentConfig(samples=())
     with pytest.raises(ValidationError):
         ExperimentConfig(trials=0)
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        ExperimentConfig(seed=-1)
     # One cell per (samples, eps0): repeats would write duplicate row keys.
     with pytest.raises(ValidationError, match="distinct tolerances, got \\[0.07, 0.07\\]"):
         ExperimentConfig(n=12, trials=2, samples=(400, 800), eps0=(0.07, 0.07))

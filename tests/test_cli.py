@@ -272,7 +272,8 @@ def test_invalid_generator_arguments_exit_one(tmp_path, capsys):
 
 
 # Each of these once hung (a NaN tolerance classifies no pair), exited 0 with
-# a junction-free tree or a CSV of nan and inf, or exited 2 on a raw numpy error.
+# a junction-free tree or a CSV of nan and inf, or exited 2 on a raw numpy
+# error (numpy's generators take no negative seed).
 @pytest.mark.parametrize("argv, message", [
     (["estimate", "--moments", "{m}", "--eps", "nan", "-o", "{out}"], "eps0 must be finite and > 0, got nan"),
     (["estimate", "--moments", "{m}", "--eps", "inf", "-o", "{out}"], "eps0 must be finite and > 0, got inf"),
@@ -282,14 +283,21 @@ def test_invalid_generator_arguments_exit_one(tmp_path, capsys):
     (["generate-grid", "--nodes", "20", "--r-range", "0.1,inf", "-o", "{out}"],
      "impedance range (0.1, inf) must be finite with 0 < lo <= hi"),
     (["sweep", "--config", "{cfg}", "--out-dir", "{out}"], "{cfg}: eps0 must be finite and > 0, got nan"),
+    (["generate-grid", "--nodes", "10", "--seed", "-1", "-o", "{out}"], "seed must be >= 0, got -1"),
+    (["simulate", "--grid", "{grid}", "--samples", "100", "--seed", "-3", "-o", "{out}"],
+     "seed must be >= 0, got -3"),
+    (["pipeline", "--grid", "{grid}", "--samples", "100", "--seed", "-3"], "seed must be >= 0, got -3"),
+    (["sweep", "--config", "{neg}", "--out-dir", "{out}"], "{neg}: seed must be >= 0, got -1"),
 ], ids=["estimate-eps-nan", "estimate-eps-inf", "pipeline-eps-nan", "simulate-sigma-qq-inf",
-        "generate-grid-r-range-inf", "sweep-eps0-nan"])
+        "generate-grid-r-range-inf", "sweep-eps0-nan", "generate-grid-seed-negative",
+        "simulate-seed-negative", "pipeline-seed-negative", "sweep-seed-negative"])
 def test_non_finite_arguments_exit_one(tmp_path, capsys, argv, message):
     paths = {k: str(tmp_path / f) for k, f in (
-        ("grid", "grid.json"), ("m", "m.json"), ("cfg", "bad.cfg"), ("out", "out"))}
+        ("grid", "grid.json"), ("m", "m.json"), ("cfg", "bad.cfg"), ("neg", "neg.cfg"), ("out", "out"))}
     main(["generate-grid", "--nodes", "12", "-o", paths["grid"]])
     main(["simulate", "--grid", paths["grid"], "--samples", "200", "--moments", paths["m"]])
     (tmp_path / "bad.cfg").write_text("n = 12\ntrials = 2\nsamples = 100\neps0 = nan\n")
+    (tmp_path / "neg.cfg").write_text("n = 12\ntrials = 2\nsamples = 100\nseed = -1\n")
     capsys.readouterr()
     assert main([a.format(**paths) for a in argv]) == 1
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"

@@ -307,6 +307,42 @@ def test_rg_sampled_recovers_under_small_noise():
     assert recovered >= 9
 
 
+# Edge lists (u, v, length.hex()) pinned when the two junction-merge branches
+# of a grouping round were first covered. With 0.02 noise at the default
+# RGConfig, the 16-node grid's round 3 forms a sibling block whose new
+# junction lands on one of its own hidden members (own-child merge); the
+# 12-node grid's round 2 forms one that lands on a junction kept from round 1
+# (kept-junction merge). Edge order is pinned too: it is the column order of
+# the reactance fit and of the learned JSON.
+MERGE_PINS = {
+    "own-child": (16, 0, [
+        ("h#1", "n6", "0x1.e485c384e53bep-5"), ("h#1", "n13", "0x1.203c49ae0f907p-4"),
+        ("h#2", "n9", "0x1.cbdc8d9bd7c27p-2"), ("h#2", "n11", "0x1.84c4b452ca4f2p-3"),
+        ("h#3", "n7", "0x1.8d30dd57a9f3ep-2"), ("h#3", "n8", "0x1.049ab9aa8c0f4p-3"),
+        ("h#3", "n12", "0x1.f5e95763e23d6p-3"), ("h#4", "n14", "0x1.c775c883ee527p-4"),
+        ("h#4", "n15", "0x1.6c357a82249a2p-2"), ("h#2", "h#4", "0x1.17d2c7085bdeap-2"),
+        ("h#1", "h#3", "0x1.c3d5c5ff40817p-2"), ("h#1", "n3", "0x1.d281c8a49a11ep-2"),
+        ("h#1", "h#2", "0x1.0a442b9e136e7p-1"),
+    ]),
+    "kept-junction": (12, 35, [
+        ("h#1", "n7", "0x1.b11037855217cp-2"), ("h#1", "n8", "0x1.b474a5733c448p-4"),
+        ("h#2", "n10", "0x1.bcf974b8581e0p-3"), ("h#2", "n11", "0x1.db30f78811baap-5"),
+        ("h#3", "n5", "0x1.b0926f5f46929p-2"), ("h#3", "n6", "0x1.dca0e90257715p-2"),
+        ("h#3", "n3", "0x1.3776acf3ce4ddp-2"), ("h#3", "h#1", "0x1.03ad84a049000p-1"),
+        ("h#3", "h#2", "0x1.e8308f4b65cffp-2"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", MERGE_PINS)
+def test_rg_sampled_junction_merges_are_pinned(case):
+    n, seed, pinned = MERGE_PINS[case]
+    g = random_radial_grid(n, seed)
+    tree = rg_sampled(g.observed_nodes, perturbed(DistanceMatrix.from_grid(g), noise=0.02, seed=seed).d_r)
+    assert tree.diagnostics.merged_junctions >= 1
+    assert [(e.u, e.v, e.length.hex()) for e in tree.edges] == pinned
+
+
 def test_rg_sampled_fixed_eps_stalls():
     g = random_radial_grid(20, seed=6)
     noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.2, seed=8).d_r

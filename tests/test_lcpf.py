@@ -241,6 +241,13 @@ def test_simulate_validates_the_grid_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_negative_seeds_are_refused_before_any_draw(cherry_grid):
+    spec = InjectionSpec()
+    for run in (simulate, simulate_blocks, sample_injections):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -3"):
+            run(cherry_grid, spec, 100, -3)  # simulate_blocks refuses at the call, not on iteration
+
+
 def test_sample_injection_moments_match_spec(star_grid):
     spec = InjectionSpec(sigma_pp=2.0, sigma_qq=0.5, sigma_pq=0.3)
     p, q = sample_injections(star_grid, spec, T=200_000, seed=11)
