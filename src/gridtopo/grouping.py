@@ -8,15 +8,16 @@ adjacent-or-siblings at the same junction:
   (a is a leaf and b its parent); the mirrored sign swaps the roles;
 * phi constant with |phi| < d(a, b)  <=>  a and b hang off a common junction.
 
-Since phi(b, a; c) = -phi(a, b; c), each round computes the witness
-statistics once per unordered active pair. It classifies the pairs, groups
-the coarsest consistent blocks, replaces sibling blocks with a fresh hidden
-junction, and re-derives the active distance matrix from the input entries
-through the nodes already placed below each survivor, until two or fewer
-nodes remain. The sampled variant runs the same tests with a tolerance eps
-over each pair's WITNESS_CAP nearest witnesses, escalating eps until some
-block forms and committing every block that formed at that eps. A new
-junction that lands on an earlier round's junction is merged into it.
+Both tests read only phi's extremes over the witnesses, so a round reduces
+phi to them once per unordered active pair, as phi(b, a; c) = -phi(a, b; c).
+It classifies the pairs and forms the coarsest consistent blocks once, swaps
+each sibling block for a new hidden junction and re-derives the active
+distances from the input entries, until two or fewer nodes remain. The
+witness mean of phi, which breaks parent ties and sets junction lengths, is
+taken for those pairs alone. The sampled variant tests each pair's
+WITNESS_CAP nearest witnesses at a tolerance eps, raised until some pair
+passes, and commits every block formed at that eps. A new junction that
+lands on an earlier round's junction is merged into it.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ HIDDEN_NAME = "h#{}"  # junctions are h#1, h#2, ..., skipping the input names
 WITNESS_CAP = 15
 # A round that classifies no pair retries at this many times the tolerance.
 EPS_GROWTH = 1.5
-# _pair_stats works on this many pairs at a time, so its arrays are
+# _witness_rows works on this many pairs at a time, so grouping's arrays are
 # (PAIR_BLOCK, k) rather than (k(k - 1)/2, k).
 PAIR_BLOCK = 512
 
@@ -98,11 +99,8 @@ class LearnedTree:
     diagnostics: RGDiagnostics | None = field(default=None, compare=False, repr=False)
 
     def path_incidence(self, nodes: tuple[str, ...]) -> np.ndarray:
-        """grid.path_incidence of `nodes`, anchored at nodes[0] of the tree.
-
-        Raises ValidationError for a node not in the tree, or when the tree
-        is not connected.
-        """
+        """grid.path_incidence of `nodes`, anchored at nodes[0] of the tree;
+        ValidationError for a node not in the tree or a disconnected tree."""
         known = set(self.nodes)
         for n in nodes:
             if n not in known:
@@ -114,11 +112,7 @@ class LearnedTree:
 
 
 def tree_path_lengths(tree: LearnedTree, nodes: tuple[str, ...]) -> np.ndarray:
-    """Pairwise path-length matrix over `nodes`.
-
-    The sums come from grid.path_lengths over the tree's anchor-path
-    incidence (LearnedTree.path_incidence).
-    """
+    """Pairwise path lengths over `nodes`: grid.path_lengths on LearnedTree.path_incidence."""
     return path_lengths(tree.path_incidence(nodes), np.array([e.length for e in tree.edges]))
 
 
@@ -145,9 +139,6 @@ def _greedy_partition(
     neither is left unplaced.
     """
 
-    def _quorum(hits: int, total: int) -> bool:
-        return 2 * hits >= total
-
     parents: dict[int, list[int]] = {}
     placed: set[int] = set()  # every node of a parent block
     for *_, p, c in sorted(parent_cands):
@@ -166,7 +157,7 @@ def _greedy_partition(
             if ia == ib:
                 continue
             hits = sum(sib_ok[x, y] for x in blocks[ia] for y in blocks[ib])
-            if _quorum(hits, len(blocks[ia]) * len(blocks[ib])):
+            if 2 * hits >= len(blocks[ia]) * len(blocks[ib]):
                 for y in blocks[ib]:
                     where[y] = ia
                 blocks[ia] += blocks[ib]
@@ -174,7 +165,7 @@ def _greedy_partition(
         elif a in where or b in where:
             inside, other = (a, b) if a in where else (b, a)
             blk = blocks[where[inside]]
-            if _quorum(sum(sib_ok[other, x] for x in blk), len(blk)):
+            if 2 * sum(sib_ok[other, x] for x in blk) >= len(blk):
                 blk.append(other)
                 where[other] = where[inside]
         else:
@@ -188,35 +179,39 @@ def _greedy_partition(
 # The grouping engine
 # ---------------------------------------------------------------------------
 
-def _pair_stats(D: np.ndarray, cap: int | None):
-    """Witness statistics of each unordered pair i < j, in np.triu_indices order.
+def _witness_rows(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
+    """Yield (slice, Phi, pen) per PAIR_BLOCK pairs (i, j), with Phi(i, j; c) over every c.
 
-    A pair's witnesses are all other nodes; with cap set, only the cap
-    closest by max(d(i, c), d(j, c)), plus any tied with the cap-th. As
-    Phi(j, i; c) = -Phi(i, j; c), the pair (j, i) is never computed. Returns
-    i, j, d(i, j) and, per pair over its witnesses, the mean, spread and
-    largest |Phi|, and the largest |Phi - d(i, j)| and |Phi + d(i, j)|.
+    pen is 0 at the pair's witnesses and inf elsewhere. The witnesses are
+    all other nodes; with cap set, only the cap closest by max(d(i, c),
+    d(j, c)), plus any tied with the cap-th. Each row is built on its own,
+    so the block size cannot change a bit of the result.
     """
-    k = D.shape[0]
-    i, j = np.triu_indices(k, 1)
-    phi_hi, phi_lo, phi_mean = np.empty(len(i)), np.empty(len(i)), np.empty(len(i))
-    # Each pair's row is reduced on its own, so the block size cannot
-    # change a bit of the result.
     for s in range(0, len(i), PAIR_BLOCK):
         blk = slice(s, s + PAIR_BLOCK)
         bi, bj = i[blk], j[blk]
-        Phi = D[bi]
-        M = np.maximum(Phi, D[bj])
-        Phi -= D[bj]
+        # pen starts as the witness ranking max(d(i, c), d(j, c)), in D[bj]'s buffer.
+        Phi, pen = D[bi], D[bj]
+        Phi, pen = Phi - pen, np.maximum(Phi, pen, out=pen)
         r = np.arange(len(bi))
-        M[r, bi] = M[r, bj] = np.inf
-        W = M < np.inf
-        if cap is not None and k - 2 > cap:
-            kth = np.partition(M, cap - 1, axis=1)[:, [cap - 1]]
-            W &= M <= kth
-        phi_hi[blk] = np.where(W, Phi, -np.inf).max(axis=1)
-        phi_lo[blk] = np.where(W, Phi, np.inf).min(axis=1)
-        phi_mean[blk] = np.where(W, Phi, 0.0).sum(axis=1) / np.maximum(W.sum(axis=1), 1)
+        pen[r, bi] = pen[r, bj] = np.inf
+        if cap is not None and len(D) - 2 > cap:
+            pen = np.where(pen <= np.partition(pen, cap - 1, axis=1)[:, [cap - 1]], 0.0, np.inf)
+        else:
+            pen = np.where(pen < np.inf, 0.0, np.inf)
+        yield blk, Phi, pen
+
+
+def _pair_stats(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
+    """Witness extremes of each pair (i, j), i < j; the pair (j, i) only flips Phi's sign.
+
+    Returns i, j, d(i, j) and, per pair over its witnesses, the spread, the largest
+    |Phi| and the largest |Phi - d(i, j)| and |Phi + d(i, j)|. The mean is _witness_means.
+    """
+    phi_hi, phi_lo = np.empty(len(i)), np.empty(len(i))
+    for blk, Phi, pen in _witness_rows(D, i, j, cap):
+        phi_hi[blk] = (Phi - pen).max(axis=1)
+        phi_lo[blk] = (Phi + pen).min(axis=1)
     d = D[i, j]
     # |Phi -/+ d| peaks over the witnesses at phi_hi or phi_lo. Rounding is
     # monotone, so this matches the per-witness maximum bit for bit.
@@ -224,21 +219,31 @@ def _pair_stats(D: np.ndarray, cap: int | None):
     dev_ab = np.maximum(np.abs(phi_hi + d), np.abs(phi_lo + d))
     spread = phi_hi - phi_lo
     absmax = np.maximum(np.abs(phi_hi), np.abs(phi_lo))
-    return i, j, d, phi_mean, spread, absmax, dev_ba, dev_ab
+    return i, j, d, spread, absmax, dev_ba, dev_ab
 
 
-def _relations_from_stats(k, eps, i, j, d, phi_mean, spread, absmax, dev_ba, dev_ab):
+def _witness_means(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
+    """Mean witness Phi of each pair (i, j), summed over the whole row with
+    non-witnesses as zeros, so its bits do not depend on the other pairs."""
+    out = np.empty(len(i))
+    for blk, Phi, pen in _witness_rows(D, i, j, cap):
+        W = pen == 0.0
+        out[blk] = np.where(W, Phi, 0.0).sum(axis=1) / np.maximum(W.sum(axis=1), 1)
+    return out
+
+
+def _relations_from_stats(D, cap, eps, i, j, d, spread, absmax, dev_ba, dev_ab):
     """Classify every pair i < j from its _pair_stats vectors at tolerance eps.
 
     A pair whose Phi stays within eps of +d(i, j) at every witness is a
     parent relation with j the parent; within eps of -d(i, j), i is the
     parent. When both pass, the smaller residual between d(i, j) and the
-    mean Phi picks the direction. Otherwise the pair are siblings when the
-    witness spread of Phi is at most eps and no |Phi| exceeds d(i, j) + eps.
-    Parent tests take precedence; a pair that passes neither test is
-    unrelated. Returns the parent candidates (d, residual, deviation,
-    parent, child), the sibling candidates (spread, i, j) and the symmetric
-    k x k sibling mask that _greedy_partition takes.
+    mean Phi (_witness_means of the parent pairs) picks the direction.
+    Otherwise the pair are siblings when the witness spread of Phi is at
+    most eps and no |Phi| exceeds d(i, j) + eps. Parent tests take
+    precedence; a pair that passes neither is unrelated. Returns the parent
+    candidates (d, residual, deviation, parent, child), the sibling
+    candidates (spread, i, j) and the k x k sibling mask for _greedy_partition.
     """
     pass_ba = dev_ba <= eps
     pass_ab = dev_ab <= eps
@@ -248,8 +253,8 @@ def _relations_from_stats(k, eps, i, j, d, phi_mean, spread, absmax, dev_ba, dev
     # node's parent and a farther ancestor pass the tolerance test, the true
     # parent is the closer one.
     p = np.flatnonzero(is_parent)
-    res_ba = np.abs(d[p] - phi_mean[p])
-    res_ab = np.abs(d[p] + phi_mean[p])
+    phi_mean = _witness_means(D, i[p], j[p], cap)
+    res_ba, res_ab = np.abs(d[p] - phi_mean), np.abs(d[p] + phi_mean)
     i_up = np.where(pass_ba[p] & pass_ab[p], res_ab <= res_ba, pass_ab[p])
     parent_cands = list(zip(
         d[p].tolist(), np.where(i_up, res_ab, res_ba).tolist(),
@@ -258,7 +263,7 @@ def _relations_from_stats(k, eps, i, j, d, phi_mean, spread, absmax, dev_ba, dev
     ))
     s = np.flatnonzero(is_sib)
     sibling_cands = list(zip(spread[s].tolist(), i[s].tolist(), j[s].tolist()))
-    sib_ok = np.zeros((k, k), dtype=bool)
+    sib_ok = np.zeros(D.shape, dtype=bool)
     sib_ok[i[s], j[s]] = sib_ok[j[s], i[s]] = True
     return parent_cands, sibling_cands, sib_ok
 
@@ -283,6 +288,7 @@ def _rg_core(
     # leaf sets, less both mean path lengths), so noise does not compound.
     active = list(names)
     S, ps = np.eye(len(names)), np.zeros(len(names))
+    I, J = np.triu_indices(len(names), 1)
 
     def attach(lines) -> None:
         """Add (parent row, child row, length) lines in order, folding child rows into parents."""
@@ -310,21 +316,24 @@ def _rg_core(
         k = len(active)
         D = refresh()
 
-        stats = _pair_stats(D, witness_cap)
-        i, j, _, pair_mean = stats[:4]
-        phi_mean = np.zeros((k, k))  # junction lengths read it by ordered pair
-        phi_mean[i, j], phi_mean[j, i] = pair_mean, -pair_mean
+        sel = J < k  # the active pairs, in np.triu_indices(k, 1) order
+        stats = _pair_stats(D, I[sel], J[sel], witness_cap)
+        _, _, d, spread, absmax, dev_ba, dev_ab = stats
 
-        # Classify; escalate eps until some block of size >= 2 forms.
+        # Raise eps until some pair passes a test (its block always forms); classify once.
         eps = cfg.eps0
-        while True:
-            parents, siblings = _greedy_partition(*_relations_from_stats(k, eps, *stats))
-            if parents or siblings:
-                break
+        while not ((dev_ba <= eps) | (dev_ab <= eps) | ((spread <= eps) & (absmax <= d + eps))).any():
             if not cfg.dynamic_eps:
                 raise GroupingStalledError(f"no pair classified at eps={eps:g} and eps is fixed")
             eps *= EPS_GROWTH
             diag.eps_escalations += 1
+        parents, siblings = _greedy_partition(*_relations_from_stats(D, witness_cap, eps, *stats))
+
+        phi_mean = np.zeros((k, k))  # junction lengths read it inside sibling blocks
+        if siblings:
+            si, sj = np.array([ab for blk in siblings for ab in itertools.combinations(blk, 2)]).T
+            phi_mean[si, sj] = _witness_means(D, si, sj, witness_cap)
+            phi_mean[sj, si] = -phi_mean[si, sj]
 
         # Decide the round's lines: parents keep their node, sibling blocks get
         # a new hidden junction, lengths come from witness-averaged distances.

@@ -23,6 +23,7 @@ from gridtopo.grouping import (
     _greedy_partition,
     _pair_stats,
     _relations_from_stats,
+    _witness_means,
 )
 from _trees import degrees, perturbed
 
@@ -52,7 +53,7 @@ def _relations(d: DistanceMatrix, eps: float = EXACT_TOL) -> dict:
     sibling spread. Pairs that are neither parent nor siblings are absent.
     """
     D = np.array(d.d_r)
-    parents, siblings, _ = _relations_from_stats(len(D), eps, *_pair_stats(D, None))
+    parents, siblings, _ = _relations_from_stats(D, None, eps, *_all_pair_stats(D, None))
     out = {}
     for _, res, _, p, c in parents:
         out[frozenset((d.nodes[p], d.nodes[c]))] = ("parent", d.nodes[p], res)
@@ -82,6 +83,10 @@ def test_classify_tolerance_widens_acceptance():
     assert frozenset("ab") in _relations(noisy, eps=0.2)  # small noise keeps a verdict
 
 
+def _all_pair_stats(D: np.ndarray, cap: int | None) -> tuple:
+    return _pair_stats(D, *np.triu_indices(len(D), 1), cap)
+
+
 def _pair_stats_input(case: str) -> tuple[np.ndarray, int | None]:
     rng = np.random.default_rng(11)
     if case == "ties":
@@ -108,7 +113,8 @@ def _witnesses(D: np.ndarray, a: int, b: int, cap: int | None) -> list[int]:
 @pytest.mark.parametrize("case", ["cap", "no cap", "ties"])
 def test_pair_stats_deviations_match_definition(case):
     D, cap = _pair_stats_input(case)
-    i, j, d, phi_mean, spread, absmax, dev_ba, dev_ab = _pair_stats(D, cap)
+    i, j, d, spread, absmax, dev_ba, dev_ab = _all_pair_stats(D, cap)
+    phi_mean = _witness_means(D, i, j, cap)
     k = len(D)
     assert list(zip(i, j)) == [(a, b) for a in range(k) for b in range(a + 1, k)]
     most = 0
@@ -127,8 +133,8 @@ def test_pair_stats_deviations_match_definition(case):
         assert (dev_ba == 0).any() and (dev_ab == 0).any()
 
 
-def _relations_loop(k, eps, i, j, d, phi_mean, spread, absmax, dev_ba, dev_ab):
-    """Pair-by-pair reference for _relations_from_stats."""
+def _relations_loop(k, eps, phi_mean, i, j, d, spread, absmax, dev_ba, dev_ab):
+    """Pair-by-pair reference for _relations_from_stats, given every pair's mean."""
     parents, siblings = [], []
     sib_ok = np.zeros((k, k), dtype=bool)
     pairs = iter(range(len(i)))
@@ -152,10 +158,11 @@ def _relations_loop(k, eps, i, j, d, phi_mean, spread, absmax, dev_ba, dev_ab):
 @pytest.mark.parametrize("case", ["no cap", "ties"])
 def test_pair_stats_do_not_depend_on_block_size(case, monkeypatch):
     D, cap = _pair_stats_input(case)
-    want = _pair_stats(D, cap)
+    i, j = np.triu_indices(len(D), 1)
+    want = (*_pair_stats(D, i, j, cap), _witness_means(D, i, j, cap))
     monkeypatch.setattr(grouping, "PAIR_BLOCK", 7)
-    got = _pair_stats(D, cap)
-    assert len(got[0]) > 7
+    got = (*_pair_stats(D, i, j, cap), _witness_means(D, i, j, cap))
+    assert len(i) > 7
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
 
@@ -169,10 +176,11 @@ def test_relations_match_pair_loop():
     inputs.append(_pair_stats_input("ties"))
     kinds = set()
     for D, cap in inputs:
-        stats = _pair_stats(D, cap)
+        stats = _all_pair_stats(D, cap)
+        phi_mean = _witness_means(D, *stats[:2], cap)
         for eps in (1e-9, 0.02, 0.05, 0.1, 0.3):
-            parents, siblings, sib_ok = _relations_from_stats(len(D), eps, *stats)
-            want_parents, want_siblings, want_ok = _relations_loop(len(D), eps, *stats)
+            parents, siblings, sib_ok = _relations_from_stats(D, cap, eps, *stats)
+            want_parents, want_siblings, want_ok = _relations_loop(len(D), eps, phi_mean, *stats)
             assert sorted(parents) == sorted(want_parents)
             assert sorted(siblings) == sorted(want_siblings)
             assert np.array_equal(sib_ok, want_ok)
@@ -190,7 +198,7 @@ def test_pair_stats_memory_stays_below_dense_tensors():
     assert len(D) == 132
     tracemalloc.start()
     try:
-        _pair_stats(D, WITNESS_CAP)
+        _all_pair_stats(D, WITNESS_CAP)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -205,7 +213,12 @@ def test_grouping_memory_stays_below_one_pair_array():
     D = (d.d_r + d.d_x) / 2.0
     k = len(D)
     pair_array = k * (k - 1) // 2 * k * 8
-    for run in (lambda: _pair_stats(D, WITNESS_CAP), lambda: rg_exact(g.observed_nodes, D)):
+    pairs = np.triu_indices(k, 1)
+    for run in (
+        lambda: _pair_stats(D, *pairs, WITNESS_CAP),
+        lambda: _witness_means(D, *pairs, WITNESS_CAP),
+        lambda: rg_exact(g.observed_nodes, D),
+    ):
         tracemalloc.start()
         try:
             run()
@@ -341,6 +354,77 @@ def test_rg_sampled_junction_merges_are_pinned(case):
     tree = rg_sampled(g.observed_nodes, perturbed(DistanceMatrix.from_grid(g), noise=0.02, seed=seed).d_r)
     assert tree.diagnostics.merged_junctions >= 1
     assert [(e.u, e.v, e.length.hex()) for e in tree.edges] == pinned
+
+
+# rg_sampled on the 60-node grid of seed 2 with 0.02 noise: its 39 terminals
+# exceed WITNESS_CAP + 2, so every pair's witness set is trimmed, and two of
+# its new junctions merge. Pinned (u, v, length.hex()) edge list and
+# diagnostics.
+CAPPED_PIN = [
+    ('h#1', 'n53', '0x1.c190d8585f8adp-3'), ('h#1', 'n54', '0x1.20aed6631bf22p-2'),
+    ('h#1', 'n55', '0x1.80125638d317bp-5'), ('h#2', 'n37', '0x1.3ccfbff4f9606p-2'),
+    ('h#2', 'n38', '0x1.0a3c75a882abfp-4'), ('h#2', 'n49', '0x1.00e663f4fc894p-2'),
+    ('h#3', 'n14', '0x1.4044d86035400p-2'), ('h#3', 'n15', '0x1.8d461d83ca876p-2'),
+    ('h#4', 'n40', '0x1.d87e4242139bfp-2'), ('h#4', 'n44', '0x1.6f9840b7c7d68p-5'),
+    ('h#5', 'n35', '0x1.496e0615d5d8ep-3'), ('h#5', 'n36', '0x1.77072cbb3da16p-2'),
+    ('h#5', 'n43', '0x1.80e0f656fb9a0p-3'), ('h#6', 'n24', '0x1.8a23457afa52bp-4'),
+    ('h#6', 'n25', '0x1.006f97af69ee6p-2'), ('h#6', 'n27', '0x1.547854c17fe76p-2'),
+    ('h#7', 'n41', '0x1.95c4938541b20p-2'), ('h#7', 'n42', '0x1.9536a48af9af4p-5'),
+    ('h#7', 'n45', '0x1.ad7e62e660924p-2'), ('h#8', 'n21', '0x1.bc6d5b36baa2cp-4'),
+    ('h#8', 'n23', '0x1.bb28f04640995p-2'), ('h#9', 'n56', '0x1.04484c34bf30ep-3'),
+    ('h#9', 'n57', '0x1.367c3d987133ep-3'), ('h#10', 'n46', '0x1.a6c95ec22d8c0p-4'),
+    ('h#10', 'n47', '0x1.49d9392f3b976p-4'), ('h#10', 'n48', '0x1.f8251412630bfp-2'),
+    ('h#11', 'n50', '0x1.8cfaed3efc935p-3'), ('h#11', 'n52', '0x1.c6376bb8205bfp-3'),
+    ('h#12', 'n28', '0x1.1b6f1a5484d8cp-2'), ('h#12', 'n29', '0x1.e84c3c5162c6dp-2'),
+    ('h#12', 'n34', '0x1.f6dce4bca8f9cp-2'), ('h#13', 'n11', '0x1.b0c4291cf577ap-2'),
+    ('h#13', 'n12', '0x1.bf2d37037d1b5p-3'), ('h#14', 'n58', '0x1.e86c533df66a4p-3'),
+    ('h#14', 'n59', '0x1.68766d70971cap-3'), ('h#8', 'h#1', '0x1.c64200d49355cp-2'),
+    ('h#8', 'h#10', '0x1.7ff097983479ap-2'), ('h#11', 'h#14', '0x1.50d3591fe01f6p-4'),
+    ('h#4', 'h#7', '0x1.89a16e297567cp-3'), ('h#3', 'h#2', '0x1.1ddd167d7e6fdp-2'),
+    ('h#15', 'n33', '0x1.1b7434ad90c41p-2'), ('h#15', 'h#5', '0x1.e4ef27e4d61ecp-4'),
+    ('h#16', 'n20', '0x1.40cdcc20c3242p-2'), ('h#16', 'h#12', '0x1.d759025d9d680p-3'),
+    ('h#17', 'n5', '0x1.2cd6c6680c9e7p-3'), ('h#17', 'h#6', '0x1.cea7566ff265ap-2'),
+    ('h#18', 'n7', '0x1.1a8cd75e1c12bp-4'), ('h#18', 'h#9', '0x1.fabbe121c8a08p-3'),
+    ('h#15', 'h#11', '0x1.0e09bcecdecf0p-3'), ('h#13', 'h#3', '0x1.f37b6908365aap-2'),
+    ('h#18', 'h#15', '0x1.7659875a6808dp-2'), ('h#19', 'h#13', '0x1.6f9a9f218cb18p-2'),
+    ('h#19', 'h#18', '0x1.a082d3aef6144p-3'), ('h#17', 'h#19', '0x1.23e1bab753caap-2'),
+    ('h#16', 'h#17', '0x1.94a4ba16c4540p-4'), ('h#8', 'h#4', '0x1.205fccb52a6c0p-2'),
+    ('h#8', 'h#16', '0x1.1ece7b4361d70p-3'),
+]
+
+
+def test_rg_sampled_capped_witnesses_are_pinned():
+    g = random_radial_grid(60, 2)
+    assert len(g.observed_nodes) > WITNESS_CAP + 2
+    tree = rg_sampled(g.observed_nodes, perturbed(DistanceMatrix.from_grid(g), noise=0.02, seed=2).d_r)
+    assert [(e.u, e.v, e.length.hex()) for e in tree.edges] == CAPPED_PIN
+    assert tree.diagnostics == grouping.RGDiagnostics(rounds=8, merged_junctions=2)
+
+
+def test_rg_sampled_partitions_once_per_round(monkeypatch):
+    # eps escalates on the pair statistics alone, so a round partitions once
+    # however many eps steps it takes.
+    calls = {"_pair_stats": 0, "_greedy_partition": 0}
+
+    def count(name):
+        real = getattr(grouping, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(grouping, name, counted)
+
+    count("_pair_stats")
+    count("_greedy_partition")
+    g = random_radial_grid(20, seed=6)
+    noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.05, seed=8).d_r
+    diag = rg_sampled(g.observed_nodes, noisy, RGConfig(eps0=1e-6)).diagnostics
+    assert diag.eps_escalations > diag.rounds
+    # Every round computes pair statistics once, except a closing round that
+    # joins the last two nodes with one line.
+    two_node_line = diag.rounds - calls["_pair_stats"]
+    assert two_node_line in (0, 1)
+    assert calls["_greedy_partition"] == diag.rounds - two_node_line
 
 
 def test_rg_sampled_fixed_eps_stalls():
