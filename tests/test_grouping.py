@@ -240,6 +240,28 @@ def test_coarsest_partition_hand_relations():
     assert _greedy_partition(parents, siblings, sib_ok) == ({0: [1, 2]}, [])
 
 
+def test_sibling_blocks_grow_by_half_quorum():
+    parents = [(1.0, 0.0, 0.0, 0, 13)]  # 0 and 13 sit in a parent block
+    siblings = [
+        (0.01, 11, 12), (0.02, 7, 8), (0.03, 1, 2), (0.04, 5, 6), (0.05, 9, 10),  # five new blocks
+        (0.06, 13, 14), (0.065, 0, 15),  # skipped: 13 and 0 are placed
+        (0.07, 1, 3),  # joins {1, 2}: 1 of 2 cross pairs
+        (0.08, 4, 1),  # refused by {1, 2, 3}: 1 of 3
+        (0.09, 5, 7), (0.12, 6, 8),  # {5, 6} absorbs {7, 8}: 2 of 4
+        (0.10, 9, 11),  # {9, 10} and {11, 12} stay apart: 1 of 4
+        (0.11, 14, 15),  # a new block, after the merge
+    ]
+    sib_ok = np.zeros((16, 16), dtype=bool)
+    for _, a, b in siblings:
+        sib_ok[a, b] = sib_ok[b, a] = True
+    # Blocks keep their creation order; the merged block keeps {5, 6}'s place.
+    assert _greedy_partition(parents, siblings, sib_ok) == (
+        {0: [13]}, [[11, 12], [1, 2, 3], [5, 6, 7, 8], [9, 10], [14, 15]],
+    )
+    # Pair order is spread order, whatever the input order.
+    assert _greedy_partition(parents, siblings[::-1], sib_ok) == _greedy_partition(parents, siblings, sib_ok)
+
+
 def test_rg_exact_star_recovers_hub():
     tree = rg_exact(STAR_NODES, STAR_D)
     assert len(tree.hidden) == 1
