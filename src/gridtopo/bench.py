@@ -91,18 +91,13 @@ def random_radial_grid(
         spare = sum(capacity.values())
         can_attach = spare >= 1 and not (remaining == 2 and spare < 2)
         can_promote = remaining >= 2
-        if can_attach and can_promote:
-            promote = rng.random() < 0.5
-        elif can_promote:
-            promote = True
-        elif can_attach:
-            promote = False
-        else:
+        if not (can_attach or can_promote):
             raise ValidationError(
                 f"no valid grid has n={n} nodes under max_degree={max_degree}: "
                 f"{remaining} node left to place, no junction has a spare line, "
                 "and a promotion places two"
             )
+        promote = rng.random() < 0.5 if can_attach and can_promote else can_promote
         if promote:
             pick = leaves[rng.integers(len(leaves))]
             leaves.remove(pick)
@@ -138,16 +133,16 @@ def random_radial_grid(
 # Topology and impedance metrics
 # ---------------------------------------------------------------------------
 
-def _tree_view(obj) -> tuple[list[tuple[str, str, float, float]], frozenset[str], set[str]]:
-    """Normalize to (edge list with r/x, observed set, nodes to strip)."""
+def _tree_view(obj) -> tuple[list[tuple[str, str, float, float]], frozenset[str], set[str], frozenset[str]]:
+    """Normalize to (edge list with r/x, observed set, nodes to strip, hidden nodes)."""
     if isinstance(obj, Grid):
         root = obj.root
-        return ([(e.u, e.v, e.r, e.x) for e in obj.edges], obj.observed, {root})
+        return ([(e.u, e.v, e.r, e.x) for e in obj.edges], obj.observed, {root}, frozenset(obj.hidden_nodes))
     if isinstance(obj, LearnedGrid):
-        return ([(e.u, e.v, e.r, e.x) for e in obj.edges], obj.observed, set())
+        return ([(e.u, e.v, e.r, e.x) for e in obj.edges], obj.observed, set(), obj.hidden)
     if isinstance(obj, LearnedTree):
         observed = frozenset(obj.nodes) - obj.hidden
-        return ([(e.u, e.v, e.length, float("nan")) for e in obj.edges], observed, set())
+        return ([(e.u, e.v, e.length, float("nan")) for e in obj.edges], observed, set(), obj.hidden)
     raise ValidationError(f"cannot extract a tree from {type(obj).__name__}")
 
 
@@ -160,12 +155,12 @@ def edge_splits(obj) -> list[tuple[frozenset[str], float, float]]:
     For a rooted grid the root and its line are stripped first: terminal
     measurements carry no information about the root side of the hub.
     """
-    edge_list, observed, strip = _tree_view(obj)
+    edge_list, observed, strip, hidden = _tree_view(obj)
     if not observed:
         raise MetricUndefinedError("tree has no observed terminals")
     kept = [i for i, (u, v, _r, _x) in enumerate(edge_list) if u not in strip and v not in strip]
     ends = [edge_list[i][:2] for i in kept]
-    nodes = {n for pair in ends for n in pair}
+    nodes = hidden.union(*ends)  # a hidden node on no line leaves the tree disconnected
     anchor = min(observed)
     if anchor not in nodes:
         raise MetricUndefinedError(f"anchor terminal {anchor!r} is not in the tree")
@@ -191,8 +186,8 @@ def edge_splits(obj) -> list[tuple[frozenset[str], float, float]]:
 
 def _paired_splits(a, b) -> tuple[list, list]:
     """Both trees' edge_splits, once each; their terminal sets must match."""
-    _, obs_a, _ = _tree_view(a)
-    _, obs_b, _ = _tree_view(b)
+    _, obs_a, _, _ = _tree_view(a)
+    _, obs_b, _, _ = _tree_view(b)
     if frozenset(obs_a) != frozenset(obs_b):
         raise MetricUndefinedError(
             f"terminal sets differ: {sorted(set(obs_a) ^ set(obs_b))} not shared"

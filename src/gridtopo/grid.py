@@ -265,21 +265,17 @@ def reduced_laplacian(g: Grid, mode: str = "r") -> np.ndarray:
     """
     _check_mode(mode)
     ensure_valid(g)
-    idx = {n: i for i, n in enumerate(g.reduced_nodes)}
+    idx = {n: i for i, n in enumerate(g.nodes)}
     L = np.zeros((len(idx), len(idx)))
-    root = g.root
     for e in g.edges:
         w = 1.0 / e.weight(mode)
-        if e.u == root or e.v == root:
-            child = e.v if e.u == root else e.u
-            L[idx[child], idx[child]] += w
-        else:
-            i, j = idx[e.u], idx[e.v]
-            L[i, i] += w
-            L[j, j] += w
-            L[i, j] -= w
-            L[j, i] -= w
-    return L
+        i, j = idx[e.u], idx[e.v]
+        L[i, i] += w
+        L[j, j] += w
+        L[i, j] -= w
+        L[j, i] -= w
+    keep = [idx[n] for n in g.reduced_nodes]
+    return L[np.ix_(keep, keep)]
 
 
 def _split_root_paths(g: Grid, a: str, b: str, what: str) -> tuple[list[int], list[int], list[int]]:

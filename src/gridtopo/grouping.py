@@ -128,15 +128,16 @@ def _greedy_partition(
     """Deterministic block formation.
 
     Parent relations are accepted first (ascending pair distance, then
-    residual), then sibling pairs grow blocks (ascending spread). A node
-    joins a sibling block, and two sibling blocks merge, when at least half
-    of the cross pairs are sibling pairs; on noiseless relations this is the
-    same as requiring a full clique, while on noisy relations it stops one
-    failed pair test from splitting a large sibling class into two stacked
-    blocks. Ties break on node order. Conflicting relations are skipped,
-    never fatal. Returns each parent's sorted children, in the order its
-    block formed, and each sibling block's sorted members; a node in
-    neither is left unplaced.
+    residual). Sibling pairs then merge blocks (ascending spread), an
+    unplaced node being a block of one: two blocks merge when at least half
+    of their cross pairs are sibling pairs. On noiseless relations this is
+    a full clique; on noisy ones it stops one failed pair test from
+    splitting a large sibling class into two stacked blocks. The block that
+    existed absorbs the other (the first node's when both did) and keeps
+    its place; a new block takes its place when it forms. Ties break on
+    node order. Conflicting relations are skipped, never fatal. Returns
+    each parent's sorted children, in the order its block formed, and each
+    sibling block's sorted members; a node in neither is left unplaced.
     """
 
     parents: dict[int, list[int]] = {}
@@ -147,30 +148,18 @@ def _greedy_partition(
         parents.setdefault(p, []).append(c)
         placed.update((p, c))
 
-    blocks: list[list[int]] = []
-    where: dict[int, int] = {}  # node -> index of its sibling block
+    blocks: list[list[int]] = []  # in the order they formed; an absorbed block is left empty
     for _, a, b in sorted(sibling_cands):
         if a in placed or b in placed:
             continue
-        if a in where and b in where:
-            ia, ib = where[a], where[b]
-            if ia == ib:
-                continue
-            hits = sum(sib_ok[x, y] for x in blocks[ia] for y in blocks[ib])
-            if 2 * hits >= len(blocks[ia]) * len(blocks[ib]):
-                for y in blocks[ib]:
-                    where[y] = ia
-                blocks[ia] += blocks[ib]
-                blocks[ib] = []
-        elif a in where or b in where:
-            inside, other = (a, b) if a in where else (b, a)
-            blk = blocks[where[inside]]
-            if 2 * sum(sib_ok[other, x] for x in blk) >= len(blk):
-                blk.append(other)
-                where[other] = where[inside]
-        else:
-            where[a] = where[b] = len(blocks)
-            blocks.append([a, b])
+        A, B = (next((blk for blk in blocks if x in blk), [x]) for x in (a, b))
+        if A is not B and 2 * sum(sib_ok[x, y] for x in A for y in B) >= len(A) * len(B):
+            if len(A) == 1:  # a block that exists absorbs a new one
+                A, B = B, A
+            if len(A) == 1:  # two new ones form a block
+                blocks.append(A)
+            A += B
+            B.clear()
 
     return {p: sorted(cs) for p, cs in parents.items()}, [sorted(b) for b in blocks if b]
 
@@ -232,27 +221,31 @@ def _witness_means(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None)
     return out
 
 
-def _relations_from_stats(D, cap, eps, i, j, d, spread, absmax, dev_ba, dev_ab):
-    """Classify every pair i < j from its _pair_stats vectors at tolerance eps.
+def _passes(eps, d, spread, absmax, dev_ba, dev_ab):
+    """Masks of the pairs i < j that pass each test at tolerance eps: j is
+    i's parent when Phi stays within eps of +d(i, j) at every witness, i is
+    j's parent within eps of -d(i, j), and the pair are siblings when they
+    pass neither, Phi's witness spread is at most eps and no |Phi| exceeds
+    d(i, j) + eps."""
+    pass_ba, pass_ab = dev_ba <= eps, dev_ab <= eps
+    return pass_ba, pass_ab, (spread <= eps) & (absmax <= d + eps) & ~(pass_ba | pass_ab)
 
-    A pair whose Phi stays within eps of +d(i, j) at every witness is a
-    parent relation with j the parent; within eps of -d(i, j), i is the
-    parent. When both pass, the smaller residual between d(i, j) and the
-    mean Phi (_witness_means of the parent pairs) picks the direction.
-    Otherwise the pair are siblings when the witness spread of Phi is at
-    most eps and no |Phi| exceeds d(i, j) + eps. Parent tests take
-    precedence; a pair that passes neither is unrelated. Returns the parent
-    candidates (d, residual, deviation, parent, child), the sibling
-    candidates (spread, i, j) and the k x k sibling mask for _greedy_partition.
+
+def _relations_from_stats(D, cap, stats, passes):
+    """Classify every pair i < j from its _pair_stats vectors and _passes masks.
+
+    When a pair passes both parent tests, the smaller residual between
+    d(i, j) and the mean Phi (_witness_means of the parent pairs) picks the
+    direction. Returns the parent candidates (d, residual, deviation,
+    parent, child), the sibling candidates (spread, i, j) and the k x k
+    sibling mask for _greedy_partition.
     """
-    pass_ba = dev_ba <= eps
-    pass_ab = dev_ab <= eps
-    is_parent = pass_ba | pass_ab
-    is_sib = (spread <= eps) & (absmax <= d + eps) & ~is_parent
+    i, j, d, spread, _, dev_ba, dev_ab = stats
+    pass_ba, pass_ab, is_sib = passes
     # Parent claims are ranked by pair distance before residual: when both a
     # node's parent and a farther ancestor pass the tolerance test, the true
     # parent is the closer one.
-    p = np.flatnonzero(is_parent)
+    p = np.flatnonzero(pass_ba | pass_ab)
     phi_mean = _witness_means(D, i[p], j[p], cap)
     res_ba, res_ab = np.abs(d[p] - phi_mean), np.abs(d[p] + phi_mean)
     i_up = np.where(pass_ba[p] & pass_ab[p], res_ab <= res_ba, pass_ab[p])
@@ -318,16 +311,15 @@ def _rg_core(
 
         sel = J < k  # the active pairs, in np.triu_indices(k, 1) order
         stats = _pair_stats(D, I[sel], J[sel], witness_cap)
-        _, _, d, spread, absmax, dev_ba, dev_ab = stats
 
         # Raise eps until some pair passes a test (its block always forms); classify once.
         eps = cfg.eps0
-        while not ((dev_ba <= eps) | (dev_ab <= eps) | ((spread <= eps) & (absmax <= d + eps))).any():
+        while not np.any(passes := _passes(eps, *stats[2:])):
             if not cfg.dynamic_eps:
                 raise GroupingStalledError(f"no pair classified at eps={eps:g} and eps is fixed")
             eps *= EPS_GROWTH
             diag.eps_escalations += 1
-        parents, siblings = _greedy_partition(*_relations_from_stats(D, witness_cap, eps, *stats))
+        parents, siblings = _greedy_partition(*_relations_from_stats(D, witness_cap, stats, passes))
 
         phi_mean = np.zeros((k, k))  # junction lengths read it inside sibling blocks
         if siblings:

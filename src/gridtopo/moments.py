@@ -59,6 +59,8 @@ class MomentSet:
                 raise ValidationError(f"moment block {name!r}: expected shape {shape}, got {arr.shape}")
             if not np.isfinite(arr).all():
                 raise ValidationError(f"moment block {name!r} has non-finite entries")
+            if name in ("pp", "qq") and (arr < 0).any():  # means of squares
+                raise ValidationError(f"moment block {name!r} has negative entries")
             object.__setattr__(self, name, arr)
         if self.count is not None and self.count < 0:
             raise ValidationError(f"sample count must be >= 0, got {self.count}")

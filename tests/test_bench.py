@@ -130,6 +130,20 @@ def test_edge_splits_reject_non_trees(split_grid):
             edge_splits(tree)
     with pytest.raises(MetricUndefinedError, match="cycle"):
         edge_splits(_learned(star + [("a", "b")], "abc"))
+    # A hidden node on no line: three lines for five nodes is no tree.
+    isolated = LearnedGrid((*"abcj", "h99"), _learned(star, "abc").edges, frozenset("abc"))
+    with pytest.raises(MetricUndefinedError, match="^tree is not connected over its terminals$"):
+        edge_splits(isolated)
+
+
+def test_evaluate_refuses_an_isolated_junction(tmp_path, capsys, star_grid):
+    star = _learned([("j", "a"), ("j", "b"), ("j", "c")], "abc")
+    learned = LearnedGrid((*"abcj", "h99"), star.edges, frozenset("abc"))
+    true, path = tmp_path / "true.json", tmp_path / "learned.json"
+    save_grid(star_grid, true)
+    save_learned(learned, path)
+    assert main(["evaluate", "--true", str(true), "--learned", str(path)]) == 1
+    assert capsys.readouterr().err == "error: tree is not connected over its terminals\n"
 
 
 def test_edge_splits_refuse_what_is_not_a_tree():

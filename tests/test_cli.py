@@ -243,6 +243,20 @@ def test_underflowing_moments_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+def test_negative_injection_variances_exit_one(tmp_path, capsys):
+    # pp and qq negated together keep every determinant positive; a mean
+    # of squares cannot be negative, so the file is refused.
+    grid, moments = tmp_path / "grid.json", tmp_path / "m.json"
+    main(["generate-grid", "--nodes", "12", "-o", str(grid)])
+    main(["simulate", "--grid", str(grid), "--samples", "5000", "--moments", str(moments)])
+    data = json.loads(moments.read_text())
+    data.update({b: [-x for x in data[b]] for b in ("pp", "qq")})
+    moments.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["estimate", "--moments", str(moments), "-o", str(tmp_path / "l.json")]) == 1
+    assert capsys.readouterr().err == f"error: {moments}: moment block 'pp' has negative entries\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--moments", "{m}", "-o", "{out}"],
     ["estimate", "--measurements", "{csv}", "-o", "{out}"],

@@ -116,9 +116,8 @@ def _mismatches(got: dict, want: dict) -> list[str]:
         g, w = got[label], want[label]
         for field in sorted(g.keys() | w.keys()):
             a, b = g.get(field), w.get(field)
-            same = (math.isclose(a, b, rel_tol=REL_TOL) if field.startswith("sum_")
-                    and isinstance(a, float) and isinstance(b, float) else a == b)
-            if not same:
+            close = field.startswith("sum_") and None not in (a, b) and math.isclose(a, b, rel_tol=REL_TOL)
+            if a != b and not close:
                 out.append(f"{label}: {field} is {a!r}, expected {b!r}")
     return out
 

@@ -22,6 +22,7 @@ from gridtopo.grouping import (
     WITNESS_CAP,
     _greedy_partition,
     _pair_stats,
+    _passes,
     _relations_from_stats,
     _witness_means,
 )
@@ -53,7 +54,8 @@ def _relations(d: DistanceMatrix, eps: float = EXACT_TOL) -> dict:
     sibling spread. Pairs that are neither parent nor siblings are absent.
     """
     D = np.array(d.d_r)
-    parents, siblings, _ = _relations_from_stats(D, None, eps, *_all_pair_stats(D, None))
+    stats = _all_pair_stats(D, None)
+    parents, siblings, _ = _relations_from_stats(D, None, stats, _passes(eps, *stats[2:]))
     out = {}
     for _, res, _, p, c in parents:
         out[frozenset((d.nodes[p], d.nodes[c]))] = ("parent", d.nodes[p], res)
@@ -179,7 +181,7 @@ def test_relations_match_pair_loop():
         stats = _all_pair_stats(D, cap)
         phi_mean = _witness_means(D, *stats[:2], cap)
         for eps in (1e-9, 0.02, 0.05, 0.1, 0.3):
-            parents, siblings, sib_ok = _relations_from_stats(D, cap, eps, *stats)
+            parents, siblings, sib_ok = _relations_from_stats(D, cap, stats, _passes(eps, *stats[2:]))
             want_parents, want_siblings, want_ok = _relations_loop(len(D), eps, phi_mean, *stats)
             assert sorted(parents) == sorted(want_parents)
             assert sorted(siblings) == sorted(want_siblings)

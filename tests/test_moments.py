@@ -191,6 +191,24 @@ def test_moment_set_refuses_bad_shapes_and_counts(star_grid):
         dataclasses.replace(m, count=-1)
 
 
+def test_moment_set_refuses_negative_injection_variances(tmp_path, star_grid):
+    # Negating both pp and qq keeps every determinant pp qq - pq^2 positive,
+    # so the conditioning check alone would learn from them.
+    m = analytic_moments(star_grid)
+    for block in ("pp", "qq"):
+        with pytest.raises(ValidationError, match=f"^moment block {block!r} has negative entries$"):
+            dataclasses.replace(m, **{block: np.array([1.0, -1e-300, 1.0])})
+    # Zero variances and negative covariances are means of products.
+    dataclasses.replace(m, pp=np.zeros(3), pq=-m.pq)
+    data = moments_to_dict(m)
+    data.update(pp=[-x for x in data["pp"]], qq=[-x for x in data["qq"]])
+    bad = tmp_path / "neg.json"
+    bad.write_text(json.dumps(data))
+    with pytest.raises(FormatError) as err:
+        load_moments(bad)
+    assert str(err.value) == f"{bad}: moment block 'pp' has negative entries"
+
+
 def test_conditioning_check_passes_healthy_moments(star_grid):
     m = analytic_moments(star_grid)
     np.testing.assert_allclose(m.pp * m.qq - m.pq * m.pq, 1.0)
