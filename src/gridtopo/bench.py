@@ -15,7 +15,6 @@ import csv
 import math
 import time
 import warnings
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -78,10 +77,9 @@ def random_radial_grid(
     rng = np.random.default_rng(seed)
     names = [f"n{i}" for i in range(1, n)]
     hub = names[0]
-    children: dict[str, list[str]] = {hub: names[1:4]}
     parent = {c: hub for c in names[1:4]}
-    # The hub reserves one slot for the root line; other junctions get the
-    # full degree budget (their parent line plus children).
+    # Spare lines per junction: the hub reserves one for the root line; other
+    # junctions get the full degree budget (their parent line plus children).
     capacity = {hub: (max_degree - 1) - 3}
     leaves = list(names[1:4])
     next_id = 5
@@ -103,7 +101,6 @@ def random_radial_grid(
             leaves.remove(pick)
             new = [f"n{next_id}", f"n{next_id + 1}"]
             next_id += 2
-            children[pick] = list(new)
             capacity[pick] = max_degree - 3  # parent line + two children
             for c in new:
                 parent[c] = pick
@@ -113,14 +110,13 @@ def random_radial_grid(
             pick = spots[rng.integers(len(spots))]
             new = f"n{next_id}"
             next_id += 1
-            children[pick].append(new)
             capacity[pick] -= 1
             parent[new] = pick
             leaves.append(new)
 
     kinds = {ROOT_NAME: "root"}
     for name in names:
-        kinds[name] = "hidden" if name in children else "observed"
+        kinds[name] = "hidden" if name in capacity else "observed"
     edge_list = [(ROOT_NAME, hub)] + [(parent[c], c) for c in names[1:]]
     rs = rng.uniform(r_range[0], r_range[1], size=len(edge_list))
     xs = rng.uniform(x_range[0], x_range[1], size=len(edge_list))
@@ -133,16 +129,17 @@ def random_radial_grid(
 # Topology and impedance metrics
 # ---------------------------------------------------------------------------
 
-def _tree_view(obj) -> tuple[list[tuple[str, str, float, float]], frozenset[str], set[str], frozenset[str]]:
-    """Normalize to (edge list with r/x, observed set, nodes to strip, hidden nodes)."""
+def _tree_view(obj) -> tuple[list[tuple[str, str, float, float]], frozenset[str], frozenset[str]]:
+    """Normalize to (lines with r/x, observed set, hidden nodes); a grid's root lines are left out."""
     if isinstance(obj, Grid):
         root = obj.root
-        return ([(e.u, e.v, e.r, e.x) for e in obj.edges], obj.observed, {root}, frozenset(obj.hidden_nodes))
+        lines = [(e.u, e.v, e.r, e.x) for e in obj.edges if root not in (e.u, e.v)]
+        return lines, obj.observed, frozenset(obj.hidden_nodes)
     if isinstance(obj, LearnedGrid):
-        return ([(e.u, e.v, e.r, e.x) for e in obj.edges], obj.observed, set(), obj.hidden)
+        return [(e.u, e.v, e.r, e.x) for e in obj.edges], obj.observed, obj.hidden
     if isinstance(obj, LearnedTree):
         observed = frozenset(obj.nodes) - obj.hidden
-        return ([(e.u, e.v, e.length, float("nan")) for e in obj.edges], observed, set(), obj.hidden)
+        return [(e.u, e.v, e.length, float("nan")) for e in obj.edges], observed, obj.hidden
     raise ValidationError(f"cannot extract a tree from {type(obj).__name__}")
 
 
@@ -152,14 +149,13 @@ def edge_splits(obj) -> list[tuple[frozenset[str], float, float]]:
     The key for a line is the set of observed terminals cut off from a fixed
     anchor terminal when the line is removed; two trees over the same
     terminals are the same topology exactly when their key multisets match.
-    For a rooted grid the root and its line are stripped first: terminal
+    For a rooted grid the root and its line are left out: terminal
     measurements carry no information about the root side of the hub.
     """
-    edge_list, observed, strip, hidden = _tree_view(obj)
+    lines, observed, hidden = _tree_view(obj)
     if not observed:
         raise MetricUndefinedError("tree has no observed terminals")
-    kept = [i for i, (u, v, _r, _x) in enumerate(edge_list) if u not in strip and v not in strip]
-    ends = [edge_list[i][:2] for i in kept]
+    ends = [line[:2] for line in lines]
     nodes = hidden.union(*ends)  # a hidden node on no line leaves the tree disconnected
     anchor = min(observed)
     if anchor not in nodes:
@@ -167,59 +163,43 @@ def edge_splits(obj) -> list[tuple[frozenset[str], float, float]]:
     paths = tree_paths(ends, anchor)
     if len(paths) != len(nodes):
         raise MetricUndefinedError("tree is not connected over its terminals")
-    if len(kept) != len(nodes) - 1:
+    if len(lines) != len(nodes) - 1:
         raise MetricUndefinedError("tree has a cycle or a parallel line")
     missing = observed - paths.keys()
     if missing:
         raise MetricUndefinedError(f"terminals {sorted(missing)} are not in the tree")
     # A line cuts off from the anchor exactly the terminals whose anchor
     # path runs through it.
-    below: list[set[str]] = [set() for _ in kept]
+    below: list[set[str]] = [set() for _ in lines]
     for n in observed:
         for j in paths[n]:
             below[j].add(n)
-    return [
-        (frozenset(below[j]), edge_list[i][2], edge_list[i][3])
-        for j, i in enumerate(kept)
-    ]
+    return [(frozenset(cut), r, x) for cut, (_u, _v, r, x) in zip(below, lines)]
 
 
-def _paired_splits(a, b) -> tuple[list, list]:
-    """Both trees' edge_splits, once each; their terminal sets must match."""
-    _, obs_a, _, _ = _tree_view(a)
-    _, obs_b, _, _ = _tree_view(b)
-    if frozenset(obs_a) != frozenset(obs_b):
-        raise MetricUndefinedError(
-            f"terminal sets differ: {sorted(set(obs_a) ^ set(obs_b))} not shared"
-        )
-    return edge_splits(a), edge_splits(b)
-
-
-def _split_difference(splits_a: list, splits_b: list) -> int:
-    ca = Counter(key for key, _r, _x in splits_a)
-    cb = Counter(key for key, _r, _x in splits_b)
-    return sum((ca - cb).values()) + sum((cb - ca).values())
-
-
-def _split_impedance_error(true_splits: list, learned_splits: list) -> float:
-    if _split_difference(true_splits, learned_splits) != 0:
-        raise MetricUndefinedError("topologies differ; impedance error is undefined")
-    true_by_key: dict[frozenset, list[tuple[float, float]]] = {}
-    for key, r, x in true_splits:
-        true_by_key.setdefault(key, []).append((r, x))
-    learned_by_key: dict[frozenset, list[tuple[float, float]]] = {}
-    for key, r, x in learned_splits:
-        learned_by_key.setdefault(key, []).append((r, x))
-    total = 0.0
-    count = 0
+def _compare(a, b, impedance: bool = True) -> tuple[int, float | None]:
+    """Edge difference of two trees over one terminal set and, when it is 0
+    and `impedance` is set, their impedance error with a as the truth (else None)."""
+    obs_a, obs_b = _tree_view(a)[1], _tree_view(b)[1]
+    if obs_a != obs_b:
+        raise MetricUndefinedError(f"terminal sets differ: {sorted(obs_a ^ obs_b)} not shared")
+    true_by_key: dict[frozenset, list] = {}
+    learned_by_key: dict[frozenset, list] = {}
+    for obj, by_key in ((a, true_by_key), (b, learned_by_key)):
+        for key, r, x in edge_splits(obj):
+            by_key.setdefault(key, []).append((r, x))
+    diff = sum(abs(len(true_by_key.get(key, ())) - len(learned_by_key.get(key, ())))
+               for key in true_by_key.keys() | learned_by_key.keys())
+    if diff or not impedance:
+        return diff, None
+    total, count = 0.0, 0
     for key, truths in true_by_key.items():
-        estimates = learned_by_key[key]
-        for (r, x), (re_, xe) in zip(sorted(truths), sorted(estimates)):
+        for (r, x), (re_, xe) in zip(sorted(truths), sorted(learned_by_key[key])):
             if r <= 0 or x <= 0:
                 raise MetricUndefinedError("true line impedances must be positive")
             total += abs(r - re_) / r + abs(x - xe) / x
             count += 1
-    return total / (2 * count)
+    return 0, total / (2 * count)
 
 
 def edge_difference(a, b) -> int:
@@ -229,7 +209,7 @@ def edge_difference(a, b) -> int:
     shared terminals (hidden junction names do not matter). Raises
     MetricUndefinedError when the two terminal sets differ.
     """
-    return _split_difference(*_paired_splits(a, b))
+    return _compare(a, b, impedance=False)[0]
 
 
 def impedance_error(true_grid, learned) -> float:
@@ -238,7 +218,10 @@ def impedance_error(true_grid, learned) -> float:
     Defined only when the topologies agree (edge_difference == 0); the root
     line of a true grid is excluded, since no terminal data identifies it.
     """
-    return _split_impedance_error(*_paired_splits(true_grid, learned))
+    diff, imp = _compare(true_grid, learned)
+    if diff:
+        raise MetricUndefinedError("topologies differ; impedance error is undefined")
+    return imp
 
 
 @dataclass(frozen=True)
@@ -250,9 +233,7 @@ class EvalReport:
 
 def evaluate(true_grid: Grid, learned: LearnedGrid) -> EvalReport:
     """Score a reconstruction: exact-topology flag, split distance, impedances."""
-    true_splits, learned_splits = _paired_splits(true_grid, learned)
-    diff = _split_difference(true_splits, learned_splits)
-    imp = _split_impedance_error(true_splits, learned_splits) if diff == 0 else None
+    diff, imp = _compare(true_grid, learned)
     return EvalReport(exact_recovery=diff == 0, edge_difference=diff, avg_impedance_error=imp)
 
 

@@ -62,7 +62,7 @@ class RGConfig:
     off, a stalled round raises instead. eps0 is in the units of the metric
     grouped on; the learner groups on (d_r + d_x) / 2, so there it is ohms
     of that mean. Every pair keeps only its WITNESS_CAP closest witnesses,
-    and grouping gives up after 4 rounds per input node.
+    and a run over k nodes takes at most k - 1 rounds.
     """
 
     eps0: float = 0.07
@@ -267,7 +267,6 @@ def _rg_core(
     cfg: RGConfig,
     witness_cap: int | None,
 ) -> LearnedTree:
-    max_rounds = 4 * len(names)
     diag = RGDiagnostics()
     hidden: list[str] = []
     edges: list[TreeEdge] = []
@@ -300,11 +299,6 @@ def _rg_core(
         return M + M.T
 
     while len(active) > 2:
-        if diag.rounds >= max_rounds:
-            raise GroupingStalledError(
-                f"grouping exceeded its budget of {max_rounds} rounds "
-                f"with {len(active)} nodes left"
-            )
         diag.rounds += 1
         k = len(active)
         D = refresh()
@@ -377,6 +371,9 @@ def _rg_core(
         attach((k + b, a, col[a]) for b, (children, col) in enumerate(fresh) for a in children)
         rows = sorted(keep) + list(range(k, len(active)))
         S, ps, active = S[rows], ps[rows], [active[r] for r in rows]
+        # Some pair passed, so a block formed, and every block attaches a line.
+        if len(active) >= k:
+            raise GroupingStalledError("internal error: a grouping round attached no line")
 
     if len(active) == 2:
         diag.rounds += 1
@@ -411,8 +408,8 @@ def rg_sampled(
     keeps its WITNESS_CAP closest witnesses, and a round that had to
     escalate eps commits every block that formed. Warns with
     NegativeLengthWarning when negative edge lengths were clamped to zero.
-    Raises GroupingStalledError when the round budget of 4 rounds per input
-    node runs out or a fixed eps makes no progress.
+    A run takes at most k - 1 rounds over k nodes. Raises
+    GroupingStalledError when a fixed eps makes no progress.
     """
     O, D = _grouping_input(O, d)
     tree = _rg_core(list(O), D, cfg or RGConfig(), WITNESS_CAP)
@@ -431,7 +428,7 @@ def rg_exact(O: tuple[str, ...] | list[str], d: np.ndarray) -> LearnedTree:
 
     Every witness is decisive on exact inputs, so none is trimmed: each pair
     is tested against all other nodes, at the fixed tolerance EXACT_TOL,
-    within the same budget of 4 rounds per input node. The output tree is
+    in at most k - 1 rounds over k nodes. The output tree is
     verified to reproduce the input distances; a stalled round or any
     violation beyond EXACT_TOL means the input was not an additive tree
     metric and raises NotAdditiveError.

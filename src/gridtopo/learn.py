@@ -47,6 +47,8 @@ class LearnedGrid:
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "observed", frozenset(self.observed))
         known = set(self.nodes)
+        if len(known) != len(self.nodes):
+            raise ValidationError("learned grid has duplicate node ids")
         for e in self.edges:
             if e.u not in known or e.v not in known:
                 raise ValidationError(f"edge ({e.u!r}, {e.v!r}) references an unknown node")

@@ -51,6 +51,8 @@ class MomentSet:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        if len(set(self.nodes)) != len(self.nodes):
+            raise ValidationError("moment set has duplicate node ids")
         m = len(self.nodes)
         for name, axes in BLOCKS.items():
             arr = np.asarray(getattr(self, name), dtype=float)

@@ -247,6 +247,11 @@ def test_impedance_error_hand_cases(star_grid):
     )
     assert impedance_error(g5, twin5) == pytest.approx(0.05, abs=1e-12)
 
+    # An unvalidated true grid with a zero resistance has no relative error.
+    zero_r = replace(g5, edges=(g5.edges[0], Edge("j", "a", 0.0, 1.0), *g5.edges[2:]))
+    with pytest.raises(MetricUndefinedError, match="^true line impedances must be positive$"):
+        impedance_error(zero_r, twin)
+
 
 def test_impedance_error_undefined_when_topology_differs(star_grid):
     other = LearnedGrid(
@@ -282,6 +287,8 @@ def test_distance_rmse_zero_and_shift(star_grid):
         d.nodes, d.d_r + 0.1 - 0.1 * np.eye(3), d.d_x + 0.1 - 0.1 * np.eye(3)
     )
     assert distance_rmse(shifted, d) == pytest.approx(0.1)
+    with pytest.raises(ValidationError, match="^distance matrices cover different node sets$"):
+        distance_rmse(d.sub(["a", "b"]), d)
 
 
 def test_evaluate_reports(star_grid, monkeypatch):
@@ -428,7 +435,7 @@ def test_experiment_config_round_trip(tmp_path):
     path.write_text(
         "name = tradeoff\nn = 12\nmax_degree = 4\n"
         "r_lo = 0.05\nr_hi = 0.5\nx_lo = 0.05\nx_hi = 0.5\n"
-        "samples = 100, 200\neps0 = 0.07, 0.1\neps_mode = fixed  # no escalation\n"
+        "samples = 100, 200\neps0 = 0.07, 0.1\neps_mode = fixed  # no escalation\n\n"
         "trials = 2\nseed = 9\nsigma_pp = 1.0\nsigma_qq = 1.0\nsigma_pq = 0.0\n"
         "injection_family = uniform\nthreads = 1\n"
     )
@@ -531,6 +538,8 @@ def test_experiment_config_validation():
         ExperimentConfig(samples=())
     with pytest.raises(ValidationError):
         ExperimentConfig(trials=0)
+    with pytest.raises(ValidationError, match="^threads must be >= 1, got 0$"):
+        ExperimentConfig(threads=0)
     with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
         ExperimentConfig(seed=-1)
     # One cell per (samples, eps0): repeats would write duplicate row keys.

@@ -257,6 +257,30 @@ def test_negative_injection_variances_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {moments}: moment block 'pp' has negative entries\n"
 
 
+@pytest.mark.parametrize("kind", ["learned", "moments"])
+def test_repeated_node_ids_exit_one(tmp_path, capsys, kind):
+    # A learned grid that lists a node twice was once scored as recovered,
+    # and a moments file with a repeated node was refused without its name.
+    grid, moments, learned = tmp_path / "grid.json", tmp_path / "m.json", tmp_path / "l.json"
+    main(["generate-grid", "--nodes", "12", "-o", str(grid)])
+    main(["simulate", "--grid", str(grid), "--samples", "5000", "--moments", str(moments)])
+    main(["estimate", "--moments", str(moments), "-o", str(learned)])
+    if kind == "learned":
+        path, argv = learned, ["evaluate", "--true", str(grid), "--learned", str(learned)]
+        data = json.loads(path.read_text())
+        data["nodes"].append(data["nodes"][-1])
+    else:
+        path, argv = moments, ["estimate", "--moments", str(moments), "-o", str(tmp_path / "out.json")]
+        data = json.loads(path.read_text())
+        data["nodes"][1] = data["nodes"][0]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(argv) == 1
+    noun = "learned grid" if kind == "learned" else "moment set"
+    assert capsys.readouterr().err == f"error: {path}: {noun} has duplicate node ids\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--moments", "{m}", "-o", "{out}"],
     ["estimate", "--measurements", "{csv}", "-o", "{out}"],

@@ -84,6 +84,8 @@ def test_validation_catches_structural_faults(star_grid):
     ]
     for bad, message in faults:
         assert validate_grid(bad) == (message,)
+    with pytest.raises(ValidationError, match="^grid must have exactly one root, found 2$"):
+        replace(star, roots=frozenset({"t", "h"})).root
 
 
 def test_validation_catches_bad_impedance_and_cycles():
@@ -134,6 +136,8 @@ def test_reduced_laplacian_star(star_grid):
     assert lap[ia, ia] == pytest.approx(1.0)
     assert lap[ih, ia] == pytest.approx(-1.0)
     assert np.allclose(lap, lap.T)
+    with pytest.raises(ValidationError, match="^unknown impedance mode 'z'; expected 'r' or 'x'$"):
+        reduced_laplacian(star_grid, "z")
 
 
 def test_h_inverse_entry_is_shared_root_path(star_grid):
@@ -143,6 +147,8 @@ def test_h_inverse_entry_is_shared_root_path(star_grid):
     assert h_inverse_entry(star_grid, "c", "c") == pytest.approx(3.5)
     assert h_inverse_entry(star_grid, "a", "h") == pytest.approx(0.5)
     assert h_inverse_entry(star_grid, "b", "c", "x") == pytest.approx(0.5)
+    with pytest.raises(ValidationError, match="^node 't' is the root; entry undefined$"):
+        h_inverse_entry(star_grid, "a", "t")
 
 
 def test_h_inverse_entry_matches_dense_inverse():
@@ -193,6 +199,24 @@ def test_from_grid_matches_pairwise_true_distance(split_grid):
         DistanceMatrix.from_grid(split_grid, ("a", "z"))
     with pytest.raises(ValidationError, match="'d' is not connected to the root"):
         DistanceMatrix.from_grid(split_grid, ("a", "d"))
+
+
+# Each guard of DistanceMatrix and its sub, on the 3-node matrix below.
+D3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DistanceMatrix(("a", "b"), np.zeros((2, 3)), np.zeros((2, 3))),
+     r"d_r: expected a square matrix, got shape \(2, 3\)"),
+    (lambda: DistanceMatrix("abc", D3 + np.triu(D3), D3), "d_r: matrix is not symmetric"),
+    (lambda: DistanceMatrix("abc", D3, D3 + np.eye(3)), "d_x: diagonal is not zero"),
+    (lambda: DistanceMatrix(("a", "b"), D3, D3), "d_r: 3 rows for 2 nodes"),
+    (lambda: DistanceMatrix(("a", "b", "a"), D3, D3), "distance matrix: duplicate node ids"),
+    (lambda: DistanceMatrix("abc", D3, D3).sub(["a", "z"]), r"distance matrix: unknown nodes \['z'\]"),
+], ids=["non-square", "asymmetric", "diagonal", "row-count", "duplicate-ids", "sub-unknown"])
+def test_distance_matrix_guards(build, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
 
 
 def test_grid_json_round_trip(tmp_path, cherry_grid):

@@ -467,6 +467,18 @@ def test_rg_sampled_dynamic_eps_always_finishes():
     assert all(degrees(tree)[n] <= 1 for n in g.observed_nodes)
 
 
+def test_a_round_that_attaches_no_line_raises_at_once(monkeypatch):
+    # Some pair passes in every round, so a block forms and attaches a line;
+    # a round that breaks this is an internal error, raised in that round.
+    calls = []
+    monkeypatch.setattr(grouping, "_greedy_partition", lambda *args: calls.append(args) or ({}, []))
+    g = random_radial_grid(20, seed=6)
+    noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.05, seed=8).d_r
+    with pytest.raises(GroupingStalledError, match="^internal error: a grouping round attached no line$"):
+        rg_sampled(g.observed_nodes, noisy)
+    assert len(calls) == 1
+
+
 def test_rg_input_validation():
     with pytest.raises(ValidationError):
         rg_sampled(("a", "a"), np.zeros((2, 2)))
@@ -505,6 +517,8 @@ def test_tree_path_lengths_subset(star_grid):
     tree = rg_exact(STAR_NODES, STAR_D)
     sub = tree_path_lengths(tree, ("a", "c"))
     assert sub[0, 1] == pytest.approx(4.0)
+    with pytest.raises(ValidationError, match="^tree has no node 'z'$"):
+        tree_path_lengths(tree, ("a", "z"))
 
 
 def test_tree_path_lengths_rejects_disconnected_tree(split_tree):

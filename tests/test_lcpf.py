@@ -246,6 +246,10 @@ def test_negative_seeds_are_refused_before_any_draw(cherry_grid):
     for run in (simulate, simulate_blocks, sample_injections):
         with pytest.raises(ValidationError, match="seed must be >= 0, got -3"):
             run(cherry_grid, spec, 100, -3)  # simulate_blocks refuses at the call, not on iteration
+    with pytest.raises(ValidationError, match="^sample count must be >= 1, got 0$"):
+        sample_injections(cherry_grid, spec, 0, 1)
+    with pytest.raises(ValidationError, match="^grid has no observed nodes to measure$"):
+        simulate(Grid.create({"t": "root"}, []), spec, 100, 1)
 
 
 def test_sample_injection_moments_match_spec(star_grid):
@@ -335,6 +339,9 @@ def test_measurements_csv_round_trip(tmp_path, star_grid):
     spaced = load_measurements(path)
     assert spaced.v.tobytes() == ms.v.tobytes()
     assert spaced.q.tobytes() == ms.q.tobytes()
+    # A seed token that is no integer leaves the seed unknown.
+    path.write_text("".join(["# seed=abc\n", header] + rows))
+    assert load_measurements(path).seed is None
 
 
 def test_measurements_csv_bytes_are_pinned(tmp_path, star_grid):
@@ -475,3 +482,9 @@ def test_measurements_csv_reports_bad_rows_in_later_blocks(tmp_path):
 def test_measurement_set_shape_validation():
     with pytest.raises(ValidationError):
         MeasurementSet(("a", "b"), np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValidationError, match=r"^measurement block 'v': expected shape \(T, 2\)$"):
+        MeasurementSet(("a", "b"), np.zeros(4), np.zeros((4, 2)), np.zeros((4, 2)))
+    ms = MeasurementSet(("a", "b"), *(np.zeros((4, 2)) for _ in "vpq"))
+    for t in (0, 5):
+        with pytest.raises(ValidationError, match=f"^cannot take {t} of 4 samples$"):
+            ms.head(t)

@@ -72,6 +72,9 @@ def test_learner_input_validation(star_grid):
     one = MomentSet(("a",), None, np.ones((1, 1)), np.ones((1, 1)), np.ones(1), np.ones(1), np.zeros(1))
     with pytest.raises(ValidationError, match="at least two observed terminals"):
         learn_from_moments(one)
+    lone = DistanceMatrix(("a",), np.zeros((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(ValidationError, match="^impedance fit needs at least two observed nodes$"):
+        assign_reactances(rg_exact(("a",), np.zeros((1, 1))), lone)
     # The two-sample rule is on the moment set, whatever formed it: one
     # sample's injection determinants are rounding noise.
     meas = simulate(star_grid, InjectionSpec(), T=1, seed=0)
@@ -246,6 +249,7 @@ def test_learned_file_errors(tmp_path):
         ({"nodes": [node], "edges": [], "provenance": []}, "field 'provenance' must be an object"),
         ({"nodes": [node], "edges": [{"u": "a", "v": "z", "r": 1.0, "x": 1.0}]},
          "edge ('a', 'z') references an unknown node"),
+        ({"nodes": [node, node], "edges": []}, "learned grid has duplicate node ids"),
     ]
     for data, message in faults:
         bad.write_text(json.dumps(data))

@@ -246,6 +246,7 @@ def test_moments_file_errors(tmp_path, star_grid):
         ({**good, "count": True}, "field 'count' must be an integer or null"),
         ({**good, "nodes": 3}, "field 'nodes' must be a list of strings"),
         ({**good, "nodes": ["a", 2, "c"]}, "field 'nodes' must be a list of strings"),
+        ({**good, "nodes": ["a", "a", "c"]}, "moment set has duplicate node ids"),
     ]
     for data, message in faults:
         bad.write_text(json.dumps(data))
