@@ -16,8 +16,9 @@ distances from the input entries, until two or fewer nodes remain. The
 witness mean of phi, which breaks parent ties and sets junction lengths, is
 taken for those pairs alone. The sampled variant tests each pair's
 WITNESS_CAP nearest witnesses at a tolerance eps, raised until some pair
-passes, and commits every block formed at that eps. A new junction that
-lands on an earlier round's junction is merged into it.
+passes (steps below the smallest deviation or spread pass no pair, so they
+are counted untested), and commits every block formed at that eps. A new
+junction that lands on an earlier round's junction is merged into it.
 """
 from __future__ import annotations
 
@@ -125,7 +126,7 @@ def _greedy_partition(
     sibling_cands: list[tuple[float, int, int]],
     sib_ok: np.ndarray,
 ) -> tuple[dict[int, list[int]], list[list[int]]]:
-    """Deterministic block formation.
+    """Deterministic blocks from _relations_from_stats' candidates and k x k bool sibling mask.
 
     Parent relations are accepted first (ascending pair distance, then
     residual). Sibling pairs then merge blocks (ascending spread), an
@@ -148,12 +149,13 @@ def _greedy_partition(
         parents.setdefault(p, []).append(c)
         placed.update((p, c))
 
+    ok = sib_ok.tolist()
     blocks: list[list[int]] = []  # in the order they formed; an absorbed block is left empty
     for _, a, b in sorted(sibling_cands):
         if a in placed or b in placed:
             continue
         A, B = (next((blk for blk in blocks if x in blk), [x]) for x in (a, b))
-        if A is not B and 2 * sum(sib_ok[x, y] for x in A for y in B) >= len(A) * len(B):
+        if A is not B and 2 * sum(ok[x][y] for x in A for y in B) >= len(A) * len(B):
             if len(A) == 1:  # a block that exists absorbs a new one
                 A, B = B, A
             if len(A) == 1:  # two new ones form a block
@@ -232,13 +234,13 @@ def _passes(eps, d, spread, absmax, dev_ba, dev_ab):
 
 
 def _relations_from_stats(D, cap, stats, passes):
-    """Classify every pair i < j from its _pair_stats vectors and _passes masks.
+    """Classify the pairs i < j, in any order, from their _pair_stats vectors and _passes masks.
 
-    When a pair passes both parent tests, the smaller residual between
-    d(i, j) and the mean Phi (_witness_means of the parent pairs) picks the
-    direction. Returns the parent candidates (d, residual, deviation,
-    parent, child), the sibling candidates (spread, i, j) and the k x k
-    sibling mask for _greedy_partition.
+    Returns the parent candidates (d, residual, deviation, parent, child),
+    built in one loop over the few parent-test pairs, the sibling candidates
+    (spread, i, j) and the k x k bool sibling mask. A pair passing both parent
+    tests takes the direction of the smaller residual between d(i, j) and its
+    mean Phi. _greedy_partition sorts both lists, so pair order is not seen.
     """
     i, j, d, spread, _, dev_ba, dev_ab = stats
     pass_ba, pass_ab, is_sib = passes
@@ -246,19 +248,35 @@ def _relations_from_stats(D, cap, stats, passes):
     # node's parent and a farther ancestor pass the tolerance test, the true
     # parent is the closer one.
     p = np.flatnonzero(pass_ba | pass_ab)
-    phi_mean = _witness_means(D, i[p], j[p], cap)
-    res_ba, res_ab = np.abs(d[p] - phi_mean), np.abs(d[p] + phi_mean)
-    i_up = np.where(pass_ba[p] & pass_ab[p], res_ab <= res_ba, pass_ab[p])
-    parent_cands = list(zip(
-        d[p].tolist(), np.where(i_up, res_ab, res_ba).tolist(),
-        np.where(i_up, dev_ab[p], dev_ba[p]).tolist(),
-        np.where(i_up, i[p], j[p]).tolist(), np.where(i_up, j[p], i[p]).tolist(),
-    ))
+    parent_cands = []
+    for a, b, dp, ba, ab, dba, dab, m in zip(
+        *(x[p].tolist() for x in (i, j, d, pass_ba, pass_ab, dev_ba, dev_ab)),
+        _witness_means(D, i[p], j[p], cap).tolist(),
+    ):
+        res_ba, res_ab = abs(dp - m), abs(dp + m)
+        a_up = res_ab <= res_ba if ba and ab else ab
+        parent_cands.append((dp, res_ab, dab, a, b) if a_up else (dp, res_ba, dba, b, a))
     s = np.flatnonzero(is_sib)
-    sibling_cands = list(zip(spread[s].tolist(), i[s].tolist(), j[s].tolist()))
+    si, sj = i[s], j[s]
+    sibling_cands = list(zip(spread[s].tolist(), si.tolist(), sj.tolist()))
     sib_ok = np.zeros(D.shape, dtype=bool)
-    sib_ok[i[s], j[s]] = sib_ok[j[s], i[s]] = True
+    sib_ok[si, sj] = sib_ok[sj, si] = True
     return parent_cands, sibling_cands, sib_ok
+
+
+def _search_eps(cfg: RGConfig, stats):
+    """eps0, raised by EPS_GROWTH until some pair passes; returns eps, the raise
+    count and the _passes masks at eps. No pair passes below min(dev_ba, dev_ab,
+    spread), so _passes runs only from there. A fixed eps that passes none raises."""
+    _, _, _, spread, _, dev_ba, dev_ab = stats
+    floor = min(dev_ba.min(), dev_ab.min(), spread.min())
+    eps, steps = cfg.eps0, 0
+    while not (eps >= floor and any(map(np.ndarray.any, passes := _passes(eps, *stats[2:])))):
+        if not cfg.dynamic_eps:
+            raise GroupingStalledError(f"no pair classified at eps={eps:g} and eps is fixed")
+        eps *= EPS_GROWTH
+        steps += 1
+    return eps, steps, passes
 
 
 def _rg_core(
@@ -273,14 +291,15 @@ def _rg_core(
     observed = set(names)
     junction_names = (h for h in map(HIDDEN_NAME.format, itertools.count(1)) if h not in observed)
 
-    # Round state, one row per active node in `active`'s order: S marks (0/1)
-    # the input nodes below the node in the tree built so far, and ps sums the
+    # Round state, one entry per active node in `active`'s order: the input
+    # nodes below the node in the tree built so far, and ps, the sum of the
     # built path lengths down to them. refresh() re-derives the active
     # distances from the input matrix (the mean input distance between two
     # leaf sets, less both mean path lengths), so noise does not compound.
     active = list(names)
-    S, ps = np.eye(len(names)), np.zeros(len(names))
-    I, J = np.triu_indices(len(names), 1)
+    leaves, ps = [[a] for a in range(len(names))], [0.0] * len(names)
+    # Pairs i < j ordered by j, so the pairs among the first k rows are a prefix.
+    J, I = np.tril_indices(len(names), -1)
 
     def attach(lines) -> None:
         """Add (parent row, child row, length) lines in order, folding child rows into parents."""
@@ -289,37 +308,36 @@ def _rg_core(
                 diag.clamped_lengths += 1
                 length = 0.0
             edges.append(TreeEdge(active[p], active[c], float(length)))
-            S[p] += S[c]
-            ps[p] += ps[c] + S[c].sum() * length
+            ps[p] += ps[c] + len(leaves[c]) * length
+            leaves[p] += leaves[c]
 
-    def refresh() -> np.ndarray:
-        n = S.sum(axis=1)
-        mu = ps / n
-        M = np.triu(S @ Draw @ S.T / np.outer(n, n) - mu[:, None] - mu[None, :], 1)
-        return M + M.T
+    def refresh(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The active distance matrix, set at the pairs (i, j) and mirrored."""
+        S = np.zeros((len(active), len(names)))  # S[r, a] = 1 for input node a below row r
+        S[[r for r, ls in enumerate(leaves) for _ in ls], [a for ls in leaves for a in ls]] = 1.0
+        n = np.array([len(ls) for ls in leaves], dtype=float)
+        mu = np.array(ps) / n
+        X = S @ Draw @ S.T / (n[:, None] * n) - mu[:, None] - mu
+        D = np.zeros((len(active), len(active)))
+        D[i, j] = D[j, i] = X[i, j] + 0.0  # + 0.0 turns -0.0 into 0.0
+        return D
 
     while len(active) > 2:
         diag.rounds += 1
         k = len(active)
-        D = refresh()
-
-        sel = J < k  # the active pairs, in np.triu_indices(k, 1) order
-        stats = _pair_stats(D, I[sel], J[sel], witness_cap)
-
-        # Raise eps until some pair passes a test (its block always forms); classify once.
-        eps = cfg.eps0
-        while not np.any(passes := _passes(eps, *stats[2:])):
-            if not cfg.dynamic_eps:
-                raise GroupingStalledError(f"no pair classified at eps={eps:g} and eps is fixed")
-            eps *= EPS_GROWTH
-            diag.eps_escalations += 1
+        i, j = I[:k * (k - 1) // 2], J[:k * (k - 1) // 2]
+        D = refresh(i, j)
+        stats = _pair_stats(D, i, j, witness_cap)
+        eps, steps, passes = _search_eps(cfg, stats)
+        diag.eps_escalations += steps
         parents, siblings = _greedy_partition(*_relations_from_stats(D, witness_cap, stats, passes))
 
-        phi_mean = np.zeros((k, k))  # junction lengths read it inside sibling blocks
+        # Junction lengths read D(a, b) + mean Phi(a, b) over a's block mates b.
+        L = np.zeros((k, k))
         if siblings:
             si, sj = np.array([ab for blk in siblings for ab in itertools.combinations(blk, 2)]).T
-            phi_mean[si, sj] = _witness_means(D, si, sj, witness_cap)
-            phi_mean[sj, si] = -phi_mean[si, sj]
+            phi_mean = _witness_means(D, si, sj, witness_cap)
+            L[si, sj], L[sj, si] = D[si, sj] + phi_mean, D[sj, si] - phi_mean
 
         # Decide the round's lines: parents keep their node, sibling blocks get
         # a new hidden junction, lengths come from witness-averaged distances.
@@ -331,16 +349,15 @@ def _rg_core(
         # test missed). Glue it back instead of stacking a near-zero edge.
         merge_tol = 0.75 * cfg.eps0
         merges: list[tuple[int, int, float]] = []
-        fresh: list[tuple[list[int], np.ndarray]] = []
+        fresh: list[tuple[list[int], list[float]]] = []
         for children in siblings:
-            # Distances from every active node to the block's new junction.
-            col = np.zeros(k)
-            for a in children:
-                others = [b for b in children if b != a]
-                col[a] = (D[a, others] + phi_mean[a, others]).sum() / (2.0 * len(others))
-            outside = np.ones(k, dtype=bool)
-            outside[children] = False
-            col[outside] = (D[outside][:, children] - col[children][None, :]).mean(axis=1)
+            # Distances from every active node to the block's new junction:
+            # its members' from L, then every other node's through them.
+            mates = np.array([[b for b in children if b != a] for a in children])
+            near = np.add.reduce(L[np.array(children)[:, None], mates], axis=1) / (2.0 * len(mates[0]))
+            col = np.add.reduce(D[:, children] - near, axis=1) / len(children)
+            col[children] = near
+            col = col.tolist()
             cands = [a for a in children + keep if active[a] not in observed and col[a] < merge_tol]
             if not cands:
                 fresh.append((children, col))
@@ -364,20 +381,20 @@ def _rg_core(
         new = [next(junction_names) for _ in fresh]
         hidden += new
         active += new
-        S = np.concatenate((S, np.zeros((len(new), len(names)))))
-        ps = np.concatenate((ps, np.zeros(len(new))))
+        leaves += [[] for _ in new]
+        ps += [0.0] * len(new)
         attach(merges)
         attach((p, c, D[p, c]) for p, cs in parents.items() for c in cs)
         attach((k + b, a, col[a]) for b, (children, col) in enumerate(fresh) for a in children)
         rows = sorted(keep) + list(range(k, len(active)))
-        S, ps, active = S[rows], ps[rows], [active[r] for r in rows]
+        leaves, ps, active = ([x[r] for r in rows] for x in (leaves, ps, active))
         # Some pair passed, so a block formed, and every block attaches a line.
         if len(active) >= k:
             raise GroupingStalledError("internal error: a grouping round attached no line")
 
     if len(active) == 2:
         diag.rounds += 1
-        attach([(0, 1, refresh()[0, 1])])
+        attach([(0, 1, refresh(I[:1], J[:1])[0, 1])])
 
     tree = LearnedTree((*names, *hidden), tuple(edges), frozenset(hidden), diag)
     if len(tree.edges) != len(tree.nodes) - 1:

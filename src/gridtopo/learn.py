@@ -122,9 +122,7 @@ def learn_from_moments(m: MomentSet, cfg: RGConfig | None = None) -> LearnedGrid
             NegativeLengthWarning,
             stacklevel=2,
         )
-    edges = tuple(
-        Edge(e.u, e.v, float(r), float(x)) for e, r, x in zip(tree.edges, rs, xs)
-    )
+    edges = tuple(Edge(e.u, e.v, r, x) for e, r, x in zip(tree.edges, rs.tolist(), xs.tolist()))
     diag = tree.diagnostics
     provenance = {
         "samples": m.count,

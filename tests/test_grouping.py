@@ -18,12 +18,14 @@ from gridtopo import (
 )
 from gridtopo import grouping
 from gridtopo.grouping import (
+    EPS_GROWTH,
     EXACT_TOL,
     WITNESS_CAP,
     _greedy_partition,
     _pair_stats,
     _passes,
     _relations_from_stats,
+    _search_eps,
     _witness_means,
 )
 from _trees import degrees, perturbed
@@ -189,6 +191,47 @@ def test_relations_match_pair_loop():
             kinds |= {"parent"} if parents else set()
             kinds |= {"sibling"} if siblings else set()
     assert kinds == {"parent", "sibling"}
+
+
+def _eps_by_steps(eps0: float, stats: tuple) -> tuple:
+    """Reference eps search: _passes at eps0, then at every EPS_GROWTH step."""
+    eps, steps = eps0, 0
+    while not any(m.any() for m in _passes(eps, *stats[2:])):
+        eps *= EPS_GROWTH
+        steps += 1
+    return eps, steps, _passes(eps, *stats[2:])
+
+
+def _rounding_sibling_stats(eps0: float) -> tuple:
+    """_pair_stats of one pair that first passes, as siblings, three steps above
+    eps0, where absmax <= d + eps holds only by rounding (absmax - d > eps).
+    Its spread sits at the first step, so the search must jump that floor."""
+    e1 = eps0 * EPS_GROWTH
+    e3 = e1 * EPS_GROWTH * EPS_GROWTH
+    d = next(d for d in 1.0 + np.arange(64) / 7 if (d + e3) - d > e3)
+    return tuple(np.array([x]) for x in (0, 1, d, e1, d + e3, 10.0, 10.0))
+
+
+@pytest.mark.parametrize("eps0", [1e-9, 1e-4, 0.02, 0.07])
+@pytest.mark.parametrize("case", ["cap", "no cap", "ties", "rounding"])
+def test_eps_search_matches_single_steps(case, eps0):
+    stats = _rounding_sibling_stats(eps0) if case == "rounding" else _all_pair_stats(*_pair_stats_input(case))
+    want_eps, want_steps, want_passes = _eps_by_steps(eps0, stats)
+    if case == "rounding":
+        _, _, d, _, absmax, _, _ = stats
+        assert (want_steps, want_passes[2][0]) == (3, True)
+        assert absmax[0] - d[0] > want_eps  # absmax <= d + eps passed by rounding alone
+    eps, steps, passes = _search_eps(RGConfig(eps0=eps0), stats)
+    assert (eps, steps) == (want_eps, want_steps)
+    for got, want in zip(passes, want_passes):
+        assert np.array_equal(got, want)
+    # A fixed eps either passes at eps0 or raises there, without escalating.
+    fixed = RGConfig(eps0=eps0, dynamic_eps=False)
+    if want_steps == 0:
+        assert _search_eps(fixed, stats)[:2] == (eps0, 0)
+    else:
+        with pytest.raises(GroupingStalledError, match=rf"^no pair classified at eps={eps0:g} and eps is fixed$"):
+            _search_eps(fixed, stats)
 
 
 def test_pair_stats_memory_stays_below_dense_tensors():
