@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -349,24 +348,20 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialResult]:
     """Run every (samples, eps0, trial) cell; rows come back canonically sorted.
 
     Per-trial seeds derive from cfg.seed, and each trial is independent of
-    scheduling, so the result is identical for any thread count. Warnings
-    are silenced for the whole sweep.
+    scheduling, so the result is identical for any thread count. A cell
+    reports its clamped estimates only through the learned grid's
+    provenance; the sweep touches no process-global state.
     """
     state = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.trials, dtype=np.uint32)
     jobs = [
         (trial, int(state[2 * trial]), int(state[2 * trial + 1]))
         for trial in range(cfg.trials)
     ]
-    # The warning filters are process-global, so they are set once here, in
-    # the calling thread: a worker that saved and restored them itself would
-    # undo the silencing for the workers still running.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if cfg.threads == 1:
-            batches = [_run_trial(cfg, *job) for job in jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                batches = list(pool.map(lambda job: _run_trial(cfg, *job), jobs))
+    if cfg.threads == 1:
+        batches = [_run_trial(cfg, *job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            batches = list(pool.map(lambda job: _run_trial(cfg, *job), jobs))
     rows = [row for batch in batches for row in batch]
     rows.sort(key=lambda r: (r.samples, r.eps0, r.trial))
     return rows

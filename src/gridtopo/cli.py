@@ -96,8 +96,10 @@ def _grid_summary(g: Grid) -> str:
 
 
 def _learned_summary(lg: LearnedGrid) -> str:
+    clamped = lg.provenance["clamped_lengths"]
     return (f"{len(lg.nodes)} nodes ({len(lg.hidden)} junctions synthesized), "
-            f"{len(lg.edges)} lines, {lg.provenance['rounds']} grouping rounds")
+            f"{len(lg.edges)} lines, {lg.provenance['rounds']} grouping rounds"
+            + (f", {clamped} negative estimates clamped to zero" if clamped else ""))
 
 
 def _report_line(report) -> str:

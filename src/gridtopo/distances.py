@@ -12,20 +12,26 @@ from .grid import Grid, path_incidence, path_lengths
 _SYM_TOL = 1e-9
 
 
+def _refuse_overflow(kind: str, flag: int) -> None:
+    """The np.errstate callback of grouping and the impedance fit: float64 overflow raises."""
+    raise ValidationError(f"distances too large: float64 {kind} encountered")
+
+
 def _canonical(d: np.ndarray, label: str) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValidationError(f"{label}: expected a square matrix, got shape {d.shape}")
-    if not np.isfinite(d).all():
-        raise ValidationError(f"{label}: matrix has non-finite entries")
-    if np.abs(d - d.T).max(initial=0.0) > _SYM_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range entries are refused below
+        mean, skew = (d + d.T) / 2.0, np.abs(d - d.T).max(initial=0.0)
+    if not np.isfinite(mean).all():
+        raise ValidationError(f"{label}: matrix has non-finite entries or overflows float64")
+    if skew > _SYM_TOL:
         raise ValidationError(f"{label}: matrix is not symmetric")
     if np.abs(np.diagonal(d)).max(initial=0.0) > _SYM_TOL:
         raise ValidationError(f"{label}: diagonal is not zero")
-    d = (d + d.T) / 2.0
-    np.fill_diagonal(d, 0.0)
-    d.setflags(write=False)
-    return d
+    np.fill_diagonal(mean, 0.0)
+    mean.setflags(write=False)
+    return mean
 
 
 @dataclass(frozen=True, eq=False)

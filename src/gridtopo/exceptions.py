@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception types shared across the toolkit."""
 from __future__ import annotations
 
 
@@ -32,7 +32,3 @@ class GroupingStalledError(Error):
 
 class MetricUndefinedError(Error):
     """A requested comparison metric is undefined for the given inputs."""
-
-
-class NegativeLengthWarning(UserWarning):
-    """One or more estimated lengths were negative and clamped to zero."""

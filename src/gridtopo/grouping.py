@@ -24,18 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import _canonical
-from .exceptions import (
-    GroupingStalledError,
-    NegativeLengthWarning,
-    NotAdditiveError,
-    ValidationError,
-)
+from .distances import _canonical, _refuse_overflow
+from .exceptions import GroupingStalledError, NotAdditiveError, ValidationError
 from .grid import path_incidence, path_lengths, tree_paths
 
 EXACT_TOL = 1e-9
@@ -402,7 +396,8 @@ def _rg_core(
     return tree
 
 
-def _grouping_input(O: tuple[str, ...] | list[str], d: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+def _group(O, d, cfg: RGConfig, witness_cap: int | None) -> tuple[tuple[str, ...], np.ndarray, LearnedTree]:
+    """O and d checked, then _rg_core on them; float64 overflow or NaN raises ValidationError."""
     O = tuple(O)
     if len(set(O)) != len(O):
         raise ValidationError("node list contains duplicates")
@@ -411,7 +406,8 @@ def _grouping_input(O: tuple[str, ...] | list[str], d: np.ndarray) -> tuple[tupl
     D = np.array(_canonical(d, "distance matrix"))
     if D.shape[0] != len(O):
         raise ValidationError(f"distance matrix is {D.shape[0]}x{D.shape[0]} for {len(O)} nodes")
-    return O, D
+    with np.errstate(over="call", invalid="call", call=_refuse_overflow):
+        return O, D, _rg_core(list(O), D, cfg, witness_cap)
 
 
 def rg_sampled(
@@ -423,21 +419,13 @@ def rg_sampled(
 
     d holds the distances between the nodes O, in O's order. Each pair
     keeps its WITNESS_CAP closest witnesses, and a round that had to
-    escalate eps commits every block that formed. Warns with
-    NegativeLengthWarning when negative edge lengths were clamped to zero.
+    escalate eps commits every block that formed. Negative edge lengths
+    are clamped to zero and counted in the diagnostics' clamped_lengths.
     A run takes at most k - 1 rounds over k nodes. Raises
-    GroupingStalledError when a fixed eps makes no progress.
+    GroupingStalledError when a fixed eps makes no progress, and
+    ValidationError when the distances overflow float64 arithmetic.
     """
-    O, D = _grouping_input(O, d)
-    tree = _rg_core(list(O), D, cfg or RGConfig(), WITNESS_CAP)
-    clamped = tree.diagnostics.clamped_lengths
-    if clamped:
-        warnings.warn(
-            f"{clamped} negative length estimate(s) clamped to zero",
-            NegativeLengthWarning,
-            stacklevel=2,
-        )
-    return tree
+    return _group(O, d, cfg or RGConfig(), WITNESS_CAP)[2]
 
 
 def rg_exact(O: tuple[str, ...] | list[str], d: np.ndarray) -> LearnedTree:
@@ -450,10 +438,8 @@ def rg_exact(O: tuple[str, ...] | list[str], d: np.ndarray) -> LearnedTree:
     violation beyond EXACT_TOL means the input was not an additive tree
     metric and raises NotAdditiveError.
     """
-    O, D = _grouping_input(O, d)
-    cfg = RGConfig(eps0=EXACT_TOL, dynamic_eps=False)
     try:
-        tree = _rg_core(list(O), D, cfg, witness_cap=None)
+        O, D, tree = _group(O, d, RGConfig(eps0=EXACT_TOL, dynamic_eps=False), witness_cap=None)
     except GroupingStalledError as exc:
         raise NotAdditiveError(
             f"input distances are not an additive tree metric ({exc})"

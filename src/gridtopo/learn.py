@@ -9,8 +9,8 @@ anchor node (grid.path_incidence) rather than from one row per terminal
 pair. Both metrics are additive on the same tree; their mean has fewer
 lines shorter than the grouping tolerance than r alone and averages two
 nearly independent estimates, so grouping on it misses fewer splits.
-Negative fitted values are clamped to zero with a warning, mirroring the
-length clamp inside grouping.
+Negative fitted values are clamped to zero, as grouping clamps negative
+lengths; provenance `clamped_lengths` counts both, and is the only report.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .distances import DistanceMatrix
-from .exceptions import FormatError, NegativeLengthWarning, ValidationError
+from .distances import DistanceMatrix, _refuse_overflow
+from .exceptions import FormatError, ValidationError
 from .grid import Edge, nodes_and_edges_to_dict, parse_nodes_and_edges, read_json, write_json
 from .grouping import LearnedTree, RGConfig, rg_sampled
 from .lcpf import MeasurementSet
@@ -71,7 +71,8 @@ def assign_reactances(tree: LearnedTree, d: DistanceMatrix) -> tuple[np.ndarray,
     U the upper triangle of the pair distances, mirrored. B and the normal
     matrix serve both metrics; lstsq on this E x E system, once per metric,
     keeps the pair rows' rank and minimum-norm solution. Returns r and x
-    per edge (clamped at zero) and their clamp counts.
+    per edge (clamped at zero) and their clamp counts; distances too large
+    for float64 sums raise ValidationError.
     """
     if len(d.nodes) < 2:
         raise ValidationError("impedance fit needs at least two observed nodes")
@@ -80,11 +81,12 @@ def assign_reactances(tree: LearnedTree, d: DistanceMatrix) -> tuple[np.ndarray,
     n = np.diag(C)
     gram = len(d.nodes) * C + np.outer(n, n) - 2.0 * C * (n[:, None] + n[None, :]) + 2.0 * C * C
     sols = []
-    for dm in (d.d_r, d.d_x):
-        U = np.triu(dm, 1)
-        rhs = (B * ((U + U.T) @ (1.0 - B))).sum(axis=0)
-        sol, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
-        sols.append(sol)
+    with np.errstate(over="call", invalid="call", call=_refuse_overflow):
+        for dm in (d.d_r, d.d_x):
+            U = np.triu(dm, 1)
+            rhs = (B * ((U + U.T) @ (1.0 - B))).sum(axis=0)
+            sol, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
+            sols.append(sol)
     if rank < len(tree.edges):
         warnings.warn(
             f"impedance fit is rank-deficient ({rank} < {len(tree.edges)}); "
@@ -105,7 +107,8 @@ def learn_from_moments(m: MomentSet, cfg: RGConfig | None = None) -> LearnedGrid
     is in ohms of that mean. Both line values then come from the
     least-squares path-sum fit over the learned tree. Provenance
     `clamped_lengths` counts every negative estimate clamped to zero:
-    grouping's lengths plus the fitted r and x.
+    grouping's lengths plus the fitted r and x. That count is the only
+    report of a clamp; nothing is warned.
     """
     if len(m.nodes) < 2:
         raise ValidationError("learning needs at least two observed terminals")
@@ -115,13 +118,6 @@ def learn_from_moments(m: MomentSet, cfg: RGConfig | None = None) -> LearnedGrid
     d = estimate_distances(m)
     tree = rg_sampled(m.nodes, (d.d_r + d.d_x) / 2.0, cfg)
     rs, xs, r_clamped, x_clamped = assign_reactances(tree, d)
-    if r_clamped or x_clamped:
-        warnings.warn(
-            f"negative line estimates clamped to zero: {r_clamped} resistance, "
-            f"{x_clamped} reactance",
-            NegativeLengthWarning,
-            stacklevel=2,
-        )
     edges = tuple(Edge(e.u, e.v, r, x) for e, r, x in zip(tree.edges, rs.tolist(), xs.tolist()))
     diag = tree.diagnostics
     provenance = {

@@ -4,10 +4,12 @@ import os
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from gridtopo import (
     InjectionSpec,
+    MomentSet,
     accumulate,
     load_grid,
     load_moments,
@@ -15,6 +17,7 @@ from gridtopo import (
     read_measurement_blocks,
     save_grid,
     save_measurements,
+    save_moments,
     simulate,
     validate_grid,
 )
@@ -185,6 +188,21 @@ def test_non_finite_moments_from_a_csv_exit_one(tmp_path, capsys, value, block):
     assert main(["estimate", "--measurements", str(csv), "-o", str(tmp_path / "l.json")]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {csv}: moment block {block!r} has non-finite entries\n"
+
+
+def test_estimate_counts_clamps_on_stdout(tmp_path, capsys):
+    # Unit injections and h(a, b) = 1 - d(a, b) / 2: these resistance
+    # distances force one line negative, the reactance ones are a clean star.
+    # The summary line counts the clamp, and nothing is warned on stderr.
+    d_r = np.array([[0.0, 1.0, 0.2], [1.0, 0.0, 1.5], [0.2, 1.5, 0.0]])
+    d_x = np.array([[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]])
+    moments = tmp_path / "m.json"
+    save_moments(MomentSet(("a", "b", "c"), 100, 1.0 - d_r / 2.0, 1.0 - d_x / 2.0,
+                           np.ones(3), np.ones(3), np.zeros(3)), moments)
+    assert main(["estimate", "--moments", str(moments), "-o", str(tmp_path / "l.json")]) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith(", 1 negative estimates clamped to zero\n")
+    assert err == ""
 
 
 def test_singular_injection_moments_exit_one(tmp_path, capsys):

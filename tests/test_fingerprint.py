@@ -24,7 +24,6 @@ import hashlib
 import importlib.util
 import json
 import math
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -100,17 +99,15 @@ def panel() -> tuple[dict, str]:
     """Every entry of the panel by label, and the SHA-256 over their gate fingerprints."""
     fingerprint = _gate().fingerprint
     entries, prints = {}, []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # clamping is counted in provenance and diagnostics
-        for n, s in PANEL:
-            for label, learn in _outputs(n, s):
-                try:
-                    out = learn()
-                except Error as exc:
-                    out = exc
-                entry, grid = _record(out)
-                entries[f"n={n} seed={s} {label}"] = entry
-                prints.append(entry["error"] if grid is None else fingerprint(grid))
+    for n, s in PANEL:
+        for label, learn in _outputs(n, s):
+            try:
+                out = learn()
+            except Error as exc:
+                out = exc
+            entry, grid = _record(out)
+            entries[f"n={n} seed={s} {label}"] = entry
+            prints.append(entry["error"] if grid is None else fingerprint(grid))
     return entries, hashlib.sha256("\n".join(prints).encode()).hexdigest()
 
 

@@ -210,10 +210,13 @@ D3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
      r"d_r: expected a square matrix, got shape \(2, 3\)"),
     (lambda: DistanceMatrix("abc", D3 + np.triu(D3), D3), "d_r: matrix is not symmetric"),
     (lambda: DistanceMatrix("abc", D3, D3 + np.eye(3)), "d_x: diagonal is not zero"),
+    # Finite, but (d + d^T) / 2 overflows at the 1.7e308 entry.
+    (lambda: DistanceMatrix("abc", D3, D3 * (1.7e308 / 3.0)),
+     "d_x: matrix has non-finite entries or overflows float64"),
     (lambda: DistanceMatrix(("a", "b"), D3, D3), "d_r: 3 rows for 2 nodes"),
     (lambda: DistanceMatrix(("a", "b", "a"), D3, D3), "distance matrix: duplicate node ids"),
     (lambda: DistanceMatrix("abc", D3, D3).sub(["a", "z"]), r"distance matrix: unknown nodes \['z'\]"),
-], ids=["non-square", "asymmetric", "diagonal", "row-count", "duplicate-ids", "sub-unknown"])
+], ids=["non-square", "asymmetric", "diagonal", "overflow", "row-count", "duplicate-ids", "sub-unknown"])
 def test_distance_matrix_guards(build, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         build()

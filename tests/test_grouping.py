@@ -1,9 +1,15 @@
 """Pair classification and the tree-grouping engine."""
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridtopo
 from gridtopo import (
     DistanceMatrix,
     GroupingStalledError,
@@ -545,6 +551,33 @@ def test_rg_input_validation():
         for run in (rg_sampled, rg_exact):
             with pytest.raises(ValidationError, match="non-finite"):
                 run(g.observed_nodes, D)
+
+
+def _huge_distances() -> np.ndarray:
+    """8 nodes, off-diagonal entries uniform in [2e307, 4e307]: finite, but
+    grouping's sums over several input nodes overflow float64."""
+    D = np.triu(np.random.default_rng(0).uniform(2e307, 4e307, (8, 8)), 1)
+    return D + D.T
+
+
+def test_rg_sampled_refuses_float64_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ValidationError, match="^distances too large: float64 overflow encountered$"):
+            rg_sampled(tuple("abcdefgh"), _huge_distances())
+
+
+def test_rg_sampled_refuses_float64_overflow_with_warnings_ignored(tmp_path):
+    # With the overflow warning ignored, NaN pair statistics once made the
+    # eps search raise eps forever; a child process puts a deadline on it.
+    np.save(tmp_path / "d.npy", _huge_distances())
+    code = ("import numpy as np, gridtopo\n"
+            f"try: gridtopo.rg_sampled(tuple('abcdefgh'), np.load({str(tmp_path / 'd.npy')!r}))\n"
+            "except gridtopo.Error as exc: print(type(exc).__name__)")
+    env = {**os.environ, "PYTHONPATH": str(Path(gridtopo.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.stdout, out.stderr) == ("ValidationError\n", "")
 
 
 def test_single_and_pair_inputs():

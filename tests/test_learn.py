@@ -13,19 +13,20 @@ from gridtopo import (
     LearnedTree,
     MeasurementSet,
     MomentSet,
-    NegativeLengthWarning,
     RGConfig,
     TreeEdge,
     ValidationError,
     accumulate,
     analytic_moments,
     assign_reactances,
+    estimate_distances,
     evaluate,
     learn_from_moments,
     learn_from_samples,
     load_learned,
     random_radial_grid,
     rg_exact,
+    rg_sampled,
     save_learned,
     simulate,
 )
@@ -196,18 +197,18 @@ def test_assign_reactances_clamps_negative_solutions():
     assert np.all(xs >= 0.0)
 
 
-def test_learner_warns_when_reactances_clamp():
+def test_learner_counts_reactance_clamps():
     # Synthetic moments with unit injections: vp carries the resistance
     # inverse-Laplacian entries, vq a reactance block whose distances are
-    # CLAMP_D_X (h(a,b) = (h(a,a) + h(b,b) - d(a,b)) / 2).
+    # CLAMP_D_X (h(a,b) = (h(a,a) + h(b,b) - d(a,b)) / 2). The clamp is
+    # reported by provenance alone: pyproject makes any UserWarning an error.
     h_r = np.array([[1.5, 0.5, 0.5], [0.5, 2.5, 0.5], [0.5, 0.5, 3.5]])
     diag = np.ones(3)
     h_x = (diag[:, None] + diag[None, :] - CLAMP_D_X) / 2.0
     m = MomentSet(("a", "b", "c"), None, h_r, h_x,
                   np.ones(3), np.ones(3), np.zeros(3))
-    with pytest.warns(NegativeLengthWarning):
-        lg = learn_from_moments(m)
-    assert lg.provenance["clamped_lengths"] >= 1
+    lg = learn_from_moments(m)
+    assert lg.provenance["clamped_lengths"] == 1
     assert all(e.x >= 0.0 for e in lg.edges)
 
 
@@ -219,9 +220,12 @@ def test_learner_counts_resistance_clamps():
     h_x = (diag[:, None] + diag[None, :] - STAR_D) / 2.0
     m = MomentSet(("a", "b", "c"), None, h_r, h_x,
                   np.ones(3), np.ones(3), np.zeros(3))
-    with pytest.warns(NegativeLengthWarning, match="1 resistance, 0 reactance"):
-        lg = learn_from_moments(m)
+    lg = learn_from_moments(m)
     assert lg.provenance["clamped_lengths"] == 1
+    d = estimate_distances(m)
+    tree = rg_sampled(m.nodes, (d.d_r + d.d_x) / 2.0)
+    assert tree.diagnostics.clamped_lengths == 0
+    assert assign_reactances(tree, d)[2:] == (1, 0)  # one resistance, no reactance
     assert all(e.r >= 0.0 for e in lg.edges)
     assert sorted(e.x for e in lg.edges) == pytest.approx([1.0, 2.0, 3.0])
 

@@ -35,7 +35,7 @@ REMOVED = {
         "conditioning_check", "estimate_h_pair", "ReducedLaplacian", "path_between",
         "merge", "perturbed", "match_hidden_and_diff", "save_experiment_config",
         "node_determinants", "default_conditioning_threshold",
-        "RESISTANCE", "REACTANCE", "ValidationReport",
+        "RESISTANCE", "REACTANCE", "ValidationReport", "NegativeLengthWarning",
     ),
     gridtopo.grid: ("ReducedLaplacian", "path_between", "RESISTANCE", "REACTANCE", "ValidationReport"),
     gridtopo.lcpf: ("analytic_moments",),
@@ -56,6 +56,7 @@ REMOVED = {
     gridtopo.MeasurementSet: ("grid_name",),
     gridtopo.RGDiagnostics: ("eps0",),
     gridtopo.cli: ("_folded", "_write_report_json"),
+    gridtopo.exceptions: ("NegativeLengthWarning",),
 }
 # Names REMOVED from one module that the package still exports from another.
 MOVED = {"analytic_moments": gridtopo.moments}
