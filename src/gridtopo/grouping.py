@@ -8,8 +8,9 @@ adjacent-or-siblings at the same junction:
   (a is a leaf and b its parent); the mirrored sign swaps the roles;
 * phi constant with |phi| < d(a, b)  <=>  a and b hang off a common junction.
 
-Both tests read only phi's extremes over the witnesses, so a round reduces
-phi to them once per unordered active pair, as phi(b, a; c) = -phi(a, b; c).
+Both tests read only phi's extremes over the witnesses, so a round forms phi
+at each pair's witnesses alone and reduces it to them once per unordered
+active pair, as phi(b, a; c) = -phi(a, b; c).
 It classifies the pairs and forms the coarsest consistent blocks once, swaps
 each sibling block for a new hidden junction and re-derives the active
 distances from the input entries, until two or fewer nodes remain. The
@@ -165,26 +166,24 @@ def _greedy_partition(
 # ---------------------------------------------------------------------------
 
 def _witness_rows(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
-    """Yield (slice, Phi, pen) per PAIR_BLOCK pairs (i, j), with Phi(i, j; c) over every c.
+    """Yield (slice, D[i], D[j], W) per PAIR_BLOCK pairs (i, j), W the bool witness mask.
 
-    pen is 0 at the pair's witnesses and inf elsewhere. The witnesses are
-    all other nodes; with cap set, only the cap closest by max(d(i, c),
-    d(j, c)), plus any tied with the cap-th. Each row is built on its own,
-    so the block size cannot change a bit of the result.
+    The witnesses are all other nodes; with cap set, only the cap closest by
+    max(d(i, c), d(j, c)), plus any tied with the cap-th. Each row is built
+    on its own, so the block size cannot change a bit of the result.
     """
     for s in range(0, len(i), PAIR_BLOCK):
         blk = slice(s, s + PAIR_BLOCK)
         bi, bj = i[blk], j[blk]
-        # pen starts as the witness ranking max(d(i, c), d(j, c)), in D[bj]'s buffer.
-        Phi, pen = D[bi], D[bj]
-        Phi, pen = Phi - pen, np.maximum(Phi, pen, out=pen)
+        Di, Dj = D[bi], D[bj]
+        rank = np.maximum(Di, Dj)
         r = np.arange(len(bi))
-        pen[r, bi] = pen[r, bj] = np.inf
+        rank[r, bi] = rank[r, bj] = np.inf
         if cap is not None and len(D) - 2 > cap:
-            pen = np.where(pen <= np.partition(pen, cap - 1, axis=1)[:, [cap - 1]], 0.0, np.inf)
+            W = rank <= np.sort(rank, axis=1)[:, cap - 1:cap]
         else:
-            pen = np.where(pen < np.inf, 0.0, np.inf)
-        yield blk, Phi, pen
+            W = rank < np.inf
+        yield blk, Di, Dj, W
 
 
 def _pair_stats(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
@@ -192,11 +191,15 @@ def _pair_stats(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
 
     Returns i, j, d(i, j) and, per pair over its witnesses, the spread, the largest
     |Phi| and the largest |Phi - d(i, j)| and |Phi + d(i, j)|. The mean is _witness_means.
+    Every pair needs a witness (k >= 3), as reduceat misreads an empty row.
     """
     phi_hi, phi_lo = np.empty(len(i)), np.empty(len(i))
-    for blk, Phi, pen in _witness_rows(D, i, j, cap):
-        phi_hi[blk] = (Phi - pen).max(axis=1)
-        phi_lo[blk] = (Phi + pen).min(axis=1)
+    for blk, Di, Dj, W in _witness_rows(D, i, j, cap):
+        at = np.flatnonzero(W)  # Phi at the witnesses alone, row by row
+        starts = np.searchsorted(at, np.arange(len(W)) * len(D))
+        Phi = Di.ravel()[at] - Dj.ravel()[at]
+        phi_hi[blk] = np.maximum.reduceat(Phi, starts)
+        phi_lo[blk] = np.minimum.reduceat(Phi, starts)
     d = D[i, j]
     # |Phi -/+ d| peaks over the witnesses at phi_hi or phi_lo. Rounding is
     # monotone, so this matches the per-witness maximum bit for bit.
@@ -211,9 +214,8 @@ def _witness_means(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None)
     """Mean witness Phi of each pair (i, j), summed over the whole row with
     non-witnesses as zeros, so its bits do not depend on the other pairs."""
     out = np.empty(len(i))
-    for blk, Phi, pen in _witness_rows(D, i, j, cap):
-        W = pen == 0.0
-        out[blk] = np.where(W, Phi, 0.0).sum(axis=1) / np.maximum(W.sum(axis=1), 1)
+    for blk, Di, Dj, W in _witness_rows(D, i, j, cap):
+        out[blk] = np.where(W, Di - Dj, 0.0).sum(axis=1) / np.maximum(W.sum(axis=1), 1)
     return out
 
 

@@ -12,9 +12,11 @@ exactly; and the sums of r, of x or of the grouping lengths to a relative
 1e-9, since BLAS rounding may differ between machines. The test also prints
 one bit-exact SHA-256 over every output's perfbench gate fingerprint
 (pytest -s shows it). That SHA can differ between machines with the same
-numpy, as the BLAS may pick its kernels by CPU, so no value is recorded: a
-change shows byte-identical outputs by the SHA printed at the parent commit
-and at the change in one session on one machine.
+numpy, as the BLAS may pick its kernels by CPU, and between BLAS thread
+counts on one machine, so no value is recorded: a change shows
+byte-identical outputs by the SHA printed at the parent commit and at the
+change in one session on one machine, both run with OPENBLAS_NUM_THREADS=1
+as CI and perfbench pin it.
 
 A change that moves outputs on purpose rewrites the expected file:
 

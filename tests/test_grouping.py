@@ -106,8 +106,11 @@ def _pair_stats_input(case: str) -> tuple[np.ndarray, int | None]:
         # directions pass with equal residuals.
         idx = np.r_[0.0, np.arange(9.0)]
         return np.abs(idx[:, None] - idx[None, :]), 3
-    D = np.triu(rng.uniform(0.5, 3.0, size=(24, 24)), 1)
-    return D + D.T, WITNESS_CAP if case == "cap" else None
+    # The last three pin the row starts at their edges: one witness per
+    # pair, the last uncapped size and the first capped one.
+    k = {"three": 3, "cap + 2": WITNESS_CAP + 2, "cap + 3": WITNESS_CAP + 3}.get(case, 24)
+    D = np.triu(rng.uniform(0.5, 3.0, size=(k, k)), 1)
+    return D + D.T, None if case == "no cap" else WITNESS_CAP
 
 
 def _witnesses(D: np.ndarray, a: int, b: int, cap: int | None) -> list[int]:
@@ -120,7 +123,7 @@ def _witnesses(D: np.ndarray, a: int, b: int, cap: int | None) -> list[int]:
     return [c for c in others if max(D[a, c], D[b, c]) <= kth]
 
 
-@pytest.mark.parametrize("case", ["cap", "no cap", "ties"])
+@pytest.mark.parametrize("case", ["cap", "no cap", "ties", "three", "cap + 2", "cap + 3"])
 def test_pair_stats_deviations_match_definition(case):
     D, cap = _pair_stats_input(case)
     i, j, d, spread, absmax, dev_ba, dev_ab = _all_pair_stats(D, cap)
@@ -138,6 +141,8 @@ def test_pair_stats_deviations_match_definition(case):
         assert spread[p].tobytes() == (phi.max() - phi.min()).tobytes()
         assert absmax[p].tobytes() == np.abs(phi).max().tobytes()
         assert phi_mean[p] == pytest.approx(phi.mean(), rel=1e-12, abs=1e-12)
+    if case in ("three", "cap + 2", "cap + 3"):
+        assert most == min(k - 2, WITNESS_CAP)
     if case == "ties":
         assert most > cap  # ties kept more than the cap
         assert (dev_ba == 0).any() and (dev_ab == 0).any()
@@ -165,7 +170,7 @@ def _relations_loop(k, eps, phi_mean, i, j, d, spread, absmax, dev_ba, dev_ab):
     return parents, siblings, sib_ok
 
 
-@pytest.mark.parametrize("case", ["no cap", "ties"])
+@pytest.mark.parametrize("case", ["cap", "no cap", "ties"])
 def test_pair_stats_do_not_depend_on_block_size(case, monkeypatch):
     D, cap = _pair_stats_input(case)
     i, j = np.triu_indices(len(D), 1)
