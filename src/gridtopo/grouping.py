@@ -6,20 +6,21 @@ adjacent-or-siblings at the same junction:
 
 * phi = +d(a, b) for every witness  <=>  b sits on every path out of a
   (a is a leaf and b its parent); the mirrored sign swaps the roles;
-* phi constant with |phi| < d(a, b)  <=>  a and b hang off a common junction.
+* phi constant otherwise  <=>  a and b hang off a common junction.
 
-Both tests read only phi's extremes over the witnesses, so a round forms phi
-at each pair's witnesses alone and reduces it to them once per unordered
-active pair, as phi(b, a; c) = -phi(a, b; c).
+The tests read only phi's extremes over the witnesses (none bounds |phi|, as
+|phi| <= d(a, b) on any metric), so a round forms phi at each pair's witnesses
+alone and reduces it to them once per unordered active pair, as
+phi(b, a; c) = -phi(a, b; c).
 It classifies the pairs and forms the coarsest consistent blocks once, swaps
 each sibling block for a new hidden junction and re-derives the active
 distances from the input entries, until two or fewer nodes remain. The
 witness mean of phi, which breaks parent ties and sets junction lengths, is
 taken for those pairs alone. The sampled variant tests each pair's
 WITNESS_CAP nearest witnesses at a tolerance eps, raised until some pair
-passes (steps below the smallest deviation or spread pass no pair, so they
-are counted untested), and commits every block formed at that eps. A new
-junction that lands on an earlier round's junction is merged into it.
+passes (every test is x <= eps, so that is the first step at or above the
+smallest deviation or spread), and commits every block formed at that eps. A
+new junction that lands on an earlier round's junction is merged into it.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .distances import _canonical, _refuse_overflow
 from .exceptions import GroupingStalledError, NotAdditiveError, ValidationError
 from .grid import path_incidence, path_lengths, tree_paths
 
-EXACT_TOL = 1e-9
+EXACT_TOL = 1e-9  # rg_exact tests and verifies at this fraction of the largest distance
 HIDDEN_NAME = "h#{}"  # junctions are h#1, h#2, ..., skipping the input names
 # Each pair's witness set keeps only this many closest witnesses (by the
 # larger of the two distances). The spread test is a range statistic, so a
@@ -189,8 +190,8 @@ def _witness_rows(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
 def _pair_stats(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
     """Witness extremes of each pair (i, j), i < j; the pair (j, i) only flips Phi's sign.
 
-    Returns i, j, d(i, j) and, per pair over its witnesses, the spread, the largest
-    |Phi| and the largest |Phi - d(i, j)| and |Phi + d(i, j)|. The mean is _witness_means.
+    Returns i, j, d(i, j) and, per pair over its witnesses, the spread and the
+    largest |Phi - d(i, j)| and |Phi + d(i, j)|. The mean is _witness_means.
     Every pair needs a witness (k >= 3), as reduceat misreads an empty row.
     """
     phi_hi, phi_lo = np.empty(len(i)), np.empty(len(i))
@@ -205,9 +206,7 @@ def _pair_stats(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
     # monotone, so this matches the per-witness maximum bit for bit.
     dev_ba = np.maximum(np.abs(phi_hi - d), np.abs(phi_lo - d))
     dev_ab = np.maximum(np.abs(phi_hi + d), np.abs(phi_lo + d))
-    spread = phi_hi - phi_lo
-    absmax = np.maximum(np.abs(phi_hi), np.abs(phi_lo))
-    return i, j, d, spread, absmax, dev_ba, dev_ab
+    return i, j, d, phi_hi - phi_lo, dev_ba, dev_ab
 
 
 def _witness_means(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
@@ -219,14 +218,13 @@ def _witness_means(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None)
     return out
 
 
-def _passes(eps, d, spread, absmax, dev_ba, dev_ab):
-    """Masks of the pairs i < j that pass each test at tolerance eps: j is
-    i's parent when Phi stays within eps of +d(i, j) at every witness, i is
-    j's parent within eps of -d(i, j), and the pair are siblings when they
-    pass neither, Phi's witness spread is at most eps and no |Phi| exceeds
-    d(i, j) + eps."""
+def _passes(eps, spread, dev_ba, dev_ab):
+    """Masks of the pairs i < j that pass each test at tolerance eps, each of
+    the form x <= eps: j is i's parent when Phi stays within eps of +d(i, j)
+    at every witness, i is j's parent within eps of -d(i, j), and the pair are
+    siblings when they pass neither and Phi's witness spread is at most eps."""
     pass_ba, pass_ab = dev_ba <= eps, dev_ab <= eps
-    return pass_ba, pass_ab, (spread <= eps) & (absmax <= d + eps) & ~(pass_ba | pass_ab)
+    return pass_ba, pass_ab, (spread <= eps) & ~(pass_ba | pass_ab)
 
 
 def _relations_from_stats(D, cap, stats, passes):
@@ -238,7 +236,7 @@ def _relations_from_stats(D, cap, stats, passes):
     tests takes the direction of the smaller residual between d(i, j) and its
     mean Phi. _greedy_partition sorts both lists, so pair order is not seen.
     """
-    i, j, d, spread, _, dev_ba, dev_ab = stats
+    i, j, d, spread, dev_ba, dev_ab = stats
     pass_ba, pass_ab, is_sib = passes
     # Parent claims are ranked by pair distance before residual: when both a
     # node's parent and a farther ancestor pass the tolerance test, the true
@@ -261,18 +259,17 @@ def _relations_from_stats(D, cap, stats, passes):
 
 
 def _search_eps(cfg: RGConfig, stats):
-    """eps0, raised by EPS_GROWTH until some pair passes; returns eps, the raise
-    count and the _passes masks at eps. No pair passes below min(dev_ba, dev_ab,
-    spread), so _passes runs only from there. A fixed eps that passes none raises."""
-    _, _, _, spread, _, dev_ba, dev_ab = stats
-    floor = min(dev_ba.min(), dev_ab.min(), spread.min())
+    """eps0, raised by EPS_GROWTH until some pair passes, which is when it reaches
+    min(spread, dev_ba, dev_ab), as every test is x <= eps; returns eps, the raise
+    count and the _passes masks at eps, found once. A fixed eps below that raises."""
+    floor = min(x.min() for x in stats[3:])
     eps, steps = cfg.eps0, 0
-    while not (eps >= floor and any(map(np.ndarray.any, passes := _passes(eps, *stats[2:])))):
+    while eps < floor:
         if not cfg.dynamic_eps:
             raise GroupingStalledError(f"no pair classified at eps={eps:g} and eps is fixed")
         eps *= EPS_GROWTH
         steps += 1
-    return eps, steps, passes
+    return eps, steps, _passes(eps, *stats[3:])
 
 
 def _rg_core(
@@ -398,8 +395,9 @@ def _rg_core(
     return tree
 
 
-def _group(O, d, cfg: RGConfig, witness_cap: int | None) -> tuple[tuple[str, ...], np.ndarray, LearnedTree]:
-    """O and d checked, then _rg_core on them; float64 overflow or NaN raises ValidationError."""
+def _group(O, d, cfg: RGConfig | None, witness_cap: int | None) -> tuple[tuple[str, ...], np.ndarray, LearnedTree]:
+    """O and d checked, then _rg_core on them; cfg None is rg_exact's fixed tolerance
+    EXACT_TOL * max|d| (EXACT_TOL on an all-zero d). Overflow or NaN raises ValidationError."""
     O = tuple(O)
     if len(set(O)) != len(O):
         raise ValidationError("node list contains duplicates")
@@ -408,6 +406,7 @@ def _group(O, d, cfg: RGConfig, witness_cap: int | None) -> tuple[tuple[str, ...
     D = np.array(_canonical(d, "distance matrix"))
     if D.shape[0] != len(O):
         raise ValidationError(f"distance matrix is {D.shape[0]}x{D.shape[0]} for {len(O)} nodes")
+    cfg = cfg or RGConfig(eps0=EXACT_TOL * (float(np.abs(D).max()) or 1.0), dynamic_eps=False)
     with np.errstate(over="call", invalid="call", call=_refuse_overflow):
         return O, D, _rg_core(list(O), D, cfg, witness_cap)
 
@@ -434,22 +433,20 @@ def rg_exact(O: tuple[str, ...] | list[str], d: np.ndarray) -> LearnedTree:
     """Grouping for exact additive metrics; tolerance covers rounding only.
 
     Every witness is decisive on exact inputs, so none is trimmed: each pair
-    is tested against all other nodes, at the fixed tolerance EXACT_TOL,
-    in at most k - 1 rounds over k nodes. The output tree is
-    verified to reproduce the input distances; a stalled round or any
-    violation beyond EXACT_TOL means the input was not an additive tree
-    metric and raises NotAdditiveError.
+    is tested against all other nodes, at the fixed tolerance EXACT_TOL
+    times max|d| (so d's units do not matter), in at most k - 1 rounds over
+    k nodes. The output tree is verified to reproduce the input distances;
+    a stalled round or any violation beyond that tolerance means the input
+    was not an additive tree metric and raises NotAdditiveError.
     """
     try:
-        O, D, tree = _group(O, d, RGConfig(eps0=EXACT_TOL, dynamic_eps=False), witness_cap=None)
+        O, D, tree = _group(O, d, None, witness_cap=None)
     except GroupingStalledError as exc:
         raise NotAdditiveError(
             f"input distances are not an additive tree metric ({exc})"
         ) from exc
-    rebuilt = tree_path_lengths(tree, O)
-    violation = float(np.abs(rebuilt - D).max())
-    allow = EXACT_TOL * max(1.0, float(np.abs(D).max()))
-    if violation > allow:
+    violation = float(np.abs(tree_path_lengths(tree, O) - D).max())
+    if violation > EXACT_TOL * np.abs(D).max():
         raise NotAdditiveError(
             f"input distances are not an additive tree metric "
             f"(max path-sum violation {violation:.3e})"

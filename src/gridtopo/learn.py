@@ -69,10 +69,10 @@ def assign_reactances(tree: LearnedTree, d: DistanceMatrix) -> tuple[np.ndarray,
     k C + n n^T - 2 C o (n_e + n_f) + 2 C o C (o elementwise; exact
     integers) and the right-hand side is the column sum of B o (U (1 - B)),
     U the upper triangle of the pair distances, mirrored. B and the normal
-    matrix serve both metrics; lstsq on this E x E system, once per metric,
-    keeps the pair rows' rank and minimum-norm solution. Returns r and x
-    per edge (clamped at zero) and their clamp counts; distances too large
-    for float64 sums raise ValidationError.
+    matrix serve both metrics; one lstsq on this E x E system, one right-hand
+    column per metric, keeps the pair rows' rank and minimum-norm solution.
+    Returns r and x per edge (clamped at zero) and their clamp counts;
+    distances too large for float64 sums raise ValidationError.
     """
     if len(d.nodes) < 2:
         raise ValidationError("impedance fit needs at least two observed nodes")
@@ -80,20 +80,17 @@ def assign_reactances(tree: LearnedTree, d: DistanceMatrix) -> tuple[np.ndarray,
     C = B.T @ B
     n = np.diag(C)
     gram = len(d.nodes) * C + np.outer(n, n) - 2.0 * C * (n[:, None] + n[None, :]) + 2.0 * C * C
-    sols = []
     with np.errstate(over="call", invalid="call", call=_refuse_overflow):
-        for dm in (d.d_r, d.d_x):
-            U = np.triu(dm, 1)
-            rhs = (B * ((U + U.T) @ (1.0 - B))).sum(axis=0)
-            sol, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
-            sols.append(sol)
+        U = [np.triu(dm, 1) for dm in (d.d_r, d.d_x)]
+        rhs = np.column_stack([(B * ((u + u.T) @ (1.0 - B))).sum(axis=0) for u in U])
+        sol, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
+    r, x = sol.T
     if rank < len(tree.edges):
         warnings.warn(
             f"impedance fit is rank-deficient ({rank} < {len(tree.edges)}); "
             "some line r and x values are not identified",
             stacklevel=2,
         )
-    r, x = sols
     return np.maximum(r, 0.0), np.maximum(x, 0.0), int((r < 0).sum()), int((x < 0).sum())
 
 

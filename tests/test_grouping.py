@@ -63,7 +63,7 @@ def _relations(d: DistanceMatrix, eps: float = EXACT_TOL) -> dict:
     """
     D = np.array(d.d_r)
     stats = _all_pair_stats(D, None)
-    parents, siblings, _ = _relations_from_stats(D, None, stats, _passes(eps, *stats[2:]))
+    parents, siblings, _ = _relations_from_stats(D, None, stats, _passes(eps, *stats[3:]))
     out = {}
     for _, res, _, p, c in parents:
         out[frozenset((d.nodes[p], d.nodes[c]))] = ("parent", d.nodes[p], res)
@@ -126,7 +126,7 @@ def _witnesses(D: np.ndarray, a: int, b: int, cap: int | None) -> list[int]:
 @pytest.mark.parametrize("case", ["cap", "no cap", "ties", "three", "cap + 2", "cap + 3"])
 def test_pair_stats_deviations_match_definition(case):
     D, cap = _pair_stats_input(case)
-    i, j, d, spread, absmax, dev_ba, dev_ab = _all_pair_stats(D, cap)
+    i, j, d, spread, dev_ba, dev_ab = _all_pair_stats(D, cap)
     phi_mean = _witness_means(D, i, j, cap)
     k = len(D)
     assert list(zip(i, j)) == [(a, b) for a in range(k) for b in range(a + 1, k)]
@@ -139,7 +139,6 @@ def test_pair_stats_deviations_match_definition(case):
         assert dev_ba[p].tobytes() == np.abs(phi - D[a, b]).max().tobytes()
         assert dev_ab[p].tobytes() == np.abs(phi + D[a, b]).max().tobytes()
         assert spread[p].tobytes() == (phi.max() - phi.min()).tobytes()
-        assert absmax[p].tobytes() == np.abs(phi).max().tobytes()
         assert phi_mean[p] == pytest.approx(phi.mean(), rel=1e-12, abs=1e-12)
     if case in ("three", "cap + 2", "cap + 3"):
         assert most == min(k - 2, WITNESS_CAP)
@@ -148,7 +147,7 @@ def test_pair_stats_deviations_match_definition(case):
         assert (dev_ba == 0).any() and (dev_ab == 0).any()
 
 
-def _relations_loop(k, eps, phi_mean, i, j, d, spread, absmax, dev_ba, dev_ab):
+def _relations_loop(k, eps, phi_mean, i, j, d, spread, dev_ba, dev_ab):
     """Pair-by-pair reference for _relations_from_stats, given every pair's mean."""
     parents, siblings = [], []
     sib_ok = np.zeros((k, k), dtype=bool)
@@ -164,7 +163,7 @@ def _relations_loop(k, eps, phi_mean, i, j, d, spread, absmax, dev_ba, dev_ab):
                 par, c = (a, b) if a_up else (b, a)
                 res, dev = (res_ab, dev_ab[p]) if a_up else (res_ba, dev_ba[p])
                 parents.append((float(d[p]), float(res), float(dev), par, c))
-            elif spread[p] <= eps and absmax[p] <= d[p] + eps:
+            elif spread[p] <= eps:
                 siblings.append((float(spread[p]), a, b))
                 sib_ok[a, b] = sib_ok[b, a] = True
     return parents, siblings, sib_ok
@@ -194,7 +193,7 @@ def test_relations_match_pair_loop():
         stats = _all_pair_stats(D, cap)
         phi_mean = _witness_means(D, *stats[:2], cap)
         for eps in (1e-9, 0.02, 0.05, 0.1, 0.3):
-            parents, siblings, sib_ok = _relations_from_stats(D, cap, stats, _passes(eps, *stats[2:]))
+            parents, siblings, sib_ok = _relations_from_stats(D, cap, stats, _passes(eps, *stats[3:]))
             want_parents, want_siblings, want_ok = _relations_loop(len(D), eps, phi_mean, *stats)
             assert sorted(parents) == sorted(want_parents)
             assert sorted(siblings) == sorted(want_siblings)
@@ -207,31 +206,37 @@ def test_relations_match_pair_loop():
 def _eps_by_steps(eps0: float, stats: tuple) -> tuple:
     """Reference eps search: _passes at eps0, then at every EPS_GROWTH step."""
     eps, steps = eps0, 0
-    while not any(m.any() for m in _passes(eps, *stats[2:])):
+    while not any(m.any() for m in _passes(eps, *stats[3:])):
         eps *= EPS_GROWTH
         steps += 1
-    return eps, steps, _passes(eps, *stats[2:])
+    return eps, steps, _passes(eps, *stats[3:])
 
 
-def _rounding_sibling_stats(eps0: float) -> tuple:
-    """_pair_stats of one pair that first passes, as siblings, three steps above
-    eps0, where absmax <= d + eps holds only by rounding (absmax - d > eps).
-    Its spread sits at the first step, so the search must jump that floor."""
-    e1 = eps0 * EPS_GROWTH
-    e3 = e1 * EPS_GROWTH * EPS_GROWTH
-    d = next(d for d in 1.0 + np.arange(64) / 7 if (d + e3) - d > e3)
-    return tuple(np.array([x]) for x in (0, 1, d, e1, d + e3, 10.0, 10.0))
+def _phi_beyond_d(eps0: float) -> np.ndarray:
+    """Five nodes, not a metric: for the pair (0, 1), Phi(0, 1; c) = 3 + delta_c
+    exceeds d(0, 1) = 1 at every witness, with a spread of 1.2 eps0 that no
+    other pair's statistic undercuts."""
+    delta = np.array([0.0, 1.2, 0.6]) * eps0
+    d_1c = np.array([2.0, 2.5, 3.0])
+    D = np.zeros((5, 5))
+    D[0, 1] = 1.0
+    D[1, 2:], D[0, 2:] = d_1c, d_1c + 3.0 + delta
+    D[2, 3], D[3, 4], D[2, 4] = 1.7, 1.1, 2.9
+    return D + D.T
 
 
 @pytest.mark.parametrize("eps0", [1e-9, 1e-4, 0.02, 0.07])
-@pytest.mark.parametrize("case", ["cap", "no cap", "ties", "rounding"])
+@pytest.mark.parametrize("case", ["cap", "no cap", "ties", "phi beyond d"])
 def test_eps_search_matches_single_steps(case, eps0):
-    stats = _rounding_sibling_stats(eps0) if case == "rounding" else _all_pair_stats(*_pair_stats_input(case))
+    D, cap = (_phi_beyond_d(eps0), None) if case == "phi beyond d" else _pair_stats_input(case)
+    stats = _all_pair_stats(D, cap)
     want_eps, want_steps, want_passes = _eps_by_steps(eps0, stats)
-    if case == "rounding":
-        _, _, d, _, absmax, _, _ = stats
-        assert (want_steps, want_passes[2][0]) == (3, True)
-        assert absmax[0] - d[0] > want_eps  # absmax <= d + eps passed by rounding alone
+    if case == "phi beyond d":
+        # |Phi| - d(0, 1) > eps, and the pair passes as siblings, alone, at
+        # the first step at or above its spread.
+        assert np.abs(D[0, 2:] - D[1, 2:]).max() - D[0, 1] > want_eps
+        assert want_steps == 1 and want_eps >= stats[3][0] > eps0
+        assert [m.nonzero()[0].tolist() for m in want_passes] == [[], [], [0]]
     eps, steps, passes = _search_eps(RGConfig(eps0=eps0), stats)
     assert (eps, steps) == (want_eps, want_steps)
     for got, want in zip(passes, want_passes):
@@ -363,10 +368,23 @@ def test_rg_exact_stalls_on_unstructured_distances():
     a = np.random.default_rng(0).uniform(1.0, 2.0, (6, 6))
     d = a + a.T
     np.fill_diagonal(d, 0.0)
+    # The tolerance is EXACT_TOL times the largest entry, 3.86...
     message = (r"^input distances are not an additive tree metric "
-               r"\(no pair classified at eps=1e-09 and eps is fixed\)$")
+               r"\(no pair classified at eps=3.86039e-09 and eps is fixed\)$")
     with pytest.raises(NotAdditiveError, match=message):
         rg_exact(tuple("abcdef"), d)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e12, 1e300])
+def test_rg_exact_does_not_depend_on_units(scale):
+    # The tolerance scales with the largest distance; an absolute one groups
+    # every pair of a tiny metric and no pair of a huge one.
+    for seed in range(30):
+        g = random_radial_grid(30, seed)
+        d = DistanceMatrix.from_grid(g).d_r * scale
+        tree = rg_exact(g.observed_nodes, d)
+        assert edge_difference(g, tree) == 0, f"seed={seed}"
+        assert np.abs(tree_path_lengths(tree, g.observed_nodes) - d).max() <= EXACT_TOL * d.max()
 
 
 def test_rg_exact_round_count_within_depth():
@@ -464,10 +482,10 @@ CAPPED_PIN = [
     ('h#17', 'n5', '0x1.2cd6c6680c9e7p-3'), ('h#17', 'h#6', '0x1.cea7566ff265ap-2'),
     ('h#18', 'n7', '0x1.1a8cd75e1c12bp-4'), ('h#18', 'h#9', '0x1.fabbe121c8a08p-3'),
     ('h#15', 'h#11', '0x1.0e09bcecdecf0p-3'), ('h#13', 'h#3', '0x1.f37b6908365aap-2'),
-    ('h#18', 'h#15', '0x1.7659875a6808dp-2'), ('h#19', 'h#13', '0x1.6f9a9f218cb18p-2'),
-    ('h#19', 'h#18', '0x1.a082d3aef6144p-3'), ('h#17', 'h#19', '0x1.23e1bab753caap-2'),
-    ('h#16', 'h#17', '0x1.94a4ba16c4540p-4'), ('h#8', 'h#4', '0x1.205fccb52a6c0p-2'),
-    ('h#8', 'h#16', '0x1.1ece7b4361d70p-3'),
+    ('h#8', 'h#4', '0x1.205fccb52a6c0p-2'), ('h#16', 'h#8', '0x1.66f85ff39f21cp-3'),
+    ('h#18', 'h#15', '0x1.7659875a6808dp-2'), ('h#17', 'h#16', '0x1.89b8ada9ca688p-4'),
+    ('h#19', 'h#13', '0x1.6f96456506cf4p-2'), ('h#19', 'h#18', '0x1.a08b872801d8bp-3'),
+    ('h#17', 'h#19', '0x1.2391f224b73a2p-2'),
 ]
 
 
@@ -476,13 +494,13 @@ def test_rg_sampled_capped_witnesses_are_pinned():
     assert len(g.observed_nodes) > WITNESS_CAP + 2
     tree = rg_sampled(g.observed_nodes, perturbed(DistanceMatrix.from_grid(g), noise=0.02, seed=2).d_r)
     assert [(e.u, e.v, e.length.hex()) for e in tree.edges] == CAPPED_PIN
-    assert tree.diagnostics == grouping.RGDiagnostics(rounds=8, merged_junctions=2)
+    assert tree.diagnostics == grouping.RGDiagnostics(rounds=6, merged_junctions=2)
 
 
 def test_rg_sampled_partitions_once_per_round(monkeypatch):
-    # eps escalates on the pair statistics alone, so a round partitions once
-    # however many eps steps it takes.
-    calls = {"_pair_stats": 0, "_greedy_partition": 0}
+    # eps escalates on the pair statistics alone, so a round tests the pairs
+    # and partitions once however many eps steps it takes.
+    calls = {"_pair_stats": 0, "_passes": 0, "_greedy_partition": 0}
 
     def count(name):
         real = getattr(grouping, name)
@@ -492,8 +510,8 @@ def test_rg_sampled_partitions_once_per_round(monkeypatch):
             return real(*args)
         monkeypatch.setattr(grouping, name, counted)
 
-    count("_pair_stats")
-    count("_greedy_partition")
+    for name in calls:
+        count(name)
     g = random_radial_grid(20, seed=6)
     noisy = perturbed(DistanceMatrix.from_grid(g), noise=0.05, seed=8).d_r
     diag = rg_sampled(g.observed_nodes, noisy, RGConfig(eps0=1e-6)).diagnostics
@@ -502,7 +520,7 @@ def test_rg_sampled_partitions_once_per_round(monkeypatch):
     # joins the last two nodes with one line.
     two_node_line = diag.rounds - calls["_pair_stats"]
     assert two_node_line in (0, 1)
-    assert calls["_greedy_partition"] == diag.rounds - two_node_line
+    assert calls["_passes"] == calls["_greedy_partition"] == diag.rounds - two_node_line
 
 
 def test_rg_sampled_fixed_eps_stalls():
