@@ -9,7 +9,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .grid import Grid, path_incidence, path_lengths
 
-_SYM_TOL = 1e-9
+_SYM_TOL = 1e-9  # symmetry and the zero diagonal are checked at this fraction of max|d|
 
 
 def _refuse_overflow(kind: str, flag: int) -> None:
@@ -25,9 +25,10 @@ def _canonical(d: np.ndarray, label: str) -> np.ndarray:
         mean, skew = (d + d.T) / 2.0, np.abs(d - d.T).max(initial=0.0)
     if not np.isfinite(mean).all():
         raise ValidationError(f"{label}: matrix has non-finite entries or overflows float64")
-    if skew > _SYM_TOL:
+    tol = _SYM_TOL * np.abs(d).max(initial=0.0)
+    if skew > tol:
         raise ValidationError(f"{label}: matrix is not symmetric")
-    if np.abs(np.diagonal(d)).max(initial=0.0) > _SYM_TOL:
+    if np.abs(np.diagonal(d)).max(initial=0.0) > tol:
         raise ValidationError(f"{label}: diagonal is not zero")
     np.fill_diagonal(mean, 0.0)
     mean.setflags(write=False)

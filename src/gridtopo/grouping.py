@@ -11,16 +11,16 @@ adjacent-or-siblings at the same junction:
 The tests read only phi's extremes over the witnesses (none bounds |phi|, as
 |phi| <= d(a, b) on any metric), so a round forms phi at each pair's witnesses
 alone and reduces it to them once per unordered active pair, as
-phi(b, a; c) = -phi(a, b; c).
+phi(b, a; c) = -phi(a, b; c). The same pass takes phi's witness mean, which
+breaks parent ties and sets junction lengths.
 It classifies the pairs and forms the coarsest consistent blocks once, swaps
 each sibling block for a new hidden junction and re-derives the active
 distances from the input entries, until two or fewer nodes remain. The
-witness mean of phi, which breaks parent ties and sets junction lengths, is
-taken for those pairs alone. The sampled variant tests each pair's
-WITNESS_CAP nearest witnesses at a tolerance eps, raised until some pair
-passes (every test is x <= eps, so that is the first step at or above the
-smallest deviation or spread), and commits every block formed at that eps. A
-new junction that lands on an earlier round's junction is merged into it.
+sampled variant tests each pair's WITNESS_CAP nearest witnesses at a
+tolerance eps, raised until some pair passes (every test is x <= eps, so
+that is the first step at or above the smallest deviation or spread), and
+commits every block formed at that eps. A new junction that lands on an
+earlier round's junction is merged into it.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ HIDDEN_NAME = "h#{}"  # junctions are h#1, h#2, ..., skipping the input names
 WITNESS_CAP = 15
 # A round that classifies no pair retries at this many times the tolerance.
 EPS_GROWTH = 1.5
-# _witness_rows works on this many pairs at a time, so grouping's arrays are
+# _pair_stats works on this many pairs at a time, so grouping's arrays are
 # (PAIR_BLOCK, k) rather than (k(k - 1)/2, k).
 PAIR_BLOCK = 512
 
@@ -166,13 +166,17 @@ def _greedy_partition(
 # The grouping engine
 # ---------------------------------------------------------------------------
 
-def _witness_rows(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
-    """Yield (slice, D[i], D[j], W) per PAIR_BLOCK pairs (i, j), W the bool witness mask.
+def _pair_stats(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
+    """Witness statistics of each pair (i, j), i < j; the pair (j, i) only flips Phi's sign.
 
     The witnesses are all other nodes; with cap set, only the cap closest by
-    max(d(i, c), d(j, c)), plus any tied with the cap-th. Each row is built
-    on its own, so the block size cannot change a bit of the result.
+    max(d(i, c), d(j, c)), plus any tied with the cap-th. Returns i, j, d(i, j)
+    and, per pair over its witnesses, the mean Phi, the spread and the largest
+    |Phi - d(i, j)| and |Phi + d(i, j)|. Each row is built on its own, so the
+    block size cannot change a bit of the result. Every pair needs a witness
+    (k >= 3), as reduceat misreads an empty row.
     """
+    phi_mean, phi_hi, phi_lo = np.empty(len(i)), np.empty(len(i)), np.empty(len(i))
     for s in range(0, len(i), PAIR_BLOCK):
         blk = slice(s, s + PAIR_BLOCK)
         bi, bj = i[blk], j[blk]
@@ -184,21 +188,10 @@ def _witness_rows(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
             W = rank <= np.sort(rank, axis=1)[:, cap - 1:cap]
         else:
             W = rank < np.inf
-        yield blk, Di, Dj, W
-
-
-def _pair_stats(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
-    """Witness extremes of each pair (i, j), i < j; the pair (j, i) only flips Phi's sign.
-
-    Returns i, j, d(i, j) and, per pair over its witnesses, the spread and the
-    largest |Phi - d(i, j)| and |Phi + d(i, j)|. The mean is _witness_means.
-    Every pair needs a witness (k >= 3), as reduceat misreads an empty row.
-    """
-    phi_hi, phi_lo = np.empty(len(i)), np.empty(len(i))
-    for blk, Di, Dj, W in _witness_rows(D, i, j, cap):
         at = np.flatnonzero(W)  # Phi at the witnesses alone, row by row
-        starts = np.searchsorted(at, np.arange(len(W)) * len(D))
+        starts = np.searchsorted(at, r * len(D))
         Phi = Di.ravel()[at] - Dj.ravel()[at]
+        phi_mean[blk] = np.add.reduceat(Phi, starts) / np.diff(starts, append=len(at))
         phi_hi[blk] = np.maximum.reduceat(Phi, starts)
         phi_lo[blk] = np.minimum.reduceat(Phi, starts)
     d = D[i, j]
@@ -206,16 +199,7 @@ def _pair_stats(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
     # monotone, so this matches the per-witness maximum bit for bit.
     dev_ba = np.maximum(np.abs(phi_hi - d), np.abs(phi_lo - d))
     dev_ab = np.maximum(np.abs(phi_hi + d), np.abs(phi_lo + d))
-    return i, j, d, phi_hi - phi_lo, dev_ba, dev_ab
-
-
-def _witness_means(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
-    """Mean witness Phi of each pair (i, j), summed over the whole row with
-    non-witnesses as zeros, so its bits do not depend on the other pairs."""
-    out = np.empty(len(i))
-    for blk, Di, Dj, W in _witness_rows(D, i, j, cap):
-        out[blk] = np.where(W, Di - Dj, 0.0).sum(axis=1) / np.maximum(W.sum(axis=1), 1)
-    return out
+    return i, j, d, phi_mean, phi_hi - phi_lo, dev_ba, dev_ab
 
 
 def _passes(eps, spread, dev_ba, dev_ab):
@@ -227,8 +211,8 @@ def _passes(eps, spread, dev_ba, dev_ab):
     return pass_ba, pass_ab, (spread <= eps) & ~(pass_ba | pass_ab)
 
 
-def _relations_from_stats(D, cap, stats, passes):
-    """Classify the pairs i < j, in any order, from their _pair_stats vectors and _passes masks.
+def _relations_from_stats(stats, passes):
+    """Classify all pairs i < j of k nodes, in any order, from _pair_stats and _passes.
 
     Returns the parent candidates (d, residual, deviation, parent, child),
     built in one loop over the few parent-test pairs, the sibling candidates
@@ -236,16 +220,15 @@ def _relations_from_stats(D, cap, stats, passes):
     tests takes the direction of the smaller residual between d(i, j) and its
     mean Phi. _greedy_partition sorts both lists, so pair order is not seen.
     """
-    i, j, d, spread, dev_ba, dev_ab = stats
+    i, j, d, phi_mean, spread, dev_ba, dev_ab = stats
     pass_ba, pass_ab, is_sib = passes
     # Parent claims are ranked by pair distance before residual: when both a
     # node's parent and a farther ancestor pass the tolerance test, the true
     # parent is the closer one.
     p = np.flatnonzero(pass_ba | pass_ab)
     parent_cands = []
-    for a, b, dp, ba, ab, dba, dab, m in zip(
-        *(x[p].tolist() for x in (i, j, d, pass_ba, pass_ab, dev_ba, dev_ab)),
-        _witness_means(D, i[p], j[p], cap).tolist(),
+    for a, b, dp, m, ba, ab, dba, dab in zip(
+        *(x[p].tolist() for x in (i, j, d, phi_mean, pass_ba, pass_ab, dev_ba, dev_ab))
     ):
         res_ba, res_ab = abs(dp - m), abs(dp + m)
         a_up = res_ab <= res_ba if ba and ab else ab
@@ -253,7 +236,8 @@ def _relations_from_stats(D, cap, stats, passes):
     s = np.flatnonzero(is_sib)
     si, sj = i[s], j[s]
     sibling_cands = list(zip(spread[s].tolist(), si.tolist(), sj.tolist()))
-    sib_ok = np.zeros(D.shape, dtype=bool)
+    k = int(j.max()) + 1  # node k - 1 is only ever a pair's j
+    sib_ok = np.zeros((k, k), dtype=bool)
     sib_ok[si, sj] = sib_ok[sj, si] = True
     return parent_cands, sibling_cands, sib_ok
 
@@ -262,14 +246,14 @@ def _search_eps(cfg: RGConfig, stats):
     """eps0, raised by EPS_GROWTH until some pair passes, which is when it reaches
     min(spread, dev_ba, dev_ab), as every test is x <= eps; returns eps, the raise
     count and the _passes masks at eps, found once. A fixed eps below that raises."""
-    floor = min(x.min() for x in stats[3:])
+    floor = min(x.min() for x in stats[4:])
     eps, steps = cfg.eps0, 0
     while eps < floor:
         if not cfg.dynamic_eps:
             raise GroupingStalledError(f"no pair classified at eps={eps:g} and eps is fixed")
         eps *= EPS_GROWTH
         steps += 1
-    return eps, steps, _passes(eps, *stats[3:])
+    return eps, steps, _passes(eps, *stats[4:])
 
 
 def _rg_core(
@@ -323,14 +307,12 @@ def _rg_core(
         stats = _pair_stats(D, i, j, witness_cap)
         eps, steps, passes = _search_eps(cfg, stats)
         diag.eps_escalations += steps
-        parents, siblings = _greedy_partition(*_relations_from_stats(D, witness_cap, stats, passes))
+        parents, siblings = _greedy_partition(*_relations_from_stats(stats, passes))
 
         # Junction lengths read D(a, b) + mean Phi(a, b) over a's block mates b.
+        d, phi_mean = stats[2:4]
         L = np.zeros((k, k))
-        if siblings:
-            si, sj = np.array([ab for blk in siblings for ab in itertools.combinations(blk, 2)]).T
-            phi_mean = _witness_means(D, si, sj, witness_cap)
-            L[si, sj], L[sj, si] = D[si, sj] + phi_mean, D[sj, si] - phi_mean
+        L[i, j], L[j, i] = d + phi_mean, d - phi_mean
 
         # Decide the round's lines: parents keep their node, sibling blocks get
         # a new hidden junction, lengths come from witness-averaged distances.
@@ -397,7 +379,8 @@ def _rg_core(
 
 def _group(O, d, cfg: RGConfig | None, witness_cap: int | None) -> tuple[tuple[str, ...], np.ndarray, LearnedTree]:
     """O and d checked, then _rg_core on them; cfg None is rg_exact's fixed tolerance
-    EXACT_TOL * max|d| (EXACT_TOL on an all-zero d). Overflow or NaN raises ValidationError."""
+    EXACT_TOL * max|d| (EXACT_TOL on an all-zero d). Overflow, NaN or a tolerance
+    that underflows to zero raises ValidationError."""
     O = tuple(O)
     if len(set(O)) != len(O):
         raise ValidationError("node list contains duplicates")
@@ -406,7 +389,10 @@ def _group(O, d, cfg: RGConfig | None, witness_cap: int | None) -> tuple[tuple[s
     D = np.array(_canonical(d, "distance matrix"))
     if D.shape[0] != len(O):
         raise ValidationError(f"distance matrix is {D.shape[0]}x{D.shape[0]} for {len(O)} nodes")
-    cfg = cfg or RGConfig(eps0=EXACT_TOL * (float(np.abs(D).max()) or 1.0), dynamic_eps=False)
+    scale = float(np.abs(D).max()) or 1.0
+    if cfg is None and EXACT_TOL * scale == 0.0:
+        raise ValidationError(f"distances too small: EXACT_TOL * max|d| underflows float64 at max|d| = {scale:.3e}")
+    cfg = cfg or RGConfig(eps0=EXACT_TOL * scale, dynamic_eps=False)
     with np.errstate(over="call", invalid="call", call=_refuse_overflow):
         return O, D, _rg_core(list(O), D, cfg, witness_cap)
 

@@ -209,6 +209,9 @@ D3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
     (lambda: DistanceMatrix(("a", "b"), np.zeros((2, 3)), np.zeros((2, 3))),
      r"d_r: expected a square matrix, got shape \(2, 3\)"),
     (lambda: DistanceMatrix("abc", D3 + np.triu(D3), D3), "d_r: matrix is not symmetric"),
+    # At 1e-12 ohm, an asymmetry of 5e-10 is hundreds of times every entry.
+    (lambda: DistanceMatrix("abc", D3 * 1e-12 + np.triu(np.full((3, 3), 5e-10), 1), D3),
+     "d_r: matrix is not symmetric"),
     (lambda: DistanceMatrix("abc", D3, D3 + np.eye(3)), "d_x: diagonal is not zero"),
     # Finite, but (d + d^T) / 2 overflows at the 1.7e308 entry.
     (lambda: DistanceMatrix("abc", D3, D3 * (1.7e308 / 3.0)),
@@ -216,10 +219,20 @@ D3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
     (lambda: DistanceMatrix(("a", "b"), D3, D3), "d_r: 3 rows for 2 nodes"),
     (lambda: DistanceMatrix(("a", "b", "a"), D3, D3), "distance matrix: duplicate node ids"),
     (lambda: DistanceMatrix("abc", D3, D3).sub(["a", "z"]), r"distance matrix: unknown nodes \['z'\]"),
-], ids=["non-square", "asymmetric", "diagonal", "overflow", "row-count", "duplicate-ids", "sub-unknown"])
+], ids=["non-square", "asymmetric", "asymmetric-tiny", "diagonal", "overflow", "row-count", "duplicate-ids", "sub-unknown"])
 def test_distance_matrix_guards(build, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         build()
+
+
+def test_distance_matrix_accepts_rounding_at_any_scale():
+    # Symmetry is checked at a fraction of the largest entry: one ulp of
+    # asymmetry at 1e12 ohm, about 1e-4, is rounding and is averaged away.
+    d = DistanceMatrix.from_grid(random_radial_grid(30, 0))
+    big = d.d_r * 1e12
+    big[0, 1] = np.nextafter(big[0, 1], np.inf)
+    m = DistanceMatrix(d.nodes, big, big)
+    assert m.d_r[0, 1] == m.d_r[1, 0] == (big[0, 1] + big[1, 0]) / 2.0
 
 
 def test_grid_json_round_trip(tmp_path, cherry_grid):

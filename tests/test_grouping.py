@@ -32,7 +32,6 @@ from gridtopo.grouping import (
     _passes,
     _relations_from_stats,
     _search_eps,
-    _witness_means,
 )
 from _trees import degrees, perturbed
 
@@ -63,7 +62,7 @@ def _relations(d: DistanceMatrix, eps: float = EXACT_TOL) -> dict:
     """
     D = np.array(d.d_r)
     stats = _all_pair_stats(D, None)
-    parents, siblings, _ = _relations_from_stats(D, None, stats, _passes(eps, *stats[3:]))
+    parents, siblings, _ = _relations_from_stats(stats, _passes(eps, *stats[4:]))
     out = {}
     for _, res, _, p, c in parents:
         out[frozenset((d.nodes[p], d.nodes[c]))] = ("parent", d.nodes[p], res)
@@ -126,8 +125,7 @@ def _witnesses(D: np.ndarray, a: int, b: int, cap: int | None) -> list[int]:
 @pytest.mark.parametrize("case", ["cap", "no cap", "ties", "three", "cap + 2", "cap + 3"])
 def test_pair_stats_deviations_match_definition(case):
     D, cap = _pair_stats_input(case)
-    i, j, d, spread, dev_ba, dev_ab = _all_pair_stats(D, cap)
-    phi_mean = _witness_means(D, i, j, cap)
+    i, j, d, phi_mean, spread, dev_ba, dev_ab = _all_pair_stats(D, cap)
     k = len(D)
     assert list(zip(i, j)) == [(a, b) for a in range(k) for b in range(a + 1, k)]
     most = 0
@@ -147,8 +145,8 @@ def test_pair_stats_deviations_match_definition(case):
         assert (dev_ba == 0).any() and (dev_ab == 0).any()
 
 
-def _relations_loop(k, eps, phi_mean, i, j, d, spread, dev_ba, dev_ab):
-    """Pair-by-pair reference for _relations_from_stats, given every pair's mean."""
+def _relations_loop(k, eps, i, j, d, phi_mean, spread, dev_ba, dev_ab):
+    """Pair-by-pair reference for _relations_from_stats."""
     parents, siblings = [], []
     sib_ok = np.zeros((k, k), dtype=bool)
     pairs = iter(range(len(i)))
@@ -173,9 +171,9 @@ def _relations_loop(k, eps, phi_mean, i, j, d, spread, dev_ba, dev_ab):
 def test_pair_stats_do_not_depend_on_block_size(case, monkeypatch):
     D, cap = _pair_stats_input(case)
     i, j = np.triu_indices(len(D), 1)
-    want = (*_pair_stats(D, i, j, cap), _witness_means(D, i, j, cap))
+    want = _pair_stats(D, i, j, cap)
     monkeypatch.setattr(grouping, "PAIR_BLOCK", 7)
-    got = (*_pair_stats(D, i, j, cap), _witness_means(D, i, j, cap))
+    got = _pair_stats(D, i, j, cap)
     assert len(i) > 7
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
@@ -191,10 +189,9 @@ def test_relations_match_pair_loop():
     kinds = set()
     for D, cap in inputs:
         stats = _all_pair_stats(D, cap)
-        phi_mean = _witness_means(D, *stats[:2], cap)
         for eps in (1e-9, 0.02, 0.05, 0.1, 0.3):
-            parents, siblings, sib_ok = _relations_from_stats(D, cap, stats, _passes(eps, *stats[3:]))
-            want_parents, want_siblings, want_ok = _relations_loop(len(D), eps, phi_mean, *stats)
+            parents, siblings, sib_ok = _relations_from_stats(stats, _passes(eps, *stats[4:]))
+            want_parents, want_siblings, want_ok = _relations_loop(len(D), eps, *stats)
             assert sorted(parents) == sorted(want_parents)
             assert sorted(siblings) == sorted(want_siblings)
             assert np.array_equal(sib_ok, want_ok)
@@ -206,10 +203,10 @@ def test_relations_match_pair_loop():
 def _eps_by_steps(eps0: float, stats: tuple) -> tuple:
     """Reference eps search: _passes at eps0, then at every EPS_GROWTH step."""
     eps, steps = eps0, 0
-    while not any(m.any() for m in _passes(eps, *stats[3:])):
+    while not any(m.any() for m in _passes(eps, *stats[4:])):
         eps *= EPS_GROWTH
         steps += 1
-    return eps, steps, _passes(eps, *stats[3:])
+    return eps, steps, _passes(eps, *stats[4:])
 
 
 def _phi_beyond_d(eps0: float) -> np.ndarray:
@@ -235,7 +232,7 @@ def test_eps_search_matches_single_steps(case, eps0):
         # |Phi| - d(0, 1) > eps, and the pair passes as siblings, alone, at
         # the first step at or above its spread.
         assert np.abs(D[0, 2:] - D[1, 2:]).max() - D[0, 1] > want_eps
-        assert want_steps == 1 and want_eps >= stats[3][0] > eps0
+        assert want_steps == 1 and want_eps >= stats[4][0] > eps0
         assert [m.nonzero()[0].tolist() for m in want_passes] == [[], [], [0]]
     eps, steps, passes = _search_eps(RGConfig(eps0=eps0), stats)
     assert (eps, steps) == (want_eps, want_steps)
@@ -277,7 +274,6 @@ def test_grouping_memory_stays_below_one_pair_array():
     pairs = np.triu_indices(k, 1)
     for run in (
         lambda: _pair_stats(D, *pairs, WITNESS_CAP),
-        lambda: _witness_means(D, *pairs, WITNESS_CAP),
         lambda: rg_exact(g.observed_nodes, D),
     ):
         tracemalloc.start()
@@ -457,23 +453,23 @@ def test_rg_sampled_junction_merges_are_pinned(case):
 # its new junctions merge. Pinned (u, v, length.hex()) edge list and
 # diagnostics.
 CAPPED_PIN = [
-    ('h#1', 'n53', '0x1.c190d8585f8adp-3'), ('h#1', 'n54', '0x1.20aed6631bf22p-2'),
-    ('h#1', 'n55', '0x1.80125638d317bp-5'), ('h#2', 'n37', '0x1.3ccfbff4f9606p-2'),
+    ('h#1', 'n53', '0x1.c190d8585f8adp-3'), ('h#1', 'n54', '0x1.20aed6631bf23p-2'),
+    ('h#1', 'n55', '0x1.80125638d3179p-5'), ('h#2', 'n37', '0x1.3ccfbff4f9606p-2'),
     ('h#2', 'n38', '0x1.0a3c75a882abfp-4'), ('h#2', 'n49', '0x1.00e663f4fc894p-2'),
-    ('h#3', 'n14', '0x1.4044d86035400p-2'), ('h#3', 'n15', '0x1.8d461d83ca876p-2'),
-    ('h#4', 'n40', '0x1.d87e4242139bfp-2'), ('h#4', 'n44', '0x1.6f9840b7c7d68p-5'),
+    ('h#3', 'n14', '0x1.4044d86035401p-2'), ('h#3', 'n15', '0x1.8d461d83ca875p-2'),
+    ('h#4', 'n40', '0x1.d87e4242139bep-2'), ('h#4', 'n44', '0x1.6f9840b7c7d70p-5'),
     ('h#5', 'n35', '0x1.496e0615d5d8ep-3'), ('h#5', 'n36', '0x1.77072cbb3da16p-2'),
-    ('h#5', 'n43', '0x1.80e0f656fb9a0p-3'), ('h#6', 'n24', '0x1.8a23457afa52bp-4'),
+    ('h#5', 'n43', '0x1.80e0f656fb9a0p-3'), ('h#6', 'n24', '0x1.8a23457afa52cp-4'),
     ('h#6', 'n25', '0x1.006f97af69ee6p-2'), ('h#6', 'n27', '0x1.547854c17fe76p-2'),
     ('h#7', 'n41', '0x1.95c4938541b20p-2'), ('h#7', 'n42', '0x1.9536a48af9af4p-5'),
     ('h#7', 'n45', '0x1.ad7e62e660924p-2'), ('h#8', 'n21', '0x1.bc6d5b36baa2cp-4'),
     ('h#8', 'n23', '0x1.bb28f04640995p-2'), ('h#9', 'n56', '0x1.04484c34bf30ep-3'),
-    ('h#9', 'n57', '0x1.367c3d987133ep-3'), ('h#10', 'n46', '0x1.a6c95ec22d8c0p-4'),
+    ('h#9', 'n57', '0x1.367c3d987133ep-3'), ('h#10', 'n46', '0x1.a6c95ec22d8c2p-4'),
     ('h#10', 'n47', '0x1.49d9392f3b976p-4'), ('h#10', 'n48', '0x1.f8251412630bfp-2'),
     ('h#11', 'n50', '0x1.8cfaed3efc935p-3'), ('h#11', 'n52', '0x1.c6376bb8205bfp-3'),
     ('h#12', 'n28', '0x1.1b6f1a5484d8cp-2'), ('h#12', 'n29', '0x1.e84c3c5162c6dp-2'),
     ('h#12', 'n34', '0x1.f6dce4bca8f9cp-2'), ('h#13', 'n11', '0x1.b0c4291cf577ap-2'),
-    ('h#13', 'n12', '0x1.bf2d37037d1b5p-3'), ('h#14', 'n58', '0x1.e86c533df66a4p-3'),
+    ('h#13', 'n12', '0x1.bf2d37037d1b4p-3'), ('h#14', 'n58', '0x1.e86c533df66a4p-3'),
     ('h#14', 'n59', '0x1.68766d70971cap-3'), ('h#8', 'h#1', '0x1.c64200d49355cp-2'),
     ('h#8', 'h#10', '0x1.7ff097983479ap-2'), ('h#11', 'h#14', '0x1.50d3591fe01f6p-4'),
     ('h#4', 'h#7', '0x1.89a16e297567cp-3'), ('h#3', 'h#2', '0x1.1ddd167d7e6fdp-2'),
@@ -495,6 +491,26 @@ def test_rg_sampled_capped_witnesses_are_pinned():
     tree = rg_sampled(g.observed_nodes, perturbed(DistanceMatrix.from_grid(g), noise=0.02, seed=2).d_r)
     assert [(e.u, e.v, e.length.hex()) for e in tree.edges] == CAPPED_PIN
     assert tree.diagnostics == grouping.RGDiagnostics(rounds=6, merged_junctions=2)
+
+
+def test_junction_lengths_read_each_pairs_mean(monkeypatch):
+    # Round 1 merges nothing, so the lines of its first sibling block's
+    # junction h#1 are the block's distances to it: for each member a, the
+    # mean over its block mates b of L(a, b) / 2, where L(a, b) = d(a, b)
+    # plus the mean of Phi(a, b; c) over the pair's witnesses c.
+    g = random_radial_grid(60, 1)
+    D = perturbed(DistanceMatrix.from_grid(g), noise=0.02, seed=1).d_r
+    rounds = []
+    real = grouping._greedy_partition
+    monkeypatch.setattr(grouping, "_greedy_partition", lambda *args: rounds.append(real(*args)) or rounds[-1])
+    tree = rg_sampled(g.observed_nodes, D)
+    block = rounds[0][1][0]
+    assert len(block) >= 3 and len(D) > WITNESS_CAP + 2
+    got = {e.v: e.length for e in tree.edges if e.u == "h#1"}
+    for a in block:
+        L = [D[a, b] + np.mean([D[a, c] - D[b, c] for c in _witnesses(D, a, b, WITNESS_CAP)])
+             for b in block if b != a]
+        assert got[g.observed_nodes[a]] == pytest.approx(np.mean(L) / 2, rel=1e-12, abs=0)
 
 
 def test_rg_sampled_partitions_once_per_round(monkeypatch):
@@ -574,6 +590,13 @@ def test_rg_input_validation():
         for run in (rg_sampled, rg_exact):
             with pytest.raises(ValidationError, match="non-finite"):
                 run(g.observed_nodes, D)
+    # Below max|d| of about 2.5e-315, rg_exact's tolerance EXACT_TOL * max|d|
+    # rounds to 0.0: refused for the distances' scale, not for an eps0.
+    g = random_radial_grid(30, 0)
+    d = DistanceMatrix.from_grid(g).d_r * 1e-316
+    message = r"^distances too small: EXACT_TOL \* max\|d\| underflows float64 at max\|d\| = 2\.963e-316$"
+    with pytest.raises(ValidationError, match=message):
+        rg_exact(g.observed_nodes, d)
 
 
 def _huge_distances() -> np.ndarray:
