@@ -19,8 +19,8 @@ distances from the input entries, until two or fewer nodes remain. The
 sampled variant tests each pair's WITNESS_CAP nearest witnesses at a
 tolerance eps, raised until some pair passes (every test is x <= eps, so
 that is the first step at or above the smallest deviation or spread), and
-commits every block formed at that eps. A new junction that lands on an
-earlier round's junction is merged into it.
+commits every block formed at that eps. A sibling block's new junction that
+lands on one of the block's own hidden members is merged into that member.
 """
 from __future__ import annotations
 
@@ -83,7 +83,7 @@ class RGDiagnostics:
     eps_escalations: int = 0
     tau_escalations: int = 0  # always 0: witness sets have no radius; perfbench reads it by name
     clamped_lengths: int = 0
-    merged_junctions: int = 0
+    merged_junctions: int = 0  # sibling blocks merged into one of their own members
 
 
 @dataclass(frozen=True)
@@ -318,49 +318,36 @@ def _rg_core(
         # a new hidden junction, lengths come from witness-averaged distances.
         keep = sorted(set(range(k)).difference(*parents.values(), *siblings))
 
-        # A freshly inferred junction that lands within merge_tol of an already
-        # known junction is the same junction seen twice (a sibling class that
-        # partially grouped earlier, or a parent relation that the tolerance
-        # test missed). Glue it back instead of stacking a near-zero edge.
+        # A sibling block's new junction that lands within merge_tol of one of
+        # its own hidden members is that member seen twice: the member is the
+        # block's parent, which the parent test missed. Glue it back instead
+        # of stacking a near-zero edge.
         merge_tol = 0.75 * cfg.eps0
-        merges: list[tuple[int, int, float]] = []
         fresh: list[tuple[list[int], list[float]]] = []
         for children in siblings:
-            # Distances from every active node to the block's new junction:
-            # its members' from L, then every other node's through them.
+            # Each member's distance to the new junction, from L.
             mates = np.array([[b for b in children if b != a] for a in children])
-            near = np.add.reduce(L[np.array(children)[:, None], mates], axis=1) / (2.0 * len(mates[0]))
-            col = np.add.reduce(D[:, children] - near, axis=1) / len(children)
-            col[children] = near
-            col = col.tolist()
-            cands = [a for a in children + keep if active[a] not in observed and col[a] < merge_tol]
+            near = (np.add.reduce(L[np.array(children)[:, None], mates], axis=1) / (2.0 * len(mates[0]))).tolist()
+            cands = [(x, a) for x, a in zip(near, children) if active[a] not in observed and x < merge_tol]
             if not cands:
-                fresh.append((children, col))
+                fresh.append((children, near))
                 continue
             diag.merged_junctions += 1
-            tgt = min(cands, key=lambda a: (col[a], a not in children, a))
-            if tgt in children:
-                # The new junction coincides with one of its own hidden
-                # children: that child is the true parent of the block.
-                keep.append(tgt)
-                parents[tgt] = [c for c in children if c != tgt]
-            else:
-                # Coincides with a junction kept from an earlier round: the
-                # block members are that junction's missing children.
-                merges += [(tgt, a, D[tgt, a]) for a in children]
+            tgt = min(cands)[1]
+            keep.append(tgt)
+            parents[tgt] = [c for c in children if c != tgt]
 
         # Commit: new junctions take rows k, k + 1, ... in block order. Attach
         # order is edge order, which sets the reactance fit's column order:
-        # kept-junction merges in block order, parent blocks as they formed
-        # (own-child merges last), then the new junctions' children.
+        # parent blocks as they formed (own-child merges last), then the new
+        # junctions' children.
         new = [next(junction_names) for _ in fresh]
         hidden += new
         active += new
         leaves += [[] for _ in new]
         ps += [0.0] * len(new)
-        attach(merges)
         attach((p, c, D[p, c]) for p, cs in parents.items() for c in cs)
-        attach((k + b, a, col[a]) for b, (children, col) in enumerate(fresh) for a in children)
+        attach((k + b, a, x) for b, (children, near) in enumerate(fresh) for a, x in zip(children, near))
         rows = sorted(keep) + list(range(k, len(active)))
         leaves, ps, active = ([x[r] for r in rows] for x in (leaves, ps, active))
         # Some pair passed, so a block formed, and every block attaches a line.
@@ -380,7 +367,7 @@ def _rg_core(
 def _group(O, d, cfg: RGConfig | None, witness_cap: int | None) -> tuple[tuple[str, ...], np.ndarray, LearnedTree]:
     """O and d checked, then _rg_core on them; cfg None is rg_exact's fixed tolerance
     EXACT_TOL * max|d| (EXACT_TOL on an all-zero d). Overflow, NaN or a tolerance
-    that underflows to zero raises ValidationError."""
+    below the smallest normal float64 raises ValidationError."""
     O = tuple(O)
     if len(set(O)) != len(O):
         raise ValidationError("node list contains duplicates")
@@ -390,7 +377,7 @@ def _group(O, d, cfg: RGConfig | None, witness_cap: int | None) -> tuple[tuple[s
     if D.shape[0] != len(O):
         raise ValidationError(f"distance matrix is {D.shape[0]}x{D.shape[0]} for {len(O)} nodes")
     scale = float(np.abs(D).max()) or 1.0
-    if cfg is None and EXACT_TOL * scale == 0.0:
+    if cfg is None and EXACT_TOL * scale < np.finfo(float).tiny:
         raise ValidationError(f"distances too small: EXACT_TOL * max|d| underflows float64 at max|d| = {scale:.3e}")
     cfg = cfg or RGConfig(eps0=EXACT_TOL * scale, dynamic_eps=False)
     with np.errstate(over="call", invalid="call", call=_refuse_overflow):
