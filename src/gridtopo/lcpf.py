@@ -9,12 +9,12 @@ All variables are zero-mean deviations from the operating point. Injections
 are drawn independently per node and per sample; hidden junctions inject too,
 but only observed leaves appear in the exported measurements.
 
-Every simulation runs in SIM_CHUNK-row windows, with H_r^-1 and H_x^-1
-formed once per run: simulate_blocks yields the windows, and simulate writes
-them in place into its (T, k) outputs, so its memory is the output plus about
-one full-width window. save_measurements writes windows as they come, and
-read_measurement_blocks parses a CSV in SIM_CHUNK-row blocks. Draws
-and solves run on _ROW_BLOCK-row sub-blocks aligned to multiples of
+Every simulation runs in SIM_CHUNK-row windows, H_r^-1 and H_x^-1 formed once
+per run: simulate_blocks yields the windows, and simulate writes them in place
+into its (T, k) outputs. The working set is the window's full-width p and q
+draw plus one _ROW_BLOCK-row strip of v. save_measurements writes windows as
+they come, and read_measurement_blocks parses a CSV in SIM_CHUNK-row blocks.
+Draws and solves run on _ROW_BLOCK-row sub-blocks aligned to multiples of
 _ROW_BLOCK, so the bits do not depend on the window a row falls in.
 """
 from __future__ import annotations
@@ -193,29 +193,29 @@ def solve_lcpf(h_r: np.ndarray, h_x: np.ndarray, p: np.ndarray, q: np.ndarray) -
 def simulate(g: Grid, spec: InjectionSpec, T: int, seed: int) -> MeasurementSet:
     """End-to-end draw: injections everywhere, measurements at observed leaves.
 
-    The windows of simulate_blocks() are written in place into (T, k) arrays
-    in Fortran order, like each window's: memory is the output plus about one
-    full-width window, and H_r^-1, H_x^-1 are formed once.
+    Each window is drawn and solved into (T, k) arrays in Fortran order, like
+    each window's: memory is the output plus the window's full-width p and q
+    draw and one _ROW_BLOCK-row strip; H_r^-1, H_x^-1 are formed once.
     """
     model = _run_model(g, T, seed)
     v, p, q = (np.empty((T, len(g.observed_nodes)), order="F") for _ in "vpq")
     for start in range(0, T, SIM_CHUNK):
         rows = slice(start, min(start + SIM_CHUNK, T))
-        _fill_window(g, spec, seed, rows, model, v[rows], p[rows], q[rows])
+        _fill_window(g, spec, seed, rows, model, (v[rows], p[rows], q[rows]))
     return MeasurementSet(g.observed_nodes, v, p, q, seed=seed)
 
 
 def simulate_blocks(g: Grid, spec: InjectionSpec, T: int, seed: int) -> Iterator[MeasurementSet]:
     """simulate() as SIM_CHUNK-row windows, drawn and solved one at a time.
 
-    Each window holds the same bits as the same rows of simulate(), and only
-    the window being consumed is alive. The grid and T are checked (the spec
-    checks itself when built), and H_r^-1, H_x^-1 formed, here, before any
-    window is drawn.
+    Each window holds the same bits as the same rows of simulate(). Making one
+    holds its full-width p and q draw plus one strip; then only the window is
+    alive. The grid and T are checked (the spec checks itself when built), and
+    H_r^-1, H_x^-1 formed, here, before any window is drawn.
     """
     model = _run_model(g, T, seed)
-    return (_window(g, spec, seed, slice(start, min(start + SIM_CHUNK, T)), model)
-            for start in range(0, T, SIM_CHUNK))
+    return (MeasurementSet(g.observed_nodes, *_fill_window(g, spec, seed, rows, model), seed=seed)
+            for rows in (slice(start, min(start + SIM_CHUNK, T)) for start in range(0, T, SIM_CHUNK)))
 
 
 def _run_model(g: Grid, T: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,24 +229,26 @@ def _run_model(g: Grid, T: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.n
     return _forward_model(g)
 
 
-def _window(g: Grid, spec: InjectionSpec, seed: int, rows: slice,
-            model: tuple[np.ndarray, np.ndarray, np.ndarray]) -> MeasurementSet:
-    """One window of the simulation as its own measurement set."""
-    v, p, q = (np.empty((rows.stop - rows.start, len(g.observed_nodes)), order="F") for _ in "vpq")
-    _fill_window(g, spec, seed, rows, model, v, p, q)
-    return MeasurementSet(g.observed_nodes, v, p, q, seed=seed)
-
-
 def _fill_window(g: Grid, spec: InjectionSpec, seed: int, rows: slice,
                  model: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 v: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
-    """Draw and solve rows of the simulation; write their observed columns into v, p, q."""
+                 out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
+    """Draw and solve rows of the simulation; return their observed (v, p, q).
+
+    Rows are drawn full-width and v is solved one _ROW_BLOCK-row strip at a
+    time: the working set is that draw plus one strip. The columns go into
+    out, or else into three new Fortran-ordered (rows, k) arrays.
+    """
     h_r, h_x, cols = model
     p_full, q_full = sample_injections(g, spec, rows.stop, seed, rows.start)
-    v_full = solve_lcpf(h_r, h_x, p_full, q_full)
-    for out, full in ((v, v_full), (p, p_full), (q, q_full)):
-        for j, col in enumerate(cols):  # column by column: each is contiguous in out
-            out[:, j] = full[:, col]
+    out = out or tuple(np.empty((len(p_full), len(cols)), order="F") for _ in "vpq")
+    v, p, q = out
+    for dst, full in ((p, p_full), (q, q_full)):
+        for j, col in enumerate(cols):  # column by column: each is contiguous in dst
+            dst[:, j] = full[:, col]
+    for row in range(0, len(p_full), _ROW_BLOCK):
+        strip = slice(row, row + _ROW_BLOCK)
+        v[strip] = solve_lcpf(h_r, h_x, p_full[strip], q_full[strip])[:, cols]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from gridtopo import (
 )
 from gridtopo import grid as grid_module
 from gridtopo import lcpf
-from gridtopo.lcpf import SIM_CHUNK
+from gridtopo.lcpf import _ROW_BLOCK, SIM_CHUNK
 
 
 def _inverses(g):
@@ -194,23 +194,35 @@ def test_simulate_blocks_are_windows_of_simulate(n):
         simulate_blocks(g, InjectionSpec(), 0, seed=6)  # before any window is drawn
 
 
+def _traced_peak(run):
+    """run()'s result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_simulate_memory_is_flat_in_the_sample_count():
-    # Above its three (T, k) outputs, simulate holds about one full-width
-    # window, whatever T is.
-    g = random_radial_grid(100, 1)
-    k = len(g.observed_nodes)
-    extra = []
-    for T in (SIM_CHUNK, 4 * SIM_CHUNK):
-        tracemalloc.start()
-        try:
-            ms = simulate(g, InjectionSpec(), T, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ms.T == T
-        extra.append(peak - 3 * T * k * 8)
-        del ms
-    assert extra[1] <= 1.25 * extra[0], extra
+    # Above its three (T, k) outputs, simulate holds one window's full-width
+    # p and q draw plus one strip of the solve, whatever T is, and so does
+    # one window of simulate_blocks above its own three outputs: at most two
+    # windows and six strips of m full-width columns.
+    for n in (100, 200):
+        g = random_radial_grid(n, 1)
+        k, m = len(g.observed_nodes), len(g.reduced_nodes)
+        extra = []
+        for T in (SIM_CHUNK, 4 * SIM_CHUNK):
+            ms, peak = _traced_peak(lambda: simulate(g, InjectionSpec(), T, seed=3))
+            assert ms.T == T
+            extra.append(peak - 3 * T * k * 8)
+            del ms
+        assert extra[1] <= 1.25 * extra[0], (n, extra)
+        window, peak = _traced_peak(lambda: next(simulate_blocks(g, InjectionSpec(), 2 * SIM_CHUNK, seed=3)))
+        assert window.T == SIM_CHUNK
+        extra.append(peak - 3 * SIM_CHUNK * k * 8)
+        assert max(extra) <= (2 * SIM_CHUNK + 6 * _ROW_BLOCK) * m * 8, (n, m, extra)
 
 
 def test_simulation_forms_the_model_once_and_draws_once_per_window(monkeypatch, cherry_grid):
@@ -225,7 +237,8 @@ def test_simulation_forms_the_model_once_and_draws_once_per_window(monkeypatch, 
                 lambda: list(simulate_blocks(cherry_grid, InjectionSpec(), T, seed=2))):
         calls.update(dict.fromkeys(calls, 0))
         run()
-        assert calls == {"_forward_model": 1, "sample_injections": 3, "solve_lcpf": 3}
+        # One solve per _ROW_BLOCK-row strip: 8 + 8 + 1.
+        assert calls == {"_forward_model": 1, "sample_injections": 3, "solve_lcpf": 17}
 
 
 def test_simulate_validates_the_grid_once(monkeypatch):
