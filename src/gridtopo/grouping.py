@@ -120,9 +120,8 @@ def tree_path_lengths(tree: LearnedTree, nodes: tuple[str, ...]) -> np.ndarray:
 def _greedy_partition(
     parent_cands: list[tuple],
     sibling_cands: list[tuple[float, int, int]],
-    sib_ok: np.ndarray,
 ) -> tuple[dict[int, list[int]], list[list[int]]]:
-    """Deterministic blocks from _relations_from_stats' candidates and k x k bool sibling mask.
+    """Deterministic blocks from _relations_from_stats' parent and sibling candidates.
 
     Parent relations are accepted first (ascending pair distance, then
     residual). Sibling pairs then merge blocks (ascending spread), an
@@ -145,13 +144,13 @@ def _greedy_partition(
         parents.setdefault(p, []).append(c)
         placed.update((p, c))
 
-    ok = sib_ok.tolist()
+    ok = {frozenset((a, b)) for _, a, b in sibling_cands}  # a sibling pair, in either order
     blocks: list[list[int]] = []  # in the order they formed; an absorbed block is left empty
     for _, a, b in sorted(sibling_cands):
         if a in placed or b in placed:
             continue
         A, B = (next((blk for blk in blocks if x in blk), [x]) for x in (a, b))
-        if A is not B and 2 * sum(ok[x][y] for x in A for y in B) >= len(A) * len(B):
+        if A is not B and 2 * sum(frozenset((x, y)) in ok for x in A for y in B) >= len(A) * len(B):
             if len(A) == 1:  # a block that exists absorbs a new one
                 A, B = B, A
             if len(A) == 1:  # two new ones form a block
@@ -191,7 +190,7 @@ def _pair_stats(D: np.ndarray, i: np.ndarray, j: np.ndarray, cap: int | None):
         at = np.flatnonzero(W)  # Phi at the witnesses alone, row by row
         starts = np.searchsorted(at, r * len(D))
         Phi = Di.ravel()[at] - Dj.ravel()[at]
-        phi_mean[blk] = np.add.reduceat(Phi, starts) / np.diff(starts, append=len(at))
+        phi_mean[blk] = np.add.reduceat(Phi, starts) / W.sum(axis=1)
         phi_hi[blk] = np.maximum.reduceat(Phi, starts)
         phi_lo[blk] = np.minimum.reduceat(Phi, starts)
     d = D[i, j]
@@ -215,10 +214,10 @@ def _relations_from_stats(stats, passes):
     """Classify all pairs i < j of k nodes, in any order, from _pair_stats and _passes.
 
     Returns the parent candidates (d, residual, deviation, parent, child),
-    built in one loop over the few parent-test pairs, the sibling candidates
-    (spread, i, j) and the k x k bool sibling mask. A pair passing both parent
-    tests takes the direction of the smaller residual between d(i, j) and its
-    mean Phi. _greedy_partition sorts both lists, so pair order is not seen.
+    built in one loop over the few parent-test pairs, and the sibling
+    candidates (spread, i, j). A pair passing both parent tests takes the
+    direction of the smaller residual between d(i, j) and its mean Phi.
+    _greedy_partition sorts both lists, so pair order is not seen.
     """
     i, j, d, phi_mean, spread, dev_ba, dev_ab = stats
     pass_ba, pass_ab, is_sib = passes
@@ -234,12 +233,7 @@ def _relations_from_stats(stats, passes):
         a_up = res_ab <= res_ba if ba and ab else ab
         parent_cands.append((dp, res_ab, dab, a, b) if a_up else (dp, res_ba, dba, b, a))
     s = np.flatnonzero(is_sib)
-    si, sj = i[s], j[s]
-    sibling_cands = list(zip(spread[s].tolist(), si.tolist(), sj.tolist()))
-    k = int(j.max()) + 1  # node k - 1 is only ever a pair's j
-    sib_ok = np.zeros((k, k), dtype=bool)
-    sib_ok[si, sj] = sib_ok[sj, si] = True
-    return parent_cands, sibling_cands, sib_ok
+    return parent_cands, list(zip(spread[s].tolist(), i[s].tolist(), j[s].tolist()))
 
 
 def _search_eps(cfg: RGConfig, stats):
@@ -288,22 +282,21 @@ def _rg_core(
             ps[p] += ps[c] + len(leaves[c]) * length
             leaves[p] += leaves[c]
 
-    def refresh(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The active distance matrix, set at the pairs (i, j) and mirrored."""
+    def refresh() -> np.ndarray:
+        """The active distance matrix: X's upper triangle, mirrored."""
         S = np.zeros((len(active), len(names)))  # S[r, a] = 1 for input node a below row r
         S[[r for r, ls in enumerate(leaves) for _ in ls], [a for ls in leaves for a in ls]] = 1.0
         n = np.array([len(ls) for ls in leaves], dtype=float)
         mu = np.array(ps) / n
         X = S @ Draw @ S.T / (n[:, None] * n) - mu[:, None] - mu
-        D = np.zeros((len(active), len(active)))
-        D[i, j] = D[j, i] = X[i, j] + 0.0  # + 0.0 turns -0.0 into 0.0
-        return D
+        U = np.triu(X, 1) + 0.0  # + 0.0 turns -0.0 into 0.0
+        return U + U.T
 
     while len(active) > 2:
         diag.rounds += 1
         k = len(active)
         i, j = I[:k * (k - 1) // 2], J[:k * (k - 1) // 2]
-        D = refresh(i, j)
+        D = refresh()
         stats = _pair_stats(D, i, j, witness_cap)
         eps, steps, passes = _search_eps(cfg, stats)
         diag.eps_escalations += steps
@@ -356,7 +349,7 @@ def _rg_core(
 
     if len(active) == 2:
         diag.rounds += 1
-        attach([(0, 1, refresh(I[:1], J[:1])[0, 1])])
+        attach([(0, 1, refresh()[0, 1])])
 
     tree = LearnedTree((*names, *hidden), tuple(edges), frozenset(hidden), diag)
     if len(tree.edges) != len(tree.nodes) - 1:
@@ -373,7 +366,7 @@ def _group(O, d, cfg: RGConfig | None, witness_cap: int | None) -> tuple[tuple[s
         raise ValidationError("node list contains duplicates")
     if len(O) == 0:
         raise ValidationError("node list is empty")
-    D = np.array(_canonical(d, "distance matrix"))
+    D = _canonical(d, "distance matrix")
     if D.shape[0] != len(O):
         raise ValidationError(f"distance matrix is {D.shape[0]}x{D.shape[0]} for {len(O)} nodes")
     scale = float(np.abs(D).max()) or 1.0

@@ -62,7 +62,7 @@ def _relations(d: DistanceMatrix, eps: float = EXACT_TOL) -> dict:
     """
     D = np.array(d.d_r)
     stats = _all_pair_stats(D, None)
-    parents, siblings, _ = _relations_from_stats(stats, _passes(eps, *stats[4:]))
+    parents, siblings = _relations_from_stats(stats, _passes(eps, *stats[4:]))
     out = {}
     for _, res, _, p, c in parents:
         out[frozenset((d.nodes[p], d.nodes[c]))] = ("parent", d.nodes[p], res)
@@ -148,7 +148,6 @@ def test_pair_stats_deviations_match_definition(case):
 def _relations_loop(k, eps, i, j, d, phi_mean, spread, dev_ba, dev_ab):
     """Pair-by-pair reference for _relations_from_stats."""
     parents, siblings = [], []
-    sib_ok = np.zeros((k, k), dtype=bool)
     pairs = iter(range(len(i)))
     for a in range(k):
         for b in range(a + 1, k):
@@ -163,8 +162,7 @@ def _relations_loop(k, eps, i, j, d, phi_mean, spread, dev_ba, dev_ab):
                 parents.append((float(d[p]), float(res), float(dev), par, c))
             elif spread[p] <= eps:
                 siblings.append((float(spread[p]), a, b))
-                sib_ok[a, b] = sib_ok[b, a] = True
-    return parents, siblings, sib_ok
+    return parents, siblings
 
 
 @pytest.mark.parametrize("case", ["cap", "no cap", "ties"])
@@ -190,11 +188,10 @@ def test_relations_match_pair_loop():
     for D, cap in inputs:
         stats = _all_pair_stats(D, cap)
         for eps in (1e-9, 0.02, 0.05, 0.1, 0.3):
-            parents, siblings, sib_ok = _relations_from_stats(stats, _passes(eps, *stats[4:]))
-            want_parents, want_siblings, want_ok = _relations_loop(len(D), eps, *stats)
+            parents, siblings = _relations_from_stats(stats, _passes(eps, *stats[4:]))
+            want_parents, want_siblings = _relations_loop(len(D), eps, *stats)
             assert sorted(parents) == sorted(want_parents)
             assert sorted(siblings) == sorted(want_siblings)
-            assert np.array_equal(sib_ok, want_ok)
             kinds |= {"parent"} if parents else set()
             kinds |= {"sibling"} if siblings else set()
     assert kinds == {"parent", "sibling"}
@@ -290,11 +287,9 @@ def test_coarsest_partition_hand_relations():
     # p is the parent of u and of v; u and v are siblings; w and z unrelated.
     parents = [(1.0, 0.0, 0.0, 0, 1), (1.0, 0.0, 0.0, 0, 2)]
     siblings = [(0.0, 1, 2)]
-    sib_ok = np.zeros((5, 5), dtype=bool)
-    sib_ok[1, 2] = sib_ok[2, 1] = True
     # p's block holds u and v; the sibling pair u, v is already placed, and
     # w and z stay unplaced.
-    assert _greedy_partition(parents, siblings, sib_ok) == ({0: [1, 2]}, [])
+    assert _greedy_partition(parents, siblings) == ({0: [1, 2]}, [])
 
 
 def test_sibling_blocks_grow_by_half_quorum():
@@ -308,15 +303,17 @@ def test_sibling_blocks_grow_by_half_quorum():
         (0.10, 9, 11),  # {9, 10} and {11, 12} stay apart: 1 of 4
         (0.11, 14, 15),  # a new block, after the merge
     ]
-    sib_ok = np.zeros((16, 16), dtype=bool)
-    for _, a, b in siblings:
-        sib_ok[a, b] = sib_ok[b, a] = True
     # Blocks keep their creation order; the merged block keeps {5, 6}'s place.
-    assert _greedy_partition(parents, siblings, sib_ok) == (
+    assert _greedy_partition(parents, siblings) == (
         {0: [13]}, [[11, 12], [1, 2, 3], [5, 6, 7, 8], [9, 10], [14, 15]],
     )
     # Pair order is spread order, whatever the input order.
-    assert _greedy_partition(parents, siblings[::-1], sib_ok) == _greedy_partition(parents, siblings, sib_ok)
+    assert _greedy_partition(parents, siblings[::-1]) == _greedy_partition(parents, siblings)
+    # A pair counts in either order: (4, 2) is refused at first (1 of 4
+    # cross pairs), then counts as the cross pair (2, 4) when (1, 3) merges
+    # {1, 2} and {3, 4}: 2 of 4.
+    reversed_pair = [(0.01, 1, 2), (0.02, 3, 4), (0.025, 4, 2), (0.03, 1, 3)]
+    assert _greedy_partition([], reversed_pair) == ({}, [[1, 2, 3, 4]])
 
 
 def test_rg_exact_star_recovers_hub():
