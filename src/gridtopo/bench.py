@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -45,7 +46,10 @@ def _check_generator_args(n: int, seed: int, max_degree: int, r_range, x_range) 
         raise ValidationError(f"need n >= 5 for a hub plus three terminals, got n={n}")
     if max_degree < 4:
         raise ValidationError(f"need max_degree >= 4, got {max_degree}")
-    for lo, hi in (r_range, x_range):
+    for rng in (r_range, x_range):
+        lo, hi = rng if isinstance(rng, (tuple, list)) and len(rng) == 2 else (None, None)
+        if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
+            raise ValidationError(f"impedance range {rng!r} must be two numbers")
         if not (math.isfinite(hi) and 0 < lo <= hi):
             raise ValidationError(f"impedance range ({lo}, {hi}) must be finite with 0 < lo <= hi")
 

@@ -39,8 +39,8 @@ GRID_FORMAT = (
     '"edges": [{"u", "v", "r", "x"}]}'
 )
 MEAS_FORMAT = (
-    "measurements CSV: optional '# seed=<n>' comment, header "
-    "'t,v:<id>,p:<id>,q:<id>,...', one row per sample; empty lines are skipped"
+    "measurements CSV: optional first line '# seed=<n>', header 't,v:<id>,p:<id>,q:<id>,...' "
+    "(one v, p, q triple per node, in that order), one row per sample; empty lines are skipped"
 )
 MOMENTS_FORMAT = "moments JSON: node list, sample count, dense moment tables"
 LEARNED_FORMAT = "learned grid JSON: grid JSON schema plus a 'provenance' object"

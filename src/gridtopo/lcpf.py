@@ -19,6 +19,7 @@ _ROW_BLOCK, so the bits do not depend on the window a row falls in.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -255,8 +256,13 @@ def _fill_window(g: Grid, spec: InjectionSpec, seed: int, rows: slice,
 # Measurement CSV round trip
 # ---------------------------------------------------------------------------
 
+def _csv_header(nodes: Iterable[str]) -> list[str]:
+    """The measurements CSV header: 't', then a v, p, q column triple per node."""
+    return ["t"] + [f"{kind}:{n}" for n in nodes for kind in "vpq"]
+
+
 def save_measurements(ms: MeasurementSet | Iterable[MeasurementSet], path: str | Path) -> None:
-    """Write `t` plus a (v, p, q) column triplet per node; seed in a comment.
+    """Write an optional '# seed=<n>' line, then _csv_header(nodes) and one row per sample.
 
     ms is one set, or consecutive row blocks of one set (simulate_blocks),
     written as they arrive and then dropped. Each value is its shortest
@@ -273,7 +279,7 @@ def save_measurements(ms: MeasurementSet | Iterable[MeasurementSet], path: str |
                 nodes = block.nodes
                 if block.seed is not None:
                     fh.write(f"# seed={block.seed}\n")
-                csv.writer(fh).writerow(["t"] + [f"{kind}:{n}" for n in nodes for kind in "vpq"])
+                csv.writer(fh).writerow(_csv_header(nodes))
             elif block.nodes != nodes:
                 raise ValidationError("measurement blocks cover different node lists")
             for start in range(0, block.T, _WRITE_CHUNK):  # one chunk as Python floats at a time
@@ -293,14 +299,17 @@ def load_measurements(path: str | Path) -> MeasurementSet:
 
 
 def read_measurement_blocks(path: str | Path) -> Iterator[MeasurementSet]:
-    """Yield a measurements CSV as consecutive SIM_CHUNK-row sets.
+    """Yield a measurements CSV, in save_measurements' layout, as SIM_CHUNK-row sets.
 
-    Leading '#' lines are comments; a 'seed=<n>' token in one sets the seed.
-    The header is 't' and a v, p and q column per node. Each later line holds
-    one number per header column; empty lines are skipped, as numpy.loadtxt
-    skips them. Every fault raises FormatError naming the file, and a bad
-    row its 1-based line in the file. Only one block is parsed at a time, and
-    its columns have the layout of simulate()'s, so accumulate() over the
+    An optional first line '# seed=<n>' sets the seed; a value that is not
+    an integer leaves it unknown. The header is 't', then 'v:<id>',
+    'p:<id>', 'q:<id>' for each node in turn, each id once: the node ids
+    are read from every third column, and any other header is refused at
+    its first column that differs. Each later line holds one number per
+    header column; empty lines are skipped, as numpy.loadtxt skips them.
+    Every fault raises FormatError naming the file, and a bad row its
+    1-based line in the file. Only one block is parsed at a time, and its
+    columns have the layout of simulate()'s, so accumulate() over the
     blocks gives the same bits as over the set that was written.
     """
     path = Path(path)
@@ -309,41 +318,22 @@ def read_measurement_blocks(path: str | Path) -> Iterator[MeasurementSet]:
     except FileNotFoundError:
         raise FormatError(f"{path}: file not found") from None
     with fh:
-        seed = None
-        line = fh.readline()
-        header_line = 1
-        while line.startswith("#"):
-            for token in line[1:].split():
-                if token.startswith("seed="):
-                    try:
-                        seed = int(token[5:])
-                    except ValueError:
-                        pass
-            line = fh.readline()
-            header_line += 1
+        seed, line, header_line = None, fh.readline(), 1
+        if line.startswith("#"):
+            with contextlib.suppress(ValueError):  # a seed that is no integer stays unknown
+                seed = int(line.removeprefix("# seed="))
+            line, header_line = fh.readline(), 2
         if not line:
             raise FormatError(f"{path}: empty file")
-        header = next(csv.reader([line]))
-        if not header or header[0] != "t":
-            raise FormatError(f"{path}: first header column must be 't'")
-        col_of: dict[str, int] = {}
-        nodes: list[str] = []
-        for i, name in enumerate(header[1:], start=1):
-            if ":" not in name:
-                raise FormatError(f"{path}: header column {name!r} is not of the form kind:node")
-            kind, node = name.split(":", 1)
-            if kind not in ("v", "p", "q"):
-                raise FormatError(f"{path}: header column {name!r} has unknown kind {kind!r}")
-            if name in col_of:
-                raise FormatError(f"{path}: duplicate column {name!r}")
-            col_of[name] = i
-            if node not in nodes:
-                nodes.append(node)
-        for node in nodes:
-            for kind in ("v", "p", "q"):
-                if f"{kind}:{node}" not in col_of:
-                    raise FormatError(f"{path}: missing column '{kind}:{node}'")
-        cols = [[col_of[f"{kind}:{n}"] for n in nodes] for kind in "vpq"]
+        header = next(csv.reader([line]), [])
+        nodes = tuple(name.partition(":")[2] for name in header[1::3])
+        # The expected header is never shorter, so a missing column reads as ''.
+        for col, (got, want) in enumerate(itertools.zip_longest(header, _csv_header(nodes), fillvalue=""), 1):
+            if got != want:
+                raise FormatError(f"{path}: header column {col} is {got!r}, expected {want!r}")
+        for i, node in enumerate(nodes):
+            if node in nodes[:i]:
+                raise FormatError(f"{path}: header lists node {node!r} twice")
         rows = (row for row in fh if row.strip("\r\n"))
         # loadtxt warns on a body without data, so each block's first row is read here.
         first = next(rows, None)
@@ -351,19 +341,21 @@ def read_measurement_blocks(path: str | Path) -> Iterator[MeasurementSet]:
             raise FormatError(f"{path}: no measurement rows")
         while first is not None:
             lines = itertools.chain([first], itertools.islice(rows, SIM_CHUNK - 1))
-            yield _parse_block(path, header_line, header, lines, tuple(nodes), cols, seed)
+            yield _parse_block(path, header_line, lines, nodes, seed)
             first = next(rows, None)
 
 
-def _parse_block(path: Path, header_line: int, header: list[str], lines: Iterable[str],
-                 nodes: tuple[str, ...], cols: list[list[int]], seed: int | None) -> MeasurementSet:
+def _parse_block(path: Path, header_line: int, lines: Iterable[str],
+                 nodes: tuple[str, ...], seed: int | None) -> MeasurementSet:
+    width = 1 + 3 * len(nodes)
     try:
         data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        raise FormatError(f"{path}: {_bad_row(path, header_line, len(header)) or exc}") from None
-    if data.shape[1] != len(header):
-        raise FormatError(f"{path}: {_bad_row(path, header_line, len(header))}")
-    return MeasurementSet(nodes, *(data[:, c] for c in cols), seed=seed)
+        raise FormatError(f"{path}: {_bad_row(path, header_line, width) or exc}") from None
+    if data.shape[1] != width:
+        raise FormatError(f"{path}: {_bad_row(path, header_line, width)}")
+    # Index lists, not strided slices: the columns come out as Fortran-ordered copies.
+    return MeasurementSet(nodes, *(data[:, range(kind, width, 3)] for kind in (1, 2, 3)), seed=seed)
 
 
 def _bad_row(path: Path, header_line: int, width: int) -> str | None:

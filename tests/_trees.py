@@ -4,14 +4,15 @@ Used to verify the packaged edge-difference computation on every leaf-labeled
 tree with a handful of terminals: the naive distance recomputes each line's
 terminal bipartition by cutting the line and flooding the remainder, and the
 naive isomorphism check tries every hidden-node bijection outright. Also
-holds the noisy-distance and node-degree helpers the grouping tests share.
+holds the noisy-distance and node-degree helpers the grouping tests share,
+and builders for tree shapes that random_radial_grid does not make.
 """
 import itertools
 from collections import Counter
 
 import numpy as np
 
-from gridtopo import DistanceMatrix, Edge, LearnedGrid
+from gridtopo import DistanceMatrix, Edge, Grid, LearnedGrid
 
 Tree = tuple[tuple[str, ...], frozenset]  # (hidden names, edge set of frozenset pairs)
 
@@ -130,3 +131,52 @@ def perturbed(dm: DistanceMatrix, noise: float, seed: int) -> DistanceMatrix:
 def degrees(tree) -> Counter:
     """Line count at each node of a tree with .edges of (u, v, ...)."""
     return Counter(n for e in tree.edges for n in (e.u, e.v))
+
+
+# ---------------------------------------------------------------------------
+# Tree shapes: every junction keeps degree >= 3 without the root line
+# ---------------------------------------------------------------------------
+
+def _grid_from_lines(lines: list[tuple[str, str]], seed: int) -> Grid:
+    """Root 't' above the first line's upper end; nodes without a line below are terminals.
+
+    Each line's r and x, the root line's included, are i.i.d. uniform(0.05, 0.5).
+    """
+    uppers = {u for u, _ in lines}
+    kinds = {"t": "root", lines[0][0]: "hidden"}
+    kinds.update((v, "hidden" if v in uppers else "observed") for _, v in lines)
+    lines = [("t", lines[0][0])] + lines
+    r, x = np.random.default_rng(seed).uniform(0.05, 0.5, size=(2, len(lines)))
+    return Grid.create(kinds, [(u, v, ri, xi) for (u, v), ri, xi in zip(lines, r, x)])
+
+
+def _leg(name: str, m: int) -> list[tuple[str, str]]:
+    """m >= 2 junctions in a line, one terminal on each and a second on the last."""
+    lines = [(f"{name}{i}", f"{name}{i + 1}") for i in range(1, m)]
+    lines += [(f"{name}{i}", f"{name}{i}.o") for i in range(1, m + 1)]
+    return lines + [(f"{name}{m}", f"{name}{m}.o2")]
+
+
+def caterpillar(m: int, seed: int) -> Grid:
+    """A spine of m junctions, one terminal on each and a second at both ends: m + 2 terminals."""
+    return _grid_from_lines(_leg("j", m) + [("j1", "j1.o2")], seed)
+
+
+def spider(m: int, seed: int) -> Grid:
+    """A hub with three caterpillar legs of m junctions each: 3(m + 1) terminals."""
+    return _grid_from_lines([("h", f"{leg}1") for leg in "abc"]
+                            + [line for leg in "abc" for line in _leg(leg, m)], seed)
+
+
+def binary(m: int, seed: int) -> Grid:
+    """A hub with three children, each junction below it two: depth m, 3 * 2^(m - 1) terminals."""
+    lines, level = [], ["h"]
+    for _ in range(m):
+        new = [(u, f"{u}{c}") for u in level for c in ("abc" if u == "h" else "ab")]
+        lines, level = lines + new, [v for _, v in new]
+    return _grid_from_lines(lines, seed)
+
+
+def star(m: int, seed: int) -> Grid:
+    """One hub with m terminals."""
+    return _grid_from_lines([("h", f"o{i}") for i in range(m)], seed)

@@ -87,9 +87,13 @@ def test_generator_argument_validation():
         random_radial_grid(10, seed=0, max_degree=3)
     with pytest.raises(ValidationError):
         random_radial_grid(10, seed=0, r_range=(0.0, 0.1))
-    for bad in ((0.1, np.inf), (np.nan, 0.2), (0.1, np.nan)):
-        with pytest.raises(ValidationError, match="must be finite"):
-            random_radial_grid(10, seed=0, x_range=bad)
+    bad_ranges = [((0.1, np.inf), "must be finite"), ((np.nan, 0.2), "must be finite"),
+                  ((0.1, np.nan), "must be finite"), ((0.1, 0.2, 0.3), "must be two numbers"),
+                  ((0.1,), "must be two numbers"), (("a", "b"), "must be two numbers"),
+                  (0.1, "must be two numbers")]
+    for (bad, message), key in itertools.product(bad_ranges, ("r_range", "x_range")):
+        with pytest.raises(ValidationError, match=message):
+            random_radial_grid(10, seed=0, **{key: bad})
     # numpy's generators take non-negative seeds only.
     with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
         random_radial_grid(10, seed=-1)
@@ -567,6 +571,8 @@ def test_experiment_config_validation():
         ExperimentConfig(threads=0)
     with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
         ExperimentConfig(seed=-1)
+    with pytest.raises(ValidationError, match=r"impedance range \(0.1, 0.2, 0.3\) must be two numbers"):
+        ExperimentConfig(r_range=(0.1, 0.2, 0.3))
     # One cell per (samples, eps0): repeats would write duplicate row keys.
     with pytest.raises(ValidationError, match="distinct tolerances, got \\[0.07, 0.07\\]"):
         ExperimentConfig(n=12, trials=2, samples=(400, 800), eps0=(0.07, 0.07))

@@ -16,11 +16,15 @@ from gridtopo import (
     NotAdditiveError,
     RGConfig,
     ValidationError,
+    analytic_moments,
     edge_difference,
+    estimate_distances,
+    learn_from_moments,
     random_radial_grid,
     rg_exact,
     rg_sampled,
     tree_path_lengths,
+    validate_grid,
 )
 from gridtopo import grouping
 from gridtopo.grouping import (
@@ -33,7 +37,7 @@ from gridtopo.grouping import (
     _relations_from_stats,
     _search_eps,
 )
-from _trees import degrees, perturbed
+from _trees import binary, caterpillar, degrees, perturbed, spider, star
 
 STAR_NODES = ("a", "b", "c")
 STAR_D = np.array([
@@ -345,6 +349,24 @@ def test_rg_exact_random_grids_roundtrip():
         assert edge_difference(g, tree) == 0, f"n={n}"
         rebuilt = tree_path_lengths(tree, g.observed_nodes)
         assert np.allclose(rebuilt, d.d_r, atol=1e-9)
+
+
+# Shapes random_radial_grid does not make, at two sizes each (k = 30 to 120
+# terminals): long laterals, deep complete trees and one busy junction.
+@pytest.mark.parametrize("shape, sizes", [
+    (caterpillar, (30, 60)), (spider, (10, 20)), (binary, (5, 6)), (star, (30, 120)),
+])
+def test_exact_moments_recover_tree_shapes(shape, sizes):
+    for m in sizes:
+        for seed in range(5):
+            g = shape(m, seed)
+            assert validate_grid(g) == ()
+            moments = analytic_moments(g)
+            assert edge_difference(g, learn_from_moments(moments)) == 0, (m, seed)
+            d = estimate_distances(moments)
+            for mode in ("r", "x"):
+                tree = rg_exact(g.observed_nodes, getattr(d, f"d_{mode}"))
+                assert edge_difference(g, tree) == 0, (m, seed, mode)
 
 
 def test_rg_exact_rejects_non_additive_metric():

@@ -434,18 +434,25 @@ def test_measurements_csv_rejects_bad_files(tmp_path):
         path.write_text("# seed=3\nt,v:a,p:a,q:a\n" + body)
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {detail}"):
             load_measurements(path)
-    # A missing or faulty header is refused before any row is read.
+    for head in ("", "# seed=3\n"):
+        path.write_text(head)
+        with pytest.raises(FormatError) as err:
+            load_measurements(path)
+        assert str(err.value) == f"{path}: empty file"
+    # Any header but save_measurements' own layout is refused before a row
+    # is read, though the row below would parse.
     heads = [
-        ("", "empty file"),
-        ("# seed=3\n", "empty file"),
-        ("x,v:a,p:a,q:a\n", "first header column must be 't'"),
-        ("t,va,p:a,q:a\n", "header column 'va' is not of the form kind:node"),
-        ("t,w:a,p:a,q:a\n", "header column 'w:a' has unknown kind 'w'"),
-        ("t,v:a,v:a,p:a,q:a\n", "duplicate column 'v:a'"),
-        ("t,v:a,p:a\n", "missing column 'q:a'"),
+        ("x,v:a,p:a,q:a\n", "header column 1 is 'x', expected 't'"),
+        ("t,va,p:a,q:a\n", "header column 2 is 'va', expected 'v:'"),
+        ("t,w:a,p:a,q:a\n", "header column 2 is 'w:a', expected 'v:a'"),
+        ("t,v:a,v:a,p:a,q:a\n", "header column 3 is 'v:a', expected 'p:a'"),
+        ("t,v:a,p:a\n", "header column 4 is '', expected 'q:a'"),
+        ("t,p:a,v:a,q:a\n", "header column 2 is 'p:a', expected 'v:a'"),  # v, p, q in another order
+        ("# seed=3\n# run 2\nt,v:a,p:a,q:a\n", "header column 1 is '# run 2', expected 't'"),
+        ("t,v:a,p:a,q:a,v:a,p:a,q:a\n", "header lists node 'a' twice"),
     ]
     for head, message in heads:
-        path.write_text(head)
+        path.write_text(head + "0,1.0,2.0,3.0\n")
         with pytest.raises(FormatError) as err:
             load_measurements(path)
         assert str(err.value) == f"{path}: {message}"
